@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -96,9 +95,13 @@ def _cmd_verify(args) -> int:
         except KeyError as exc:
             raise ValidationError(str(exc)) from exc
     scale = args.tolerance_scale
-    rows = [{"name": c.name, "value": c.value, "tolerance": c.tolerance * scale,
-             "passed": bool(c.value < c.tolerance * scale or
-                            (c.passed and scale >= 1.0)), "detail": c.detail}
+    if not scale > 0:
+        raise ValidationError("--tolerance-scale must be positive")
+    # flags and the runtime limit keep their own tolerance and verdict
+    rows = [{"name": c.name, "value": c.value,
+             "tolerance": c.tolerance * scale if c.scales else c.tolerance,
+             "passed": bool(c.value < c.tolerance * scale) if c.scales else c.passed,
+             "detail": c.detail}
             for c in checks]
     passed = all(r["passed"] for r in rows)
     doc = _envelope("verify", {"suites": names, "tolerance_scale": scale},
@@ -148,6 +151,8 @@ def _cmd_potential(args) -> int:
     fam = _family_from(args)
     if not (args.r_min > 0 and args.r_max > args.r_min):
         raise ValidationError("need 0 < r-min < r-max")
+    if args.points < 1:
+        raise ValidationError("--points must be at least 1")
     r = np.geomspace(args.r_min, args.r_max, args.points)
     v = powerlaw.potential_eval(fam, r)
     veff = powerlaw.effective_potential_eval(fam, r)
@@ -190,6 +195,8 @@ def _cmd_dirac(args) -> int:
 def _cmd_bender(args) -> int:
     if args.N == -2:
         raise ValidationError("N = -2 is excluded")
+    if args.n_max < 0:
+        raise ValidationError("--n-max must be at least 0")
     rows = []
     worst = 0.0
     for n in range(args.n_max + 1):
@@ -207,30 +214,28 @@ def _cmd_oracle(args) -> int:
     coupling_mode = args.mu is not None
     if coupling_mode == (args.N is not None):
         raise ValidationError("give either --mu (coupling mode) or --N (energy mode)")
+    try:
+        if coupling_mode:
+            res = oracle.shoot_coupling(args.mu, args.lam, args.l, count=args.count)
+        else:
+            res = oracle.shoot_energy_bender(args.N, count=args.count)
+    except ValueError as exc:  # the oracle validates its own domain
+        raise ValidationError(str(exc)) from exc
     if coupling_mode:
-        res = oracle.shoot_coupling(args.mu, args.lam, args.l, count=args.count)
         mu_f = float(args.mu)
         unit = (args.lam / (2.0 * mu_f + 1.0)) ** 2
         omega0 = 1.0 + (2 * args.l + 1) * abs(mu_f + 0.5)
         predicted = [unit * (2 * n + omega0) for n in range(args.count)]
         params = vars_of(args, "mu", "lam", "l", "count")
     else:
-        if args.N not in (-1, 0, 1, 3):
-            raise ValidationError("energy mode supports N in {-1, 0, 1, 3}")
-        res = oracle.shoot_energy_bender(args.N, count=args.count)
         predicted = [(2 * n + 1) * abs(args.N + 2) + 1.0 for n in range(args.count)]
         params = vars_of(args, "N", "count")
-    rows = []
-    worst = math.inf if len(res.values) < args.count else 0.0
-    for i, pred in enumerate(predicted):
-        got = res.values[i] if i < len(res.values) else None
-        nodes = res.node_counts[i] if i < len(res.node_counts) else None
-        err = abs(got - pred) / abs(pred) if got is not None else None
-        if err is not None:
-            worst = max(worst, err)
-        rows.append({"index": i, "recovered": got, "predicted": pred,
-                     "rel_err": err, "node_count": nodes})
-    passed = worst < args.tolerance and [r["node_count"] for r in rows] == list(range(args.count))
+    rows = [{"index": i, "recovered": got, "predicted": pred,
+             "rel_err": abs(got - pred) / abs(pred), "node_count": nodes}
+            for i, (got, pred, nodes)
+            in enumerate(zip(res.values, predicted, res.node_counts, strict=True))]
+    worst = max(r["rel_err"] for r in rows)
+    passed = worst < args.tolerance and res.node_counts == list(range(args.count))
     result = {"mode": "coupling" if coupling_mode else "energy",
               "levels": rows, "diagnostics": res.diagnostics}
     _emit(_envelope("oracle", params, result, passed=passed), rows, args)
@@ -264,6 +269,8 @@ def _subcritical_scale(fam: powerlaw.PowerLawFamily) -> float:
 def _cmd_figures(args) -> int:
     which = args.which
     lam, n, points = args.lam, args.n, args.points
+    if points < 1:
+        raise ValidationError("--points must be at least 1")
     if which == 1:
         try:
             lo, hi, step = (float(tok) for tok in args.mu_range.split(":"))

@@ -18,8 +18,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .closedform import count_sign_changes
-
 __all__ = [
     "QuadResult",
     "quad_seminfinite",
@@ -152,7 +150,7 @@ def quad_seminfinite(f, tol: float = 1e-10, *, atol: float = 0.0,
 
 
 # ---------------------------------------------------------------------------
-# Radial initial-value integration
+# Radial initial-value integration in Pruefer variables
 # ---------------------------------------------------------------------------
 
 def _wkb_from_q(q, r, coupling, sign):
@@ -174,7 +172,9 @@ class RadialODE:
     shooting parameter (attractive coupling or spectral value).  Domain ends
     and the matching radius may depend on the parameter.  Start values default
     to the regular power u ~ r^origin_exponent at the inner end and to a
-    first-order WKB decaying form at the outer end.
+    first-order WKB decaying form at the outer end.  A start must have no zero
+    of u beyond it (on its side of the domain): the sweep counts zeros from
+    there.
     """
 
     q: Callable[[float, float], float]
@@ -205,67 +205,68 @@ class RadialODE:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """One sweep toward the matching radius.  ``u`` and ``du`` are the
+    solution up to one positive factor, unit amplitude at the end.
+    ``end_theta`` is the Pruefer angle there: it starts in [0, pi) and, as r
+    grows, rises through a multiple of pi at each zero of u, so an inward
+    sweep falls through them.  ``nfev`` counts right-hand-side evaluations."""
+
     r: np.ndarray
     u: np.ndarray
     du: np.ndarray
     log_deriv: float
     end_u: float
     end_du: float
+    end_theta: float
+    nfev: int
 
 
 def integrate_radial(ode: RadialODE, coupling: float, direction: str = "outward",
-                     rtol: float = 1e-10, segments: int = 8,
-                     points_per_segment: int = 50) -> Trajectory:
-    """Adaptive Runge-Kutta (Dormand-Prince embedded 5(4) pair) sweep toward
-    the matching radius.  The state is renormalized between log-spaced
-    segments so stretched-exponential growth cannot overflow; only the
-    log-derivative and the node pattern are meaningful downstream."""
+                     rtol: float = 1e-10) -> Trajectory:
+    """One LSODA sweep toward the matching radius in the Euler-scaled Pruefer
+    variables u = rho sin(theta), r u' = rho cos(theta) with t = log r:
+
+        theta'    = cos^2 - sin cos - r^2 q sin^2
+        (log rho)' = cos^2 + (1 + r^2 q) sin cos
+
+    The angle carries the node count and the log-amplitude cannot overflow,
+    so one call covers the whole side with no renormalisation."""
     if direction not in ("outward", "inward"):
         raise ValueError("direction must be 'outward' or 'inward'")
     r_match = ode.match_at(coupling)
     if direction == "outward":
-        r_from, r_to = ode.inner_at(coupling), r_match
-        start = ode.inner_start or (
-            lambda r, c: (r**ode.origin_exponent,
-                          ode.origin_exponent * r ** (ode.origin_exponent - 1.0)))
+        r_from = ode.inner_at(coupling)
+        start = ode.inner_start or (lambda r, c: (1.0, ode.origin_exponent / r))
     else:
-        r_from, r_to = ode.outer_at(coupling), r_match
+        r_from = ode.outer_at(coupling)
         start = ode.outer_start or (lambda r, c: _wkb_from_q(ode.q, r, c, -1.0))
-    if min(r_from, r_to) <= 0:
+    if min(r_from, r_match) <= 0:
         raise ValueError("domain must be positive")
 
     u0, du0 = start(r_from, coupling)
-    y = np.array([u0, du0], dtype=float)
-    bounds = np.geomspace(r_from, r_to, segments + 1)
+    theta0 = math.atan2(u0, r_from * du0) % math.pi
 
-    def rhs(r, state):
-        return (state[1], ode.q(r, coupling) * state[0])
+    def rhs(t, y):
+        r = math.exp(t)
+        r2q = r * r * ode.q(r, coupling)
+        s, c = math.sin(y[0]), math.cos(y[0])
+        return (c * c - s * c - r2q * s * s, c * c + (1.0 + r2q) * s * c)
 
-    rs, us, dus = [], [], []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        scale = max(abs(y[0]), abs(y[1]) * a, 1e-290)
-        sol = solve_ivp(rhs, (a, b), y, method="RK45", rtol=rtol,
-                        atol=[1e-14 * scale, 1e-14 * scale / a],
-                        t_eval=np.geomspace(a, b, points_per_segment))
-        if not sol.success:
-            raise RuntimeError(f"radial integration failed on [{a:g}, {b:g}]: {sol.message}")
-        skip = 1 if rs else 0  # segment start duplicates the previous end point
-        rs.append(sol.t[skip:])
-        us.append(sol.y[0][skip:])
-        dus.append(sol.y[1][skip:])
-        y = sol.y[:, -1].copy()
-        norm = max(abs(y[0]), abs(y[1]) * b)
-        if norm > 1e12:  # positive factor keeps the sign pattern intact
-            y /= norm
-            us[-1] = us[-1] / norm
-            dus[-1] = dus[-1] / norm
-
-    r_arr = np.concatenate(rs)
-    u_arr = np.concatenate(us)
-    du_arr = np.concatenate(dus)
-    end_u, end_du = float(y[0]), float(y[1])
+    # log rho only scales u and du; its loose absolute tolerance keeps it out
+    # of the step-size control
+    sol = solve_ivp(rhs, (math.log(r_from), math.log(r_match)), [theta0, 0.0],
+                    method="LSODA", rtol=rtol, atol=(1e-12, 1e-6))
+    if not sol.success:
+        raise RuntimeError(f"radial integration failed on [{r_from:g}, {r_match:g}]: "
+                           f"{sol.message}")
+    theta, log_rho = sol.y
+    r = np.exp(sol.t)
+    amplitude = np.exp(log_rho - log_rho[-1])
+    end_theta = float(theta[-1])
+    end_u, end_du = math.sin(end_theta), math.cos(end_theta) / r_match
     log_deriv = end_du / end_u if end_u != 0.0 else math.inf
-    return Trajectory(r_arr, u_arr, du_arr, log_deriv, end_u, end_du)
+    return Trajectory(r, amplitude * np.sin(theta), amplitude * np.cos(theta) / r,
+                      log_deriv, end_u, end_du, end_theta, int(sol.nfev))
 
 
 # ---------------------------------------------------------------------------
@@ -297,42 +298,6 @@ def _golden_min(f, a, b, tol):
     return 0.5 * (a + b)
 
 
-def _power_series_start(prefactor_exponent: float, step: float, c_rep: float,
-                        coupling: float, l: int, r: float,
-                        max_terms: int = 600):
-    """Convergent series u = r^p sum_k a_k r^(k s) for the two-term family.
-
-    a_k = (2 c a_{k-2} - 2 D a_{k-1}) / (k|s| (2l+1+k|s|)) serves both the
-    regular origin branch (p = l+1, s = beta > 0) and the decaying infinity
-    branch (p = -l, s = -beta); denominators never vanish and the series is
-    entire in r^s, so truncation is the only error.
-    """
-    p, s = prefactor_exponent, step
-    x = r**s
-    a_prev2, a_prev1 = 0.0, 1.0
-    u_sum, du_sum = 1.0, p
-    term_pow = 1.0
-    tiny_run = 0
-    for k in range(1, max_terms):
-        denom = k * abs(s) * (2 * l + 1 + k * abs(s))
-        a_k = (2.0 * c_rep * a_prev2 - 2.0 * coupling * a_prev1) / denom
-        term_pow *= x
-        contrib = a_k * term_pow
-        u_sum += contrib
-        du_sum += (p + k * s) * contrib
-        a_prev2, a_prev1 = a_prev1, a_k
-        if abs(contrib) < 1e-17 * (abs(u_sum) + 1e-300):
-            tiny_run += 1
-            if tiny_run >= 3:
-                break
-        else:
-            tiny_run = 0
-    else:
-        raise RuntimeError("series start did not converge; move the boundary inward")
-    base = r**p
-    return base * u_sum, base * du_sum / r
-
-
 def _powerlaw_exponents(mu: float):
     if mu == 0.0 or mu == 0.5 or mu == -0.5:
         raise ValueError("mu in {0, +1/2, -1/2} is outside the family")
@@ -360,97 +325,98 @@ def _match_radius_factory(c_rep, p1, p2, l):
     return match
 
 
+def _power_end(coupling: float, beta: float) -> float:
+    """r^beta = 1e-12 / (1 + 2|c|), kept above 1e-150: there both potential
+    terms of r^2 q are negligible next to l(l+1), so the solution that is
+    regular at that end has the fixed Pruefer angle of its bare power."""
+    log_x = math.log(1e-12 / (1.0 + 2.0 * abs(coupling)))
+    return math.exp(max(log_x / beta, -345.0))
+
+
 def build_powerlaw_ode(mu: float, lam: float, l: int) -> RadialODE:
     """Zero-energy radial problem of the two-term power-law family with the
-    attractive coefficient left free as the shooting parameter."""
+    attractive coefficient left free as the shooting parameter.
+
+    In x = r^(+-beta) (sign of mu + 1/2), r^2 q = l(l+1) + 2 c_rep x^2 - 2 c x,
+    so the end where x -> 0 is a regular singular point: there the sweep
+    starts on the bare power (r^(l+1) at the origin above mu = -1/2, r^(-l)
+    at infinity below), with no zero beyond the start.  The other end starts
+    on WKB decay."""
+    if not (lam > 0 and l >= 0):
+        raise ValueError(f"need lam > 0 and l >= 0, got lam = {lam}, l = {l}")
     mu = float(mu)
     p1, p2 = _powerlaw_exponents(mu)
     c_rep = (lam / (2.0 * mu + 1.0)) ** 2 * lam**2 / 2.0
-    above = mu > -0.5
     beta = 1.0 / abs(mu + 0.5)
+    match = _match_radius_factory(c_rep, p1, p2, l)
 
     def q(r, coupling):
         return l * (l + 1) / r**2 + 2.0 * (c_rep * r**p1 - coupling * r**p2)
 
-    if above:
-        # regular series at the origin, stretched-exponential decay at infinity;
+    if mu > -0.5:
         # the outer radius guarantees both a ~36 decay budget and clear
         # dominance of the repulsive term (positive WKB argument)
-        r_inner = (0.5 / lam**2) ** (1.0 / beta)
-        r_outer = lambda D: max((72.0 / lam**2) ** (1.0 / beta),
-                                (6.0 * D / c_rep) ** (1.0 / beta))
-        inner = lambda r, c: _power_series_start(l + 1.0, beta, c_rep, c, l, r)
-        outer = None  # WKB decaying default
-        s_origin = l + 1.0
-    else:
-        # essential decay into the origin, algebraic r^(-l) branch at infinity
-        r_inner = lambda D: min((lam**2 / 72.0) ** (1.0 / beta),
-                                (c_rep / (6.0 * D)) ** (1.0 / beta))
-        match_fn = _match_radius_factory(c_rep, p1, p2, l)
-
-        def r_outer(D):
-            series_ok = (10.0 * max(2.0 * D, math.sqrt(2.0 * c_rep), 1.0)
-                         / beta**2) ** (1.0 / beta)
-            return max(series_ok, 9.5 * match_fn(D))
-
-        inner = lambda r, c: _wkb_from_q(q, r, c, +1.0)
-        outer = lambda r, c: _power_series_start(-float(l), -beta, c_rep, c, l, r)
-        s_origin = float(l + 1)
-
-    return RadialODE(q=q, r_inner=r_inner, r_outer=r_outer,
-                     origin_exponent=s_origin,
-                     match_radius=_match_radius_factory(c_rep, p1, p2, l),
-                     inner_start=inner, outer_start=outer)
+        return RadialODE(q=q, r_inner=lambda D: _power_end(D, beta),
+                         r_outer=lambda D: max((72.0 / lam**2) ** (1.0 / beta),
+                                               (6.0 * D / c_rep) ** (1.0 / beta)),
+                         origin_exponent=l + 1.0, match_radius=match)
+    # essential decay into the origin, algebraic r^(-l) branch at infinity
+    return RadialODE(q=q,
+                     r_inner=lambda D: min((lam**2 / 72.0) ** (1.0 / beta),
+                                           (c_rep / (6.0 * D)) ** (1.0 / beta)),
+                     r_outer=lambda D: max(1.0 / _power_end(D, beta), 9.5 * match(D)),
+                     match_radius=match,
+                     inner_start=lambda r, c: _wkb_from_q(q, r, c, +1.0),
+                     outer_start=lambda r, c: (1.0, -l / r))
 
 
 def coupling_mismatch(ode: RadialODE, coupling: float, rtol: float = 1e-10):
-    """Scaled Wronskian of the two one-sided solutions at the matching radius:
-    zero exactly at a quantized parameter value, continuous in between."""
+    """Scaled Wronskian of the two one-sided solutions at the matching radius,
+    sin(theta_in - theta_out): zero exactly at a quantized parameter value,
+    continuous in between."""
     out = integrate_radial(ode, coupling, "outward", rtol=rtol)
     inn = integrate_radial(ode, coupling, "inward", rtol=rtol)
-    rm = ode.match_at(coupling)
-    w = out.end_du * inn.end_u - inn.end_du * out.end_u
-    scale = math.sqrt((out.end_u**2 + (rm * out.end_du) ** 2)
-                      * (inn.end_u**2 + (rm * inn.end_du) ** 2))
-    return w * rm / (scale + 1e-300), out, inn
+    return math.sin(inn.end_theta - out.end_theta), out, inn
 
 
-def _count_nodes(ode: RadialODE, coupling: float, rtol: float = 1e-10) -> int:
-    out = integrate_radial(ode, coupling, "outward", rtol=rtol)
-    inn = integrate_radial(ode, coupling, "inward", rtol=rtol)
-    ratio = out.end_u / inn.end_u if inn.end_u != 0 else 1.0
-    combined = np.concatenate([out.u, (ratio * inn.u)[::-1][1:]])
-    return count_sign_changes(combined)
+def _shoot(ode: RadialODE, unit: float, count: int) -> ShootingResult:
+    """The k-th level is the root of the phase (theta_out - theta_in)/pi - k.
 
+    Off the spectrum the two angles never differ by a multiple of pi, so the
+    phase passes k only at the k-th level, whatever the matching radius, and
+    it rises with c (Sturm).  Each level is bracketed by doubling out from
+    ``unit`` or from the couplings already swept, then solved by brentq."""
+    sweeps: dict[float, tuple[float, float, int]] = {}  # c -> (phase, |mismatch|, nodes)
+    rhs_evals = 0
 
-def _scan_and_bisect(ode: RadialODE, step: float, count: int,
-                     max_steps: int = 4000, scan_rtol: float = 1e-9,
-                     xtol: float = 1e-10) -> ShootingResult:
+    def phase(c):
+        nonlocal rhs_evals
+        if c not in sweeps:
+            # the angle's global error grows with each oscillation; 1e-12
+            # keeps the sixth level within about 1e-10 of its value
+            mismatch, out, inn = coupling_mismatch(ode, c, rtol=1e-12)
+            rhs_evals += out.nfev + inn.nfev
+            nodes = math.floor(out.end_theta / math.pi) - math.floor(inn.end_theta / math.pi)
+            sweeps[c] = ((out.end_theta - inn.end_theta) / math.pi, abs(mismatch), nodes)
+        return sweeps[c][0]
+
     values, nodes, mism = [], [], []
-    cache: dict[float, float] = {}
-
-    def f(c):
-        if c not in cache:
-            cache[c] = coupling_mismatch(ode, c, rtol=scan_rtol)[0]
-        return cache[c]
-
-    prev_c = prev_f = None
-    k = 1
-    while len(values) < count and k <= max_steps:
-        c = step * k
-        fc = f(c)
-        if prev_c is not None and prev_f != 0 and np.sign(fc) != np.sign(prev_f):
-            root = brentq(f, prev_c, c, xtol=xtol, rtol=1e-14)
-            resid = coupling_mismatch(ode, root, rtol=1e-10)[0]
-            values.append(float(root))
-            mism.append(abs(float(resid)))
-            nodes.append(_count_nodes(ode, root))
-        prev_c, prev_f = c, fc
-        k += 1
-    diagnostics = {"scan_steps": k - 1, "step": step,
-                   "bracket_failures": max(0, count - len(values))}
-    if len(values) < count:
-        diagnostics["note"] = "bracket failure: fewer roots than requested"
+    for k in range(count):
+        lo = max((c for c, s in sweeps.items() if s[0] < k), default=None)
+        hi = min((c for c, s in sweeps.items() if s[0] >= k), default=None)
+        while hi is None:
+            c = unit if lo is None else 2.0 * lo
+            lo, hi = (c, None) if phase(c) < k else (lo, c)
+        while lo is None:
+            c = 0.5 * hi
+            lo, hi = (c, hi) if phase(c) < k else (None, c)
+        root = brentq(lambda c: phase(c) - k, lo, hi, xtol=1e-12 * unit, rtol=1e-10)
+        phase(root)
+        values.append(float(root))
+        mism.append(sweeps[root][1])
+        nodes.append(sweeps[root][2])
+    diagnostics = {"mismatch_evals": len(sweeps), "ode_sweeps": 2 * len(sweeps),
+                   "rhs_evals": rhs_evals}
     return ShootingResult(values, nodes, mism, diagnostics)
 
 
@@ -458,46 +424,29 @@ def shoot_coupling(mu, lam: float, l: int, count: int = 3) -> ShootingResult:
     """Recover the first ``count`` quantized attractive couplings of the
     two-term power-law problem at zero energy, holding the repulsive
     coefficient fixed at (lam/(2 mu + 1))^2 lam^2 / 2.  Node counts come from
-    the matched double-sided solution."""
-    if count > 6:
-        raise ValueError("count must be <= 6")
+    the Pruefer angles of the matched double-sided solution."""
+    if not 1 <= count <= 6:
+        raise ValueError(f"count must lie in 1..6, got {count}")
     mu, lam = float(mu), float(lam)
     ode = build_powerlaw_ode(mu, lam, l)
-    base = (lam / (2.0 * mu + 1.0)) ** 2  # coupling unit of the family
-    return _scan_and_bisect(ode, step=base / 2.0, count=count)
+    return _shoot(ode, (lam / (2.0 * mu + 1.0)) ** 2, count)
 
 
 def build_halfline_ode(n_power: int) -> RadialODE:
     """Half-line problem -psi'' + x^(2N+2) psi = E x^N psi with psi(0) = 0.
 
-    The origin start is the convergent series psi = sum_j c_j x^(1+j) with
-    c_j = (c_{j-2N-4} - E c_{j-N-2}) / (j (j+1)); the outer start is WKB
-    decay beyond the turning point x = E^(1/(N+2)).
+    For N >= -1, x^2 q -> 0 at the origin, so the sweep starts on psi ~ x at
+    x = 1e-8; the outer start is WKB decay beyond the turning point
+    x = E^(1/(N+2)).
     """
     if n_power == -2:
         raise ValueError("N = -2 is excluded")
     if n_power < -1:
-        raise ValueError("shooting supports N >= -1 (integer power series origin)")
+        raise ValueError("shooting supports N >= -1 (regular origin)")
     N = int(n_power)
 
     def q(x, energy):
         return x ** (2 * N + 2) - energy * x**N
-
-    def inner(x, energy):
-        coef = [1.0]
-        value, deriv = x, 1.0
-        xpow = x
-        for j in range(1, 400):
-            c_a = coef[j - 2 * N - 4] if j - 2 * N - 4 >= 0 else 0.0
-            c_b = coef[j - N - 2] if j - N - 2 >= 0 else 0.0
-            cj = (c_a - energy * c_b) / (j * (j + 1))
-            coef.append(cj)
-            xpow *= x
-            value += cj * xpow
-            deriv += (1 + j) * cj * xpow / x
-            if j > 6 and abs(cj * xpow) < 1e-18 * (abs(value) + 1e-300):
-                break
-        return value, deriv
 
     def match(energy):
         return 0.55 * max(energy, 0.3) ** (1.0 / (N + 2))
@@ -505,17 +454,15 @@ def build_halfline_ode(n_power: int) -> RadialODE:
     def outer(energy):
         return 1.2 * (36.0 * (N + 2) + 2.0 * energy) ** (1.0 / (N + 2))
 
-    return RadialODE(q=q, r_inner=0.02, r_outer=outer, origin_exponent=1.0,
-                     match_radius=match, inner_start=inner)
+    return RadialODE(q=q, r_inner=1e-8, r_outer=outer, origin_exponent=1.0,
+                     match_radius=match)
 
 
 def shoot_energy_bender(n_power: int, count: int = 2) -> ShootingResult:
     """Recover the first ``count`` quantized E values of the half-line
-    monomial-potential problem by scan plus bisection on the matching
-    mismatch."""
-    if count > 4:
-        raise ValueError("count must be <= 4")
+    monomial-potential problem from the phase of the matched solution."""
+    if not 1 <= count <= 4:
+        raise ValueError(f"count must lie in 1..4, got {count}")
     if n_power not in (-1, 0, 1, 3):
         raise ValueError("supported N values: -1, 0, 1, 3")
-    ode = build_halfline_ode(n_power)
-    return _scan_and_bisect(ode, step=0.25, count=count)
+    return _shoot(build_halfline_ode(n_power), 0.25, count)

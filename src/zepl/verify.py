@@ -35,16 +35,25 @@ LAMBDA_MATRIX = (0.7, 1.0, 2.0)
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One verdict.  ``scales`` is False for rows whose tolerance is not an
+    accuracy: pass/fail flags (value 0 or 1 against 0.5) and the runtime
+    limit, which ``verify --tolerance-scale`` must leave alone."""
+
     name: str
     value: float
     tolerance: float
     passed: bool
     detail: str = ""
+    scales: bool = True
 
     @staticmethod
-    def from_max(name, value, tolerance, detail=""):
+    def from_max(name, value, tolerance, detail="", scales=True):
         return CheckResult(name, float(value), float(tolerance),
-                           bool(value < tolerance), detail)
+                           bool(value < tolerance), detail, scales)
+
+    @staticmethod
+    def flag(name, ok, detail=""):
+        return CheckResult(name, float(not ok), 0.5, bool(ok), detail, scales=False)
 
 
 def _families():
@@ -84,10 +93,10 @@ def suite_degeneracy() -> list[CheckResult]:
     ok11 = got11 == {(0, 4), (1, 2), (2, 0)}
     ok13 = got13 == {(0, 5), (1, 3), (2, 1)}
     return [
-        CheckResult("powerlaw.degenerate_pairs[omega=11]", float(not ok11), 0.5,
-                    ok11, detail=str(sorted(got11))),
-        CheckResult("powerlaw.degenerate_pairs[omega=13]", float(not ok13), 0.5,
-                    ok13, detail=str(sorted(got13))),
+        CheckResult.flag("powerlaw.degenerate_pairs[omega=11]", ok11,
+                         detail=str(sorted(got11))),
+        CheckResult.flag("powerlaw.degenerate_pairs[omega=13]", ok13,
+                         detail=str(sorted(got13))),
     ]
 
 
@@ -113,14 +122,14 @@ def suite_table1() -> list[CheckResult]:
             if abs(mu) > 0.5 and l > 0 and rep.condition.status != "satisfied":
                 mismatches.append((mu, l, "condition", rep.condition.status))
     checks.append(CheckResult("powerlaw.classify[table-grid]", float(len(mismatches)),
-                              0.5, not mismatches, detail=str(mismatches)))
+                              0.5, not mismatches, detail=str(mismatches), scales=False))
     # condition-violated sub-rows, constructed with a sub-quantized coupling
     for mu, scale in ((1.5, 0.7), (-1.5, 0.6)):
         fam = powerlaw.PowerLawFamily(mu=mu, lam=1.0, l=1, n=0)
         rep = powerlaw.classify(fam, coupling_scale=scale)
         ok = (not rep.bounded) and rep.normalizable and rep.condition.status == "violated"
-        checks.append(CheckResult(
-            f"powerlaw.classify[violated-row mu={mu:+g}]", float(not ok), 0.5, ok,
+        checks.append(CheckResult.flag(
+            f"powerlaw.classify[violated-row mu={mu:+g}]", ok,
             detail=f"bounded={rep.bounded} normalizable={rep.normalizable} "
                    f"condition={rep.condition.status}"))
     return checks
@@ -163,11 +172,12 @@ def suite_oracle_coupling() -> list[CheckResult]:
     return [
         CheckResult.from_max("oracle.shoot_coupling[mu=3/2 l=1 D_n]", err, ORACLE_TOL,
                              detail=f"recovered={res.values}"),
-        CheckResult("oracle.shoot_coupling[node counts]", float(not nodes_ok), 0.5,
-                    nodes_ok, detail=str(res.node_counts)),
+        CheckResult.flag("oracle.shoot_coupling[node counts]", nodes_ok,
+                         detail=str(res.node_counts)),
         CheckResult.from_max("oracle.shoot_coupling[spacing 2(lam/(2mu+1))^2]",
                              spacing_err, ORACLE_TOL),
-        CheckResult.from_max("oracle.shoot_coupling[runtime s]", elapsed, 60.0),
+        CheckResult.from_max("oracle.shoot_coupling[runtime s]", elapsed, 60.0,
+                             scales=False),
     ]
 
 
@@ -186,7 +196,7 @@ def suite_dirac() -> list[CheckResult]:
         CheckResult.from_max("dirac.residual_33[matrix]", worst_res, RESIDUAL_TOL),
         CheckResult.from_max("dirac.reduced_form_agreement", worst_reduced, 1e-12),
         CheckResult.from_max("dirac.norm[C_l formula vs quadrature]", worst_norm, NORM_TOL),
-        CheckResult("dirac.correspondence[n forced to 0]", float(not n_ok), 0.5, n_ok),
+        CheckResult.flag("dirac.correspondence[n forced to 0]", n_ok),
     ]
 
 
@@ -235,8 +245,8 @@ def suite_oscillator() -> list[CheckResult]:
         CheckResult.from_max("oscillator.orthonormality[m,n<=5]", worst_ortho, ORTHO_TOL),
         CheckResult.from_max("oscillator.residual[matrix]", worst_res, RESIDUAL_TOL),
         CheckResult.from_max("oscillator.ladder[coefficients]", worst_ladder, LADDER_TOL),
-        CheckResult("oscillator.ladder[single global sign]", float(not sigma_ok), 0.5,
-                    sigma_ok, detail=f"sigma={sorted(sigmas)}"),
+        CheckResult.flag("oscillator.ladder[single global sign]", sigma_ok,
+                         detail=f"sigma={sorted(sigmas)}"),
     ]
 
 
@@ -249,23 +259,23 @@ def suite_exceptional() -> list[CheckResult]:
                           bool(nr.finite and abs(nr.value - 1.0) < 1e-9))]
     rep = powerlaw.classify(fam)
     ok_quantized = rep.bounded and rep.normalizable and rep.condition.status == "satisfied"
-    checks.append(CheckResult("powerlaw.classify[mu=-3/2 l=1 quantized]",
-                              float(not ok_quantized), 0.5, ok_quantized,
-                              detail=f"bounded={rep.bounded} cond={rep.condition.status}"))
+    checks.append(CheckResult.flag("powerlaw.classify[mu=-3/2 l=1 quantized]",
+                                   ok_quantized,
+                                   detail=f"bounded={rep.bounded} cond={rep.condition.status}"))
     # when the necessary condition fails (sub-quantized coupling) the same
     # family reports unbounded while staying normalizable: the exceptional
     # combination is emitted by one report
     rep2 = powerlaw.classify(fam, coupling_scale=0.6)
     ok_exc = ((not rep2.bounded) and rep2.normalizable
               and rep2.condition.status == "violated")
-    checks.append(CheckResult("powerlaw.classify[exceptional combination]",
-                              float(not ok_exc), 0.5, ok_exc,
-                              detail=f"bounded={rep2.bounded} "
-                                     f"normalizable={rep2.normalizable} "
-                                     f"cond={rep2.condition.status}"))
+    checks.append(CheckResult.flag("powerlaw.classify[exceptional combination]",
+                                   ok_exc,
+                                   detail=f"bounded={rep2.bounded} "
+                                          f"normalizable={rep2.normalizable} "
+                                          f"cond={rep2.condition.status}"))
     l0 = powerlaw.norm(powerlaw.PowerLawFamily(mu=-1.5, lam=1.0, l=0, n=0))
-    checks.append(CheckResult("powerlaw.norm[mu=-3/2 l=0 divergent]",
-                              float(l0.finite), 0.5, not l0.finite))
+    checks.append(CheckResult.flag("powerlaw.norm[mu=-3/2 l=0 divergent]",
+                                   not l0.finite))
     return checks
 
 

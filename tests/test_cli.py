@@ -6,7 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from zepl import cli
+from zepl import cli, verify
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +137,44 @@ def test_oracle_csv_header(capsys):
     assert code == 0
     assert list(rows[0].keys()) == ["index", "recovered", "predicted",
                                     "rel_err", "node_count"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--mu", "3/2", "--count", "7"],
+    ["oracle", "--N", "0", "--count", "5"],
+    ["oracle", "--mu", "3/2", "--l", "-1"],
+    ["bender", "--N", "0", "--n-max", "-1"],
+    ["potential", "--mu", "3/2", "--points", "0"],
+    ["figures", "--which", "2", "--points", "0"],
+], ids=["oracle-count-7", "oracle-energy-count-5", "oracle-negative-l",
+        "bender-negative-n-max", "potential-zero-points", "figures-zero-points"])
+def test_bad_input_is_a_one_line_validation_error(capsys, argv):
+    code = cli.main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_tolerance_scale_does_not_pass_failed_flags(capsys, monkeypatch):
+    failed = [verify.CheckResult.flag("suite.flag", False),
+              verify.CheckResult.from_max("suite.runtime s", 61.0, 60.0, scales=False),
+              verify.CheckResult.from_max("suite.residual", 2e-8, 1e-8)]
+    monkeypatch.setattr(verify, "run_suite", lambda name: failed)
+    code, doc = run_json(capsys, ["verify", "--suite", "specfn",
+                                  "--tolerance-scale", "3"])
+    assert code == 1 and doc["passed"] is False
+    rows = {r["name"]: r for r in doc["results"]}
+    assert rows["suite.flag"]["passed"] is False
+    assert rows["suite.flag"]["tolerance"] == 0.5
+    assert rows["suite.runtime s"]["passed"] is False
+    assert rows["suite.runtime s"]["tolerance"] == 60.0
+    assert rows["suite.residual"]["passed"] is True  # accuracy rows do scale
+
+
+def test_oracle_json_carries_shooting_diagnostics(capsys, schema):
+    code, doc = run_json(capsys, ["oracle", "--N", "-1", "--count", "1"])
+    assert code == 0
+    diag = doc["results"]["diagnostics"]
+    for key in ("mismatch_evals", "ode_sweeps", "rhs_evals"):
+        assert isinstance(diag[key], int) and diag[key] > 0
+    jsonschema.validate(doc, schema)

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,3 +122,67 @@ def test_shoot_energy_validation():
         oracle.shoot_energy_bender(2, count=2)
     with pytest.raises(ValueError):
         oracle.shoot_energy_bender(0, count=9)
+
+
+# --- Pruefer-angle search ------------------------------------------------------
+
+def _coupling_levels(mu, lam, l, count):
+    unit = (lam / (2.0 * mu + 1.0)) ** 2
+    return [unit * (2 * n + 1 + (2 * l + 1) * abs(mu + 0.5)) for n in range(count)]
+
+
+def test_start_angle_counts_zeros_inside_the_start_radius():
+    # the n = 5 level at (1/4, 1, 0) must not be skipped for the n = 6 one
+    res = oracle.shoot_coupling(0.25, 1.0, 0, count=6)
+    expected = [(4.0 / 9.0) * (2 * n + 1.75) for n in range(6)]
+    for got, want in zip(res.values, expected, strict=True):
+        assert abs(got - want) < 1e-9
+    assert res.node_counts == list(range(6))
+
+
+@pytest.mark.parametrize("mu, lam, l, count", [
+    (1.5, 1.0, 1, 6), (-2.5, 1.0, 2, 6), (-0.75, 1.0, 2, 6), (1.0 / 6.0, 2.0, 1, 6)])
+def test_shoot_coupling_at_count_cap(mu, lam, l, count):
+    res = oracle.shoot_coupling(mu, lam, l, count=count)
+    for got, want in zip(res.values, _coupling_levels(mu, lam, l, count), strict=True):
+        assert got == pytest.approx(want, rel=1e-9)
+    assert res.node_counts == list(range(count))
+
+
+@pytest.mark.parametrize("n_power", [-1, 0, 1, 3])
+def test_shoot_energy_at_count_cap(n_power):
+    res = oracle.shoot_energy_bender(n_power, count=4)
+    expected = [(2 * n + 1) * abs(n_power + 2) + 1.0 for n in range(4)]
+    for got, want in zip(res.values, expected, strict=True):
+        assert got == pytest.approx(want, rel=1e-9)
+    assert res.node_counts == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("mu, l, coupling", [(1.5, 1, 0.5), (-1.5, 1, 2.2), (0.25, 0, 3.0)])
+def test_mismatch_is_the_scaled_wronskian(mu, l, coupling):
+    ode = oracle.build_powerlaw_ode(mu, 1.0, l)
+    mismatch, out, inn = oracle.coupling_mismatch(ode, coupling)
+    rm = ode.match_at(coupling)
+    w = out.end_du * inn.end_u - inn.end_du * out.end_u
+    scale = math.sqrt((out.end_u**2 + (rm * out.end_du) ** 2)
+                      * (inn.end_u**2 + (rm * inn.end_du) ** 2))
+    assert mismatch == pytest.approx(w * rm / scale, abs=1e-12)
+    assert abs(mismatch) > 1e-3  # off the spectrum
+
+
+def test_shooting_diagnostics_count_the_work():
+    res = oracle.shoot_energy_bender(0, count=2)
+    diag = res.diagnostics
+    assert set(diag) == {"mismatch_evals", "ode_sweeps", "rhs_evals"}
+    assert all(isinstance(v, int) and v > 0 for v in diag.values())
+    assert diag["ode_sweeps"] == 2 * diag["mismatch_evals"]
+    assert diag["rhs_evals"] > diag["ode_sweeps"]
+
+
+def test_oracle_imports_nothing_from_the_package():
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not (node.module or "").startswith("zepl")
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "zepl" for a in node.names)
