@@ -167,7 +167,13 @@ def _cmd_potential(args) -> int:
     return EXIT_OK
 
 
+def _check_tolerance(args) -> None:
+    if not args.tolerance > 0:
+        raise ValidationError("--tolerance must be positive")
+
+
 def _cmd_dirac(args) -> int:
+    _check_tolerance(args)
     try:
         fam = dirac.DiracFamily(beta=args.beta, lam=args.lam, l=args.l,
                                 alpha_fs=args.alpha_fs)
@@ -197,6 +203,7 @@ def _cmd_bender(args) -> int:
         raise ValidationError("N = -2 is excluded")
     if args.n_max < 0:
         raise ValidationError("--n-max must be at least 0")
+    _check_tolerance(args)
     rows = []
     worst = 0.0
     for n in range(args.n_max + 1):
@@ -214,6 +221,7 @@ def _cmd_oracle(args) -> int:
     coupling_mode = args.mu is not None
     if coupling_mode == (args.N is not None):
         raise ValidationError("give either --mu (coupling mode) or --N (energy mode)")
+    _check_tolerance(args)
     try:
         if coupling_mode:
             res = oracle.shoot_coupling(args.mu, args.lam, args.l, count=args.count)
@@ -290,10 +298,11 @@ def _cmd_figures(args) -> int:
         return EXIT_OK
 
     l_pos = args.l if args.l and args.l > 0 else 1
-    if which == 2:
-        mu = float(args.mu) if args.mu is not None else 1.5
-        if not mu > 0.5:
-            raise ValidationError("figure 2 requires mu > 1/2")
+    if which in (2, 4):
+        default, regime = (1.5, "mu > 1/2") if which == 2 else (-1.5, "mu < -1/2")
+        mu = float(args.mu) if args.mu is not None else default
+        if not (mu > 0.5 if which == 2 else mu < -0.5):
+            raise ValidationError(f"figure {which} requires {regime}")
         fam_a = powerlaw.PowerLawFamily(mu=mu, lam=lam, l=0, n=n)
         fam_bc = powerlaw.PowerLawFamily(mu=mu, lam=lam, l=l_pos, n=n)
         rows = (_veff_rows("a", fam_a, 1.0, points)
@@ -309,15 +318,6 @@ def _cmd_figures(args) -> int:
         rows = (_veff_rows("a", powerlaw.PowerLawFamily(mu=mu, lam=lam, l=0, n=n), 1.0, points)
                 + _veff_rows("b", powerlaw.PowerLawFamily(mu=mu_neg, lam=lam, l=0, n=n), 1.0, points)
                 + _veff_rows("c", powerlaw.PowerLawFamily(mu=mu, lam=lam, l=l_pos, n=n), 1.0, points))
-    elif which == 4:
-        mu = float(args.mu) if args.mu is not None else -1.5
-        if not mu < -0.5:
-            raise ValidationError("figure 4 requires mu < -1/2")
-        fam_a = powerlaw.PowerLawFamily(mu=mu, lam=lam, l=0, n=n)
-        fam_bc = powerlaw.PowerLawFamily(mu=mu, lam=lam, l=l_pos, n=n)
-        rows = (_veff_rows("a", fam_a, 1.0, points)
-                + _veff_rows("b", fam_bc, 1.0, points)
-                + _veff_rows("c", fam_bc, _subcritical_scale(fam_bc), points))
     else:
         raise ValidationError("--which must be 1, 2, 3 or 4")
     params = {"which": which, "mu": _num(args.mu) if args.mu is not None else None,

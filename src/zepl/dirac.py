@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .closedform import ClosedFormSolution, ResidualReport, log_grid, relative_residual
-from .specfn import log_gamma
+from .closedform import (ClosedFormSolution, ResidualReport, log_grid, positive_radii,
+                         relative_residual)
 
 __all__ = ["DiracFamily", "Correspondence", "SpinorSolution", "odd_potential",
            "odd_potential_nu_form", "correspondence", "upper_spinor",
@@ -96,32 +96,25 @@ def correspondence(beta: float, l: int, lam: float = 1.0) -> Correspondence:
     return Correspondence(nu=fam.nu, kappa=fam.kappa, coupling=fam.coupling, n=0)
 
 
-def _positive(r):
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("radial argument must be positive")
-    return r
-
-
 def odd_potential(family: DiracFamily, r, w_scale: float = 1.0):
     """W(r) = (lam^2 beta/2) r^(beta-1); independent of l by construction.
     ``w_scale`` doubles as a detector hook for the vanishing-lower-component
     test."""
-    r = _positive(r)
+    r = positive_radii(r)
     return w_scale * family.coupling * r ** (family.beta - 1.0)
 
 
 def odd_potential_nu_form(family: DiracFamily, r):
     """Equivalent form A / r^((nu-1/2)/(nu+1/2)); must agree pointwise with
     the beta form."""
-    r = _positive(r)
+    r = positive_radii(r)
     nu = family.nu
     return family.coupling / r ** ((nu - 0.5) / (nu + 0.5))
 
 
 def _odd_deriv(family: DiracFamily, r, w_scale: float = 1.0):
     return (w_scale * family.coupling * (family.beta - 1.0)
-            * _positive(r) ** (family.beta - 2.0))
+            * positive_radii(r) ** (family.beta - 2.0))
 
 
 @dataclass(frozen=True)
@@ -145,7 +138,7 @@ def normalization_constant(family: DiracFamily) -> float:
     if arg <= 0:
         raise ValueError("normalization undefined: Gamma argument must be positive")
     return family.lam ** (1.0 / family.beta) * math.sqrt(
-        abs(family.beta) / math.exp(log_gamma(arg)))
+        abs(family.beta) / math.exp(math.lgamma(arg)))
 
 
 def upper_spinor(family: DiracFamily) -> SpinorSolution:
@@ -181,7 +174,7 @@ def default_grid(family: DiracFamily, num: int = 200) -> np.ndarray:
 def reduced_potential(family: DiracFamily, r):
     """V(r) = (lam^2 beta/4)[(lam^2 beta/2) r^(2 beta-2) + (2k - beta + 1) r^(beta-2)]
     entering the Schroedinger-like form of the reduced equation."""
-    r = _positive(r)
+    r = positive_radii(r)
     a = family.lam**2 * family.beta
     return (a / 4.0) * ((a / 2.0) * r ** (2.0 * family.beta - 2.0)
                         + (2.0 * family.kappa - family.beta + 1.0)
@@ -191,7 +184,7 @@ def reduced_potential(family: DiracFamily, r):
 def operator_bracket(family: DiracFamily, r, kappa_offset: int = 0):
     """W^2 - dW/dr + 2 kappa W / r, the potential-like part of the reduced
     operator; agrees with kappa(kappa+1)/r^2 + 2 V - kappa(kappa+1)/r^2."""
-    r = _positive(r)
+    r = positive_radii(r)
     k = family.kappa + kappa_offset
     w = odd_potential(family, r)
     return w**2 - _odd_deriv(family, r) + 2.0 * k * w / r
@@ -201,7 +194,7 @@ def residual_33(family: DiracFamily, grid=None, kappa_offset: int = 0) -> Residu
     """Relative residual of the reduced second-order equation applied to the
     upper spinor.  ``kappa_offset`` perturbs the spin-orbit label in the
     equation only (detector sanity)."""
-    r = default_grid(family) if grid is None else _positive(grid)
+    r = default_grid(family) if grid is None else positive_radii(grid)
     sol = upper_spinor(family)
     val, _, d2 = sol.phi._derivs(r)
     k = family.kappa + kappa_offset
@@ -217,7 +210,7 @@ def residual_33(family: DiracFamily, grid=None, kappa_offset: int = 0) -> Residu
 def reduced_form_agreement(family: DiracFamily, grid=None) -> float:
     """Max relative discrepancy between the operator bracket and the
     closed-form reduced potential, 2 V(r)."""
-    r = default_grid(family) if grid is None else _positive(grid)
+    r = default_grid(family) if grid is None else positive_radii(grid)
     a = operator_bracket(family, r)
     b = 2.0 * reduced_potential(family, r)
     return float(np.max(np.abs(a - b) / (np.abs(a) + np.abs(b) + 1e-300)))
@@ -228,7 +221,7 @@ def lower_component(family: DiracFamily, solution: SpinorSolution, r,
     """theta(r) = (alpha/2)(W + kappa/r + d/dr) phi(r); identically zero for
     the exact upper component.  Scaling W (detector hook) breaks the
     cancellation."""
-    r = _positive(r)
+    r = positive_radii(r)
     val, d1, _ = solution.phi._derivs(r)
     w = odd_potential(family, r, w_scale=w_scale)
     out = 0.5 * family.alpha_fs * (w * val + family.kappa / r * val + d1)
@@ -238,7 +231,7 @@ def lower_component(family: DiracFamily, solution: SpinorSolution, r,
 def lower_component_relative(family: DiracFamily, grid=None) -> float:
     """sup |theta| normalized by the size of the individual operator pieces,
     so 'vanishes' is meaningful across scales."""
-    r = default_grid(family) if grid is None else _positive(grid)
+    r = default_grid(family) if grid is None else positive_radii(grid)
     sol = upper_spinor(family)
     val, d1, _ = sol.phi._derivs(r)
     w = odd_potential(family, r)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle
 from .closedform import ClosedFormSolution, ResidualReport, relative_residual
 
 __all__ = ["HalfLineProblem", "spectrum", "eigenfunction", "residual_41"]
@@ -89,11 +88,10 @@ def eigenfunction(N: int, n: int, normalize: bool = True) -> ClosedFormSolution:
     sol = ClosedFormSolution(amplitude=amp, power=power, rate=lam_sq,
                              shape=float(N + 2), degree=n,
                              order=1.0 / abs(N + 2))
-    if N > -2 and normalize:
-        q = oracle.quad_seminfinite(lambda x: sol.value(x) ** 2, 1e-11)
-        return sol.scaled(1.0 / math.sqrt(q.value), normalized=True)
-    if N < -2:
+    if not sol.norm_finite:
         return sol.scaled(1.0, notes=("unnormalized: psi tends to a constant at infinity",))
+    if normalize:
+        return sol.scaled(math.exp(-0.5 * sol.log_norm()), normalized=True)
     return sol
 
 

@@ -28,7 +28,6 @@ import numpy as np
 
 from . import oracle
 from .closedform import ClosedFormSolution, ResidualReport, log_grid, relative_residual
-from .specfn import log_gamma
 
 __all__ = ["OscillatorState", "phi", "phi_eval", "residual_a5", "ladder_check",
            "eigenvalue_term", "LadderReport"]
@@ -69,7 +68,8 @@ def phi(state: OscillatorState) -> ClosedFormSolution:
     exp(-lam^2 x^2 / 2) L_n^(2 gamma + 1)(lam^2 x^2)."""
     g, n, lam = state.gamma, state.n, state.lam
     p = 2.0 * g + 1.5
-    log_norm = 0.5 * (math.log(2.0 * lam) + log_gamma(n + 1.0) - log_gamma(2.0 * g + n + 2.0))
+    log_norm = 0.5 * (math.log(2.0 * lam) + math.lgamma(n + 1.0)
+                      - math.lgamma(2.0 * g + n + 2.0))
     amp = math.exp(log_norm + p * math.log(lam))
     return ClosedFormSolution(amplitude=amp, power=p, rate=lam**2, shape=2.0,
                               degree=n, order=2.0 * g + 1.0,

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import oracle
 from .closedform import (ClosedFormSolution, ResidualReport, count_sign_changes,
-                         relative_residual)
+                         positive_radii, relative_residual)
 
 __all__ = [
     "PowerLawFamily", "PotentialTerms", "MappedParameters", "BoundCondition",
@@ -115,7 +115,7 @@ class PotentialTerms:
             raise ValueError("both term coefficients must be positive")
 
     def value(self, r):
-        r = _positive(r)
+        r = positive_radii(r)
         return (self.repulsive_coeff * r**self.repulsive_exponent
                 - self.attractive_coeff * r**self.attractive_exponent)
 
@@ -134,13 +134,6 @@ class MappedParameters:
     energy: float
     gamma: float
     terms: PotentialTerms
-
-
-def _positive(r):
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("radial argument must be positive")
-    return r
 
 
 def exponent_pair(mu) -> tuple[float, float]:
@@ -171,7 +164,7 @@ def potential_eval(family: PowerLawFamily, r):
 def effective_potential_eval(family: PowerLawFamily, r, coupling_scale: float = 1.0):
     """Centrifugal term plus twice the potential: the coefficient of psi in
     psi'' = [l(l+1)/r^2 + 2 V(r)] psi at zero energy."""
-    r = _positive(r)
+    r = positive_radii(r)
     terms = map_parameters(family).terms.scaled(coupling_scale)
     return family.l * (family.l + 1) / r**2 + 2.0 * terms.value(r)
 
@@ -179,7 +172,7 @@ def effective_potential_eval(family: PowerLawFamily, r, coupling_scale: float = 
 def effective_potential_beta_form(family: PowerLawFamily, r):
     """Same quantity written in the tail parameter beta; must agree pointwise
     with the mu form for every valid family."""
-    r = _positive(r)
+    r = positive_radii(r)
     b, lam, l, n = family.beta, family.lam, family.l, family.n
     omega_b = 2 * n + 1 + (2 * l + 1) / b
     s = r**b if family.above else r**(-b)
@@ -191,14 +184,18 @@ def effective_potential_beta_form(family: PowerLawFamily, r):
 # Wavefunction
 # ---------------------------------------------------------------------------
 
-def _raw_solution(family: PowerLawFamily) -> ClosedFormSolution:
+def _unit_solution(family: PowerLawFamily) -> ClosedFormSolution:
+    """The closed form with unit amplitude, which decides normalizability
+    without computing (lam^(2 mu+1))^p, a power that can overflow."""
     mu, lam, l, n = family.mu_f, family.lam, family.l, family.n
     p = float(l + 1) if family.above else float(-l)
-    m = 1.0 / (mu + 0.5)
-    order = (2 * l + 1) * abs(mu + 0.5)
-    amp = (lam ** (2.0 * mu + 1.0)) ** p
-    return ClosedFormSolution(amplitude=amp, power=p, rate=lam**2, shape=m,
-                              degree=n, order=order)
+    return ClosedFormSolution(amplitude=1.0, power=p, rate=lam**2, shape=1.0 / (mu + 0.5),
+                              degree=n, order=(2 * l + 1) * abs(mu + 0.5))
+
+
+def _raw_solution(family: PowerLawFamily) -> ClosedFormSolution:
+    unit = _unit_solution(family)
+    return unit.scaled((family.lam ** (2.0 * family.mu_f + 1.0)) ** unit.power)
 
 
 def _default_grid(family: PowerLawFamily, num: int = 240,
@@ -229,19 +226,16 @@ def _pinned_solution(family: PowerLawFamily) -> ClosedFormSolution:
 
 
 def wavefunction(family: PowerLawFamily) -> ClosedFormSolution:
-    """Closed-form solution with analytic derivatives.  Normalized by
-    quadrature whenever the norm is finite (always above mu = -1/2; for l > 0
-    below); otherwise pinned to unit value at the turning radius and tagged
-    unnormalized."""
+    """Closed-form solution with analytic derivatives.  Normalized by the
+    Gauss-Laguerre norm whenever that is finite (always above mu = -1/2; for
+    l > 0 below); otherwise pinned to unit value at the turning radius and
+    tagged unnormalized."""
     pinned = _pinned_solution(family)
-    if family.above or family.l > 0:
-        q = oracle.quad_seminfinite(lambda r: pinned.value(r) ** 2, 1e-11)
-        if not q.converged:
-            raise RuntimeError(f"norm quadrature failed for {family}: {q.note}")
-        a_n = 1.0 / math.sqrt(q.value)
-        return pinned.scaled(a_n, normalized=True, norm_constant=pinned.amplitude * a_n)
-    return pinned.scaled(1.0, normalized=False, norm_constant=None,
-                         notes=("unnormalized: norm diverges for l = 0 below mu = -1/2",))
+    if not pinned.norm_finite:
+        return pinned.scaled(1.0, normalized=False, norm_constant=None,
+                             notes=("unnormalized: norm diverges for l = 0 below mu = -1/2",))
+    a_n = math.exp(-0.5 * pinned.log_norm())
+    return pinned.scaled(a_n, normalized=True, norm_constant=pinned.amplitude * a_n)
 
 
 @dataclass(frozen=True)
@@ -252,13 +246,13 @@ class NormResult:
 
 
 def norm(family: PowerLawFamily) -> NormResult:
-    """Squared-norm of the constructed wavefunction.  Finiteness follows the
-    closed rule (divergent exactly when mu < -1/2 and l = 0, where the tail
-    integrand tends to a constant); quadrature confirms either way."""
-    finite = family.above or family.l > 0
+    """Squared norm of the constructed wavefunction, re-measured by adaptive
+    quadrature, independently of the Gauss-Laguerre rule that normalized it.
+    Finiteness is that rule's (divergent exactly when mu < -1/2 and l = 0,
+    where the tail integrand tends to a constant)."""
     sol = wavefunction(family)
     q = oracle.quad_seminfinite(lambda r: sol.value(r) ** 2, 1e-10)
-    if not finite:
+    if not sol.normalized:
         return NormResult(False, None, q)
     return NormResult(True, q.value, q)
 
@@ -274,7 +268,7 @@ def schrodinger_residual(family: PowerLawFamily, grid=None,
     ``coupling_scale`` perturbs the attractive coefficient in the equation
     only, as a detector sanity hook.
     """
-    r = _default_grid(family) if grid is None else _positive(grid)
+    r = _default_grid(family) if grid is None else positive_radii(grid)
     sol = _pinned_solution(family)
     val, _, d2 = sol._derivs(r)
     terms_obj = map_parameters(family).terms.scaled(coupling_scale)
@@ -304,7 +298,7 @@ def pct_identity_check(family: PowerLawFamily, grid=None,
         w = np.geomspace(1e-2, 30.0 * (n + 1), 240)
         x = np.sqrt(w) / lam
     else:
-        x = _positive(grid)
+        x = positive_radii(grid)
     g = family.gamma + gamma_offset
     dg = M * x ** (M - 1.0)
     d2g_over = (M - 1.0) / x          # g''/g'
@@ -326,8 +320,8 @@ def pct_identity_check(family: PowerLawFamily, grid=None,
 @dataclass(frozen=True)
 class BoundCondition:
     """Necessary (not sufficient) well-existence condition n > rhs, defined
-    for |mu| > 1/2; reported alongside the numerical shape verdict but never
-    overriding it."""
+    for |mu| > 1/2: V_eff has stationary points.  Reported alongside the
+    shape verdict but never overriding it."""
 
     rhs: float | None
     satisfied: bool | None
@@ -335,8 +329,6 @@ class BoundCondition:
 
     @property
     def status(self) -> str:
-        if self.satisfied is None:
-            return "not-applicable"
         if not self.applicable:
             return "not-applicable"
         return "satisfied" if self.satisfied else "violated"
@@ -380,43 +372,27 @@ def _effective_limits(terms: PotentialTerms, l: int) -> tuple[str, str]:
             _limit_label(*atinf, at_infinity=True))
 
 
-def _golden_min(f, a, b, tol):
-    phi_r = 2.0 / (1.0 + math.sqrt(5.0))
-    x1 = b - phi_r * (b - a)
-    x2 = a + phi_r * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f2 > f1:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi_r * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi_r * (b - a)
-            f2 = f(x2)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def _well(terms: PotentialTerms, l: int) -> WellScan:
+    """Closed-form well of V_eff for l > 0, |mu| > 1/2.
 
-
-def _scan_well(terms: PotentialTerms, l: int) -> WellScan:
-    """Log-grid scan of the effective potential around the turning scale for
-    a negative local minimum with a positive barrier beyond it."""
-
-    def veff(r):
-        return l * (l + 1) / np.asarray(r, float)**2 + 2.0 * terms.value(r)
-
-    r0 = terms.turning_scale
-    grid = np.geomspace(r0 * 1e-5, r0 * 1e5, 2000)
-    v = veff(grid)
-    interior = (v[1:-1] < v[:-2]) & (v[1:-1] < v[2:]) & (v[1:-1] < 0)
-    idx = np.nonzero(interior)[0] + 1
-    if idx.size == 0:
+    With t = r^k, k = p2 + 2 = (p1 + 2)/2, r^2 V_eff = l(l+1) + 2A t^2 - 2B t.
+    Both limits are positive (+inf at 0, 0+ at inf), so V_eff goes negative
+    exactly when that quadratic does, B^2 > 2A l(l+1), and then the well is
+    the lower stationary point, a root of A p1 t^2 - B p2 t - l(l+1) = 0, with
+    positive V_eff beyond it.
+    """
+    a, p1 = terms.repulsive_coeff, terms.repulsive_exponent
+    b, p2 = terms.attractive_coeff, terms.attractive_exponent
+    c = l * (l + 1)
+    if not b * b > 2.0 * a * c:
         return WellScan(False, None, None, None)
-    i = idx[np.argmin(v[idx])]
-    r_min, v_min = _golden_min(lambda r: float(veff(r)),
-                               grid[i - 1], grid[i + 1], 1e-10 * grid[i])
-    barrier = bool(np.any(v[i + 1:] > 0))
-    return WellScan(True, float(r_min), float(v_min), barrier)
+    # p1, p2 < 0 here, so both roots are positive; stable quadratic formula
+    q = 0.5 * (-b * p2 + math.sqrt((b * p2) ** 2 + 4.0 * a * p1 * c))
+    k = p2 + 2.0
+    r = np.array([-q / (a * p1), c / q]) ** (1.0 / k)
+    v = c / r**2 + 2.0 * terms.value(r)
+    i = int(np.argmin(v))
+    return WellScan(True, float(r[i]), float(v[i]), True)
 
 
 @dataclass(frozen=True)
@@ -436,12 +412,12 @@ def classify(family: PowerLawFamily, coupling_scale: float = 1.0) -> Classificat
     Decision procedure: confining tails (|mu| < 1/2) and the mu > 1/2, l = 0
     shape (rise from -inf through zero to a positive barrier) are bounded by
     construction; mu < -1/2 with l = 0 never is (tail creeps up to zero from
-    below).  Every other case is scanned numerically for a negative local
-    minimum separated from the asymptotic region by a positive barrier.
-    Normalizability follows the closed rule: divergent only for mu < -1/2
-    with l = 0.  ``coupling_scale`` scales the attractive coefficient so
-    sub-quantized shapes (the condition-violated rows of the summary table)
-    can be constructed and inspected with the same machinery.
+    below).  Every other case is bounded exactly when V_eff has a negative
+    well with a positive barrier beyond it, which is decided in closed form.
+    Normalizability follows the Gauss-Laguerre norm's rule: divergent only
+    for mu < -1/2 with l = 0.  ``coupling_scale`` scales the attractive
+    coefficient so sub-quantized shapes (the condition-violated rows of the
+    summary table) can be constructed and inspected with the same machinery.
     """
     mu, l = family.mu_f, family.l
     terms = map_parameters(family).terms.scaled(coupling_scale)
@@ -455,9 +431,9 @@ def classify(family: PowerLawFamily, coupling_scale: float = 1.0) -> Classificat
     elif mu < -0.5 and l == 0:
         bounded = False
     else:
-        well = _scan_well(terms, l)
-        bounded = bool(well.found_negative_minimum and well.barrier_reaches_positive)
-    normalizable = not (mu < -0.5 and l == 0)
+        well = _well(terms, l)
+        bounded = well.found_negative_minimum
+    normalizable = _unit_solution(family).norm_finite
     return ClassificationReport(limit_origin=lim0, limit_infinity=liminf,
                                 bounded=bounded, normalizable=normalizable,
                                 condition=condition, well=well,

@@ -1,4 +1,4 @@
-"""Special-function kernel: generalized Laguerre polynomials and log-gamma.
+"""Special-function kernel: generalized Laguerre polynomials.
 
 Everything here is stateless and safe to call from any thread.  Degrees stay
 small (n <~ 50) in this package, so the upward three-term recurrence is the
@@ -7,37 +7,15 @@ right tool; no asymptotic machinery.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["LaguerreSpec", "laguerre", "laguerre_deriv", "log_gamma"]
+__all__ = ["laguerre", "laguerre_deriv"]
 
 
 def _check_degree(n) -> int:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise ValueError(f"Laguerre degree must be a non-negative integer, got {n!r}")
     return int(n)
-
-
-@dataclass(frozen=True)
-class LaguerreSpec:
-    """Argument bundle for a generalized Laguerre evaluation L_n^alpha(x)."""
-
-    degree: int
-    order: float
-    argument: float
-
-    def __post_init__(self):
-        _check_degree(self.degree)
-        if not self.order > -1.0:
-            raise ValueError(f"Laguerre order must exceed -1, got {self.order}")
-        if not np.all(np.isfinite(self.argument)) or np.any(np.asarray(self.argument) < 0):
-            raise ValueError("Laguerre argument must be finite and >= 0")
-
-    def value(self) -> float:
-        return laguerre(self.degree, self.order, self.argument)
 
 
 def laguerre(n, alpha, x):
@@ -78,40 +56,3 @@ def laguerre_deriv2(n, alpha, x):
         z = np.zeros_like(x)
         return z if z.ndim else 0.0
     return laguerre(n - 2, alpha + 2.0, x)
-
-
-# Lanczos approximation, g = 7, 9 coefficients (double-precision fit).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0, absolute accuracy ~1e-13 on (0, 200].
-
-    Lanczos series with fixed coefficients; arguments below 0.5 are lifted
-    with log Gamma(x) = log Gamma(x+1) - log x to stay on the accurate branch.
-    """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    shift = 0.0
-    while x < 0.5:
-        shift -= math.log(x)
-        x += 1.0
-    z = x - 1.0
-    series = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        series += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return shift + _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(series)

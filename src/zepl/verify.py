@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import dirac, halfline, oracle, oscillator, powerlaw, specfn
 
-__all__ = ["CheckResult", "ACCEPTANCE", "run_suite", "run_all", "suite_names"]
+__all__ = ["CheckResult", "ACCEPTANCE", "run_suite", "suite_names"]
 
 RESIDUAL_TOL = 1e-8
 PCT_TOL = 1e-10
@@ -104,8 +104,6 @@ def suite_degeneracy() -> list[CheckResult]:
 def _table1_expected(mu: float, l: int) -> tuple[bool, bool]:
     if mu < -0.5:
         return (l > 0, l > 0)
-    if mu > 0.5:
-        return (True, True)
     return (True, True)
 
 
@@ -284,13 +282,6 @@ def suite_specfn() -> list[CheckResult]:
     l2 = specfn.laguerre(2, 1.0, 2.0)
     checks.append(CheckResult.from_max("specfn.laguerre[L2^1(2) = -1]",
                                        abs(l2 + 1.0), 1e-14))
-    worst = 0.0
-    for x, ref in ((1.0, 0.0), (0.5, 0.5 * math.log(math.pi)), (5.0, math.log(24.0))):
-        worst = max(worst, abs(specfn.log_gamma(x) - ref))
-    xs = np.geomspace(1e-2, 200.0, 400)
-    worst_g = max(abs(specfn.log_gamma(float(x)) - math.lgamma(float(x))) for x in xs)
-    checks.append(CheckResult.from_max("specfn.log_gamma[exact points]", worst, 1e-12))
-    checks.append(CheckResult.from_max("specfn.log_gamma[vs reference]", worst_g, 1e-12))
     q = oracle.quad_seminfinite(lambda r: r**2 * np.exp(-(r**2)), 1e-12)
     checks.append(CheckResult.from_max("oracle.quad[gaussian moment]",
                                        abs(q.value - math.sqrt(math.pi) / 4.0), 1e-11))
@@ -330,6 +321,3 @@ def run_suite(name: str) -> list[CheckResult]:
         raise KeyError(f"unknown suite {name!r}; available: {', '.join(table)}")
     return table[name][1]()
 
-
-def run_all(names=None) -> dict[str, list[CheckResult]]:
-    return {name: run_suite(name) for name in (names or suite_names())}

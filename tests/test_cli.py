@@ -146,8 +146,12 @@ def test_oracle_csv_header(capsys):
     ["bender", "--N", "0", "--n-max", "-1"],
     ["potential", "--mu", "3/2", "--points", "0"],
     ["figures", "--which", "2", "--points", "0"],
+    ["oracle", "--mu", "3/2", "--tolerance", "-1"],
+    ["bender", "--N", "0", "--tolerance", "0"],
+    ["dirac", "--beta", "0.5", "--tolerance", "-1"],
 ], ids=["oracle-count-7", "oracle-energy-count-5", "oracle-negative-l",
-        "bender-negative-n-max", "potential-zero-points", "figures-zero-points"])
+        "bender-negative-n-max", "potential-zero-points", "figures-zero-points",
+        "oracle-negative-tolerance", "bender-zero-tolerance", "dirac-negative-tolerance"])
 def test_bad_input_is_a_one_line_validation_error(capsys, argv):
     code = cli.main(argv)
     err = capsys.readouterr().err.splitlines()

@@ -1,6 +1,12 @@
+import ast
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.special
 
+from zepl import closedform, halfline
 from zepl.closedform import ClosedFormSolution, count_sign_changes, log_grid, relative_residual
 
 
@@ -61,3 +67,42 @@ def test_log_grid_validation():
         log_grid(-1.0, 2.0)
     g = log_grid(1e-2, 10.0, 50)
     assert g.shape == (50,) and g[0] == pytest.approx(1e-2)
+
+
+def test_log_norm_diverges_exactly_when_s_is_at_most_minus_one():
+    # s = (2 power + 1)/shape - 1
+    for power, shape, finite in ((1.0, 2.0, True), (0.0, -1.0, False), (-1.0, -1.0, True),
+                                 (-0.5, 3.0, False), (-2.0, -0.5, True)):
+        sol = ClosedFormSolution(amplitude=1.0, power=power, rate=1.0, shape=shape)
+        assert sol.norm_finite is finite
+        assert math.isfinite(sol.log_norm()) is finite
+
+
+@pytest.mark.parametrize("params", [
+    dict(amplitude=1.3, power=2.0, rate=1.0, shape=0.5, degree=40, order=6.0),
+    dict(amplitude=0.7, power=-1.0, rate=0.8, shape=-1.5, degree=2, order=2.0),
+    dict(amplitude=2.0, power=1.0, rate=1.4, shape=0.1, degree=12, order=0.3),
+    dict(amplitude=1.0, power=0.5, rate=2.0, shape=3.0, degree=25, order=1.5),
+])
+def test_log_norm_matches_scipy_gauss_laguerre(params):
+    # degree 40 is where weights from the Jacobi eigenvectors lose their
+    # relative accuracy: they put this norm off by a factor of 2e7
+    sol = ClosedFormSolution(**params)
+    s = (2.0 * sol.power + 1.0) / sol.shape - 1.0
+    x, w = scipy.special.roots_genlaguerre(sol.degree + 1, s)
+    inner = w @ scipy.special.eval_genlaguerre(sol.degree, sol.order, x) ** 2
+    ref = sol.amplitude**2 * sol.rate ** (-(s + 1.0)) / abs(sol.shape) * inner
+    assert sol.log_norm() == pytest.approx(math.log(ref), abs=1e-11)
+
+
+@pytest.mark.parametrize("module", [closedform, halfline], ids=lambda m: m.__name__)
+def test_closed_forms_import_nothing_from_the_oracle(module):
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [*(node.module or "").split("."), *(a.name for a in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [part for a in node.names for part in a.name.split(".")]
+        else:
+            continue
+        assert "oracle" not in names

@@ -94,3 +94,10 @@ def test_owns_excluded_mu_values():
     assert hl.HalfLineProblem(N=0).mu == pytest.approx(0.0)
     assert hl.residual_41(-1, 3).max_residual < 1e-8
     assert hl.residual_41(0, 3).max_residual < 1e-8
+
+
+@pytest.mark.parametrize("N,n", [(-1, 0), (-1, 4), (1, 2), (3, 3), (6, 1)])
+def test_gauss_laguerre_normalization_agrees_with_quadrature(N, n):
+    f = hl.eigenfunction(N, n)
+    q = oracle.quad_seminfinite(lambda x: f.value(x) ** 2, 1e-11)
+    assert f.normalized and q.value == pytest.approx(1.0, abs=1e-9)

@@ -311,3 +311,77 @@ def test_norm_below_matches_substituted_integral():
     substituted, _ = scipy.integrate.quad(integrand, 0.0, np.inf, limit=200)
     assert direct == pytest.approx(substituted, rel=1e-8)
     assert -1.0 + (2 * fam.l - 1) / b > -1.0
+
+
+# --- closed-form classification -------------------------------------------
+
+# The paper's table says bounded at every quantized n; a scan of V_eff on
+# turning_scale * 10^(+-5) missed the well of each of these.
+BOUNDED_AT_QUANTIZED = [
+    (Fraction(3, 2), 1.0, 1, 40), (10, 1.0, 1, 0), (50, 1.0, 2, 3), (-50, 1.0, 2, 3),
+    (-10, 1.0, 1, 0), (Fraction(41, 10), 0.93, 1, 9), (Fraction(-17, 4), 1.7, 3, 18),
+]
+
+
+@pytest.mark.parametrize("mu,lam,l,n", BOUNDED_AT_QUANTIZED)
+def test_classify_bounded_where_the_table_says(mu, lam, l, n):
+    rep = pl.classify(pl.PowerLawFamily(mu=mu, lam=lam, l=l, n=n))
+    assert rep.bounded and rep.normalizable
+    assert rep.condition.status == "satisfied"
+    assert rep.well.found_negative_minimum and rep.well.v_min < 0
+
+
+def test_bound_condition_is_the_stationary_point_discriminant():
+    # dV_eff/dr = 0  <=>  A p1 t^2 - B p2 t - l(l+1) = 0 with t = r^(p2+2)
+    checked = 0
+    for mu in (-50, -10, -2.5, -1.5, -0.75, -0.6, 0.6, 0.75, 1.5, 2.5, 10, 50):
+        for l in (1, 2, 3, 5):
+            for n in (0, 1, 3, 8):
+                for scale in (0.5, 0.7, 0.78, 1.0, 1.5):
+                    fam = pl.PowerLawFamily(mu=mu, lam=1.3, l=l, n=n)
+                    t = pl.map_parameters(fam).terms.scaled(scale)
+                    disc = (t.attractive_coeff * t.attractive_exponent) ** 2 + (
+                        4.0 * t.repulsive_coeff * t.repulsive_exponent * l * (l + 1))
+                    assert pl.bound_condition(fam, scale).satisfied == (disc > 0)
+                    checked += disc > 0
+    assert 0 < checked < 12 * 4 * 4 * 5  # both outcomes occur
+
+
+@pytest.mark.parametrize("mu,lam,l,n,scale", [
+    (Fraction(3, 2), 1.0, 1, 40, 1.0), (Fraction(41, 10), 0.93, 1, 9, 1.0),
+    (Fraction(-17, 4), 1.7, 3, 18, 1.0), (10, 1.0, 1, 0, 1.0), (-10, 1.0, 1, 0, 1.0),
+    (1.5, 1.0, 1, 0, 0.9), (-1.5, 1.0, 2, 3, 1.0), (2.5, 0.7, 2, 3, 1.0),
+])
+def test_analytic_well_matches_a_numerical_scan(mu, lam, l, n, scale):
+    fam = pl.PowerLawFamily(mu=mu, lam=lam, l=l, n=n)
+    well = pl.classify(fam, coupling_scale=scale).well
+    k = 1.0 / (float(mu) + 0.5)  # t = r^k turns r^2 V_eff into a quadratic
+    r = np.sort(well.r_min * np.geomspace(1e-3, 1e3, 200_001) ** (1.0 / k))
+    v = pl.effective_potential_eval(fam, r, coupling_scale=scale)
+    i = int(np.argmin(v))
+    assert 0 < i < r.size - 1
+    assert abs(np.log(r[i] / well.r_min) * k) < 1e-4
+    assert v[i] == pytest.approx(well.v_min, rel=1e-7)
+    assert np.any(v[i:] > 0)
+
+
+# --- Gauss-Laguerre normalization ---------------------------------------------
+
+def test_norm_is_unit_on_the_verify_matrix():
+    from zepl.verify import _families
+
+    worst, finite = 0.0, 0
+    for fam in _families():
+        if pl.wavefunction(fam).normalized:
+            finite += 1
+            worst = max(worst, abs(pl.norm(fam).value - 1.0))
+    assert finite == 270
+    assert worst < 1e-9
+
+
+@pytest.mark.parametrize("mu,l,n", [(-20, 5, 3), (10, 4, 3)])
+def test_wavefunction_normalized_at_extreme_mu(mu, l, n):
+    fam = pl.PowerLawFamily(mu=mu, lam=1.0, l=l, n=n)
+    sol = pl.wavefunction(fam)
+    assert sol.normalized and np.all(np.isfinite(sol.value(pl._default_grid(fam))))
+    assert pl.norm(fam).value == pytest.approx(1.0, abs=1e-9)

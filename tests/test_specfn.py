@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from zepl.specfn import LaguerreSpec, laguerre, laguerre_deriv, log_gamma
+from zepl.specfn import laguerre, laguerre_deriv
 
 
 def series_laguerre(n, alpha, x):
@@ -62,14 +62,6 @@ def test_invalid_degree_rejected():
         laguerre(2, 0.0, math.inf)
 
 
-def test_spec_bundle_validation():
-    with pytest.raises(ValueError):
-        LaguerreSpec(degree=1, order=-1.0, argument=0.5)
-    with pytest.raises(ValueError):
-        LaguerreSpec(degree=1, order=0.5, argument=-0.5)
-    assert LaguerreSpec(degree=0, order=0.5, argument=2.0).value() == 1.0
-
-
 def test_deriv_trivial_cases():
     assert laguerre_deriv(0, 3.3, 9.9) == 0.0
     assert laguerre_deriv(1, 2.0, 3.0) == -1.0
@@ -87,33 +79,6 @@ def test_deriv_matches_finite_difference():
 def test_deriv_identity(n, alpha):
     x = np.linspace(0.1, 30.0, 50)
     assert np.array_equal(laguerre_deriv(n, alpha, x), -laguerre(n - 1, alpha + 1.0, x))
-
-
-def test_log_gamma_exact_points():
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-13)
-    assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-13)
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), abs=1e-13)
-
-
-def test_log_gamma_against_reference():
-    for x in np.geomspace(1e-2, 200.0, 500):
-        assert abs(log_gamma(float(x)) - math.lgamma(float(x))) <= 1e-12
-
-
-def test_log_gamma_duplication_formula():
-    # Gamma(2x) = Gamma(x) Gamma(x+1/2) 2^(2x-1) / sqrt(pi)
-    for x in np.geomspace(0.1, 90.0, 60):
-        x = float(x)
-        lhs = log_gamma(2.0 * x)
-        rhs = (log_gamma(x) + log_gamma(x + 0.5) + (2.0 * x - 1.0) * math.log(2.0)
-               - 0.5 * math.log(math.pi))
-        assert abs(lhs - rhs) <= 5e-12
-
-
-def test_log_gamma_domain():
-    for bad in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError):
-            log_gamma(bad)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.5])
