@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -430,24 +431,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_DASH_VALUE_FLAGS = {"--mu", "--omega", "--mu-range", "--mu-negative", "--beta", "--N"}
-_DASH_VALUE_CHARS = set("-+0123456789./:")
+# a negative number, fraction or range such as -3/4, -1e-8 or -4:4:0.01
+_DASH_VALUE = re.compile(r"-\.?\d[\d.eE+\-/:]*")
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
     """Rewrite ['--mu', '-3/4'] as ['--mu=-3/4'] so argparse does not read
-    fraction or range values starting with '-' as options."""
+    a value starting with '-' as an option."""
     out = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (tok in _DASH_VALUE_FLAGS and nxt and nxt.startswith("-")
-                and len(nxt) > 1 and set(nxt) <= _DASH_VALUE_CHARS):
-            out.append(f"{tok}={nxt}")
-            skip = True
+    for tok in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and _DASH_VALUE.fullmatch(tok)):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out

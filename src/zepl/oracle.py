@@ -58,6 +58,7 @@ _GAUSS_WEIGHTS = np.array([
 
 _T_CAP = 704.0  # exp() stays finite
 _CHUNK = 7.0
+_LOG3 = math.log(3.0)
 
 
 @dataclass(frozen=True)
@@ -153,72 +154,49 @@ def quad_seminfinite(f, tol: float = 1e-10, *, atol: float = 0.0,
 # Radial initial-value integration in Pruefer variables
 # ---------------------------------------------------------------------------
 
-def _wkb_from_q(q, r, coupling, sign):
-    """First-order WKB start u = q^(-1/4) exp(sign * int sqrt(q));
-    returns (1, u'/u) since overall scale is irrelevant."""
-    qv = q(r, coupling)
-    if qv <= 0:
-        raise ValueError(f"WKB start needs q > 0, got {qv:g} at r = {r:g}")
-    h = 1e-5 * r
-    dq = (q(r + h, coupling) - q(r - h, coupling)) / (2.0 * h)
-    return 1.0, sign * math.sqrt(qv) - dq / (4.0 * qv)
-
-
-@dataclass
+@dataclass(frozen=True)
 class RadialODE:
-    """u'' = q(r, c) u on a positive domain with a matching radius.
+    """u'' = q(r, c) u on r > 0, stated in t = log r.
 
-    ``q`` bundles the centrifugal term and twice the potential; ``c`` is the
-    shooting parameter (attractive coupling or spectral value).  Domain ends
-    and the matching radius may depend on the parameter.  Start values default
-    to the regular power u ~ r^origin_exponent at the inner end and to a
-    first-order WKB decaying form at the outer end.  A start must have no zero
-    of u beyond it (on its side of the domain): the sweep counts zeros from
-    there.
+    ``r2q(t, c)`` is r^2 q, the only thing the Euler-scaled Pruefer equations
+    evaluate; ``c`` is the shooting parameter (attractive coupling or spectral
+    value).  ``ends(c)`` gives (t_inner, t_match, t_outer).  ``inner_slope``
+    and ``outer_slope`` give r u'/u at the start of each sweep.  A start must
+    have no zero of u beyond it (on its side of the domain): the sweep counts
+    zeros from there.
     """
 
-    q: Callable[[float, float], float]
-    r_inner: Callable[[float], float] | float
-    r_outer: Callable[[float], float] | float
-    origin_exponent: float = 1.0
-    match_radius: Callable[[float], float] | float | None = None
-    inner_start: Callable[[float, float], tuple[float, float]] | None = None
-    outer_start: Callable[[float, float], tuple[float, float]] | None = None
-
-    def _resolve(self, bound, coupling):
-        return float(bound(coupling)) if callable(bound) else float(bound)
-
-    def inner_at(self, coupling):
-        return self._resolve(self.r_inner, coupling)
-
-    def outer_at(self, coupling):
-        return self._resolve(self.r_outer, coupling)
-
-    def match_at(self, coupling: float) -> float:
-        lo, hi = self.inner_at(coupling), self.outer_at(coupling)
-        if self.match_radius is None:
-            raw = math.sqrt(lo * hi)
-        else:
-            raw = self._resolve(self.match_radius, coupling)
-        return min(max(raw, 3.0 * lo), hi / 3.0)
+    r2q: Callable[[float, float], float]
+    ends: Callable[[float], tuple[float, float, float]]
+    inner_slope: Callable[[float, float], float]
+    outer_slope: Callable[[float, float], float]
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One sweep toward the matching radius.  ``u`` and ``du`` are the
-    solution up to one positive factor, unit amplitude at the end.
-    ``end_theta`` is the Pruefer angle there: it starts in [0, pi) and, as r
-    grows, rises through a multiple of pi at each zero of u, so an inward
-    sweep falls through them.  ``nfev`` counts right-hand-side evaluations."""
+    """One sweep's end at the matching radius: u and du up to one positive
+    factor, unit amplitude there.  ``end_theta`` is the Pruefer angle: it
+    starts in [0, pi) and, as r grows, rises through a multiple of pi at each
+    zero of u, so an inward sweep falls through them.  ``nfev`` counts
+    right-hand-side evaluations."""
 
-    r: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
-    log_deriv: float
     end_u: float
     end_du: float
     end_theta: float
     nfev: int
+
+
+def _wkb_slope(r2q, sign: float):
+    """r u'/u of the first-order WKB form u = q^(-1/4) exp(sign * int sqrt(q)),
+    which with Q = r^2 q is sign sqrt(Q) + 1/2 - Q'/(4Q), Q' = dQ/dt."""
+    def slope(t, c):
+        big_q = r2q(t, c)
+        if big_q <= 0:
+            raise ValueError(f"WKB start needs q > 0, got r^2 q = {big_q:g} at log r = {t:g}")
+        h = 1e-5
+        d_q = (r2q(t + h, c) - r2q(t - h, c)) / (2.0 * h)
+        return sign * math.sqrt(big_q) + 0.5 - d_q / (4.0 * big_q)
+    return slope
 
 
 def integrate_radial(ode: RadialODE, coupling: float, direction: str = "outward",
@@ -230,43 +208,35 @@ def integrate_radial(ode: RadialODE, coupling: float, direction: str = "outward"
         (log rho)' = cos^2 + (1 + r^2 q) sin cos
 
     The angle carries the node count and the log-amplitude cannot overflow,
-    so one call covers the whole side with no renormalisation."""
+    so one call covers the whole side with no renormalisation.  The matching
+    point is kept at least log 3 inside both ends."""
     if direction not in ("outward", "inward"):
         raise ValueError("direction must be 'outward' or 'inward'")
-    r_match = ode.match_at(coupling)
+    t_inner, t_match, t_outer = ode.ends(coupling)
+    t_match = min(max(t_match, t_inner + _LOG3), t_outer - _LOG3)
     if direction == "outward":
-        r_from = ode.inner_at(coupling)
-        start = ode.inner_start or (lambda r, c: (1.0, ode.origin_exponent / r))
+        t_from, slope = t_inner, ode.inner_slope(t_inner, coupling)
     else:
-        r_from = ode.outer_at(coupling)
-        start = ode.outer_start or (lambda r, c: _wkb_from_q(ode.q, r, c, -1.0))
-    if min(r_from, r_match) <= 0:
-        raise ValueError("domain must be positive")
-
-    u0, du0 = start(r_from, coupling)
-    theta0 = math.atan2(u0, r_from * du0) % math.pi
+        t_from, slope = t_outer, ode.outer_slope(t_outer, coupling)
+    theta0 = math.atan2(1.0, slope) % math.pi
 
     def rhs(t, y):
-        r = math.exp(t)
-        r2q = r * r * ode.q(r, coupling)
+        r2q = ode.r2q(t, coupling)
         s, c = math.sin(y[0]), math.cos(y[0])
         return (c * c - s * c - r2q * s * s, c * c + (1.0 + r2q) * s * c)
 
     # log rho only scales u and du; its loose absolute tolerance keeps it out
     # of the step-size control
-    sol = solve_ivp(rhs, (math.log(r_from), math.log(r_match)), [theta0, 0.0],
+    sol = solve_ivp(rhs, (t_from, t_match), [theta0, 0.0],
                     method="LSODA", rtol=rtol, atol=(1e-12, 1e-6))
     if not sol.success:
-        raise RuntimeError(f"radial integration failed on [{r_from:g}, {r_match:g}]: "
-                           f"{sol.message}")
-    theta, log_rho = sol.y
-    r = np.exp(sol.t)
-    amplitude = np.exp(log_rho - log_rho[-1])
-    end_theta = float(theta[-1])
-    end_u, end_du = math.sin(end_theta), math.cos(end_theta) / r_match
-    log_deriv = end_du / end_u if end_u != 0.0 else math.inf
-    return Trajectory(r, amplitude * np.sin(theta), amplitude * np.cos(theta) / r,
-                      log_deriv, end_u, end_du, end_theta, int(sol.nfev))
+        raise RuntimeError(f"radial integration failed on log r in "
+                           f"[{t_from:g}, {t_match:g}]: {sol.message}")
+    end_theta = float(sol.y[0, -1])
+    r_du = math.cos(end_theta)
+    # where r itself underflows, du = (r du)/r is beyond the floats
+    end_du = r_du * math.exp(-t_match) if t_match > -709.0 else math.copysign(math.inf, r_du)
+    return Trajectory(math.sin(end_theta), end_du, end_theta, int(sol.nfev))
 
 
 # ---------------------------------------------------------------------------
@@ -281,93 +251,57 @@ class ShootingResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _golden_min(f, a, b, tol):
-    phi = 2.0 / (1.0 + math.sqrt(5.0))
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f2 > f1:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
-
-
-def _powerlaw_exponents(mu: float):
-    if mu == 0.0 or mu == 0.5 or mu == -0.5:
-        raise ValueError("mu in {0, +1/2, -1/2} is outside the family")
-    p1 = -2.0 * (mu - 0.5) / (mu + 0.5)
-    p2 = -2.0 * mu / (mu + 0.5)
-    return p1, p2
-
-
-def _match_radius_factory(c_rep, p1, p2, l):
-    def match(coupling):
-        r0 = (coupling / c_rep) ** (1.0 / (p1 - p2))
-        grid = np.geomspace(r0 * 1e-4, r0 * 1e4, 600)
-        veff = l * (l + 1) / grid**2 + 2.0 * (c_rep * grid**p1 - coupling * grid**p2)
-        i = int(np.argmin(veff))
-        if 0 < i < grid.size - 1 and veff[i] < 0:
-            f = lambda r: l * (l + 1) / r**2 + 2.0 * (c_rep * r**p1 - coupling * r**p2)
-            return _golden_min(f, grid[i - 1], grid[i + 1], 1e-10 * grid[i])
-        crossings = np.nonzero(np.sign(veff[1:]) != np.sign(veff[:-1]))[0]
-        if crossings.size >= 2:
-            return math.sqrt(grid[crossings[0]] * grid[crossings[-1]])
-        if crossings.size == 1:
-            return float(grid[crossings[0]])
-        return r0
-
-    return match
-
-
-def _power_end(coupling: float, beta: float) -> float:
-    """r^beta = 1e-12 / (1 + 2|c|), kept above 1e-150: there both potential
-    terms of r^2 q are negligible next to l(l+1), so the solution that is
-    regular at that end has the fixed Pruefer angle of its bare power."""
-    log_x = math.log(1e-12 / (1.0 + 2.0 * abs(coupling)))
-    return math.exp(max(log_x / beta, -345.0))
-
-
 def build_powerlaw_ode(mu: float, lam: float, l: int) -> RadialODE:
     """Zero-energy radial problem of the two-term power-law family with the
     attractive coefficient left free as the shooting parameter.
 
-    In x = r^(+-beta) (sign of mu + 1/2), r^2 q = l(l+1) + 2 c_rep x^2 - 2 c x,
-    so the end where x -> 0 is a regular singular point: there the sweep
-    starts on the bare power (r^(l+1) at the origin above mu = -1/2, r^(-l)
-    at infinity below), with no zero beyond the start.  The other end starts
-    on WKB decay."""
+    In x = r^k, k = 1/(mu + 1/2), r^2 q = l(l+1) + 2 c_rep x^2 - 2 c x, so
+    the end where x -> 0 is a regular singular point: there the sweep starts
+    on the bare power (r^(l+1) at the origin above mu = -1/2, r^(-l) at
+    infinity below) at x = 1e-12/(1 + 2|c|), where both potential terms are
+    negligible next to l(l+1) and the regular solution has no zero beyond
+    the start.  The other end starts on WKB decay at
+    x = max(72/lam^2, 6c/c_rep), which gives both a ~36 decay budget and
+    clear dominance of the repulsive term.  The sides match at the bottom of
+    q's negative well."""
     if not (lam > 0 and l >= 0):
         raise ValueError(f"need lam > 0 and l >= 0, got lam = {lam}, l = {l}")
     mu = float(mu)
-    p1, p2 = _powerlaw_exponents(mu)
-    c_rep = (lam / (2.0 * mu + 1.0)) ** 2 * lam**2 / 2.0
-    beta = 1.0 / abs(mu + 0.5)
-    match = _match_radius_factory(c_rep, p1, p2, l)
+    if mu in (0.0, 0.5, -0.5):
+        raise ValueError("mu in {0, +1/2, -1/2} is outside the family")
+    k = 1.0 / (mu + 0.5)
+    c_rep = (lam * k / 2.0) ** 2 * lam**2 / 2.0
+    ll = l * (l + 1.0)
 
-    def q(r, coupling):
-        return l * (l + 1) / r**2 + 2.0 * (c_rep * r**p1 - coupling * r**p2)
+    def r2q(t, c):
+        x = math.exp(k * t)
+        return ll + 2.0 * x * (c_rep * x - c)
 
-    if mu > -0.5:
-        # the outer radius guarantees both a ~36 decay budget and clear
-        # dominance of the repulsive term (positive WKB argument)
-        return RadialODE(q=q, r_inner=lambda D: _power_end(D, beta),
-                         r_outer=lambda D: max((72.0 / lam**2) ** (1.0 / beta),
-                                               (6.0 * D / c_rep) ** (1.0 / beta)),
-                         origin_exponent=l + 1.0, match_radius=match)
-    # essential decay into the origin, algebraic r^(-l) branch at infinity
-    return RadialODE(q=q,
-                     r_inner=lambda D: min((lam**2 / 72.0) ** (1.0 / beta),
-                                           (c_rep / (6.0 * D)) ** (1.0 / beta)),
-                     r_outer=lambda D: max(1.0 / _power_end(D, beta), 9.5 * match(D)),
-                     match_radius=match,
-                     inner_start=lambda r, c: _wkb_from_q(q, r, c, +1.0),
-                     outer_start=lambda r, c: (1.0, -l / r))
+    def log_x_match(c):
+        # q = r^-2 r2q is stationary where c_rep p1 x^2 - c p2 x - l(l+1) = 0,
+        # p1 = 2k - 2, p2 = k - 2; at most one such root lies in a negative
+        # region of q, and that is its well.  Without a well r^2 q has no
+        # positive zero (l > 0) or only x = c/c_rep (l = 0).
+        a, b = c_rep * (2.0 * k - 2.0), c * (k - 2.0)
+        disc = b * b + 4.0 * a * ll
+        half = 0.5 * (b + math.copysign(math.sqrt(disc), b)) if disc >= 0.0 else 0.0
+        for x in ((half / a, -ll / half) if half else ()):
+            if x > 0.0 and ll + 2.0 * x * (c_rep * x - c) < 0.0:
+                return math.log(x)
+        return math.log(c / c_rep)
+
+    def ends(c):
+        t_regular = math.log(1e-12 / (1.0 + 2.0 * abs(c))) / k
+        t_wkb = math.log(max(72.0 / lam**2, 6.0 * c / c_rep)) / k
+        t_match = log_x_match(c) / k
+        if k > 0:
+            return t_regular, t_match, t_wkb
+        # essential decay into the origin, algebraic r^(-l) branch at infinity
+        return t_wkb, t_match, max(t_regular, t_match + math.log(9.5))
+
+    if k > 0:
+        return RadialODE(r2q, ends, lambda t, c: l + 1.0, _wkb_slope(r2q, -1.0))
+    return RadialODE(r2q, ends, _wkb_slope(r2q, +1.0), lambda t, c: -float(l))
 
 
 def coupling_mismatch(ode: RadialODE, coupling: float, rtol: float = 1e-10):
@@ -435,9 +369,9 @@ def shoot_coupling(mu, lam: float, l: int, count: int = 3) -> ShootingResult:
 def build_halfline_ode(n_power: int) -> RadialODE:
     """Half-line problem -psi'' + x^(2N+2) psi = E x^N psi with psi(0) = 0.
 
-    For N >= -1, x^2 q -> 0 at the origin, so the sweep starts on psi ~ x at
-    x = 1e-8; the outer start is WKB decay beyond the turning point
-    x = E^(1/(N+2)).
+    In X = x^(N+2), x^2 q = X^2 - E X.  For N >= -1 this -> 0 at the origin,
+    so the sweep starts on psi ~ x at x = 1e-8; the outer start is WKB decay
+    beyond the turning point X = E.
     """
     if n_power == -2:
         raise ValueError("N = -2 is excluded")
@@ -445,17 +379,16 @@ def build_halfline_ode(n_power: int) -> RadialODE:
         raise ValueError("shooting supports N >= -1 (regular origin)")
     N = int(n_power)
 
-    def q(x, energy):
-        return x ** (2 * N + 2) - energy * x**N
+    def r2q(t, energy):
+        x = math.exp((N + 2) * t)  # x^(N+2)
+        return x * (x - energy)
 
-    def match(energy):
-        return 0.55 * max(energy, 0.3) ** (1.0 / (N + 2))
+    def ends(energy):
+        return (math.log(1e-8),
+                math.log(0.55) + math.log(max(energy, 0.3)) / (N + 2),
+                math.log(1.2) + math.log(36.0 * (N + 2) + 2.0 * energy) / (N + 2))
 
-    def outer(energy):
-        return 1.2 * (36.0 * (N + 2) + 2.0 * energy) ** (1.0 / (N + 2))
-
-    return RadialODE(q=q, r_inner=1e-8, r_outer=outer, origin_exponent=1.0,
-                     match_radius=match)
+    return RadialODE(r2q, ends, lambda t, energy: 1.0, _wkb_slope(r2q, -1.0))
 
 
 def shoot_energy_bender(n_power: int, count: int = 2) -> ShootingResult:

@@ -162,20 +162,19 @@ def ladder_check(gamma: float, n: int, grid=None) -> LadderReport:
     l3_ratio = float(np.median(ratio)) * sigma
     l3_dev = float(np.max(np.abs(ratio * sigma - expected))) / expected
 
-    # effective raising operator is the nominal "-" combination when sigma=-1
+    # effective raising operator is the nominal "-" combination when sigma=-1;
+    # the quadrature of the raised state is the independent check of the L+
+    # coefficient, the phi norms are exact Gauss-Laguerre sums
     raised = lambda xs: _apply_ladder(state, xs, float(sigma))
     norm_raised = math.sqrt(oracle.quad_seminfinite(lambda r: raised(r) ** 2, 1e-11).value)
     upper = phi(OscillatorState(gamma=gamma, n=n + 1, lam=lam))
-    norm_upper = math.sqrt(oracle.quad_seminfinite(lambda r: upper(r) ** 2, 1e-11).value)
-    lplus_ratio = norm_raised / norm_upper
+    lplus_ratio = norm_raised / math.exp(0.5 * upper.log_norm())
     lplus_expected = math.sqrt((n + 1.0) * (n + 2.0 * gamma + 2.0) / 2.0)
 
     ground = OscillatorState(gamma=gamma, n=0, lam=lam)
-    xg = default_grid(ground)
-    lowered_ground = _apply_ladder(ground, xg, -float(sigma))
-    ground_fn = phi(ground)
-    norm_ground = math.sqrt(oracle.quad_seminfinite(lambda r: ground_fn(r) ** 2, 1e-11).value)
-    lminus = float(np.max(np.abs(lowered_ground))) / norm_ground
+    lowered_ground = _apply_ladder(ground, default_grid(ground), -float(sigma))
+    lminus = (float(np.max(np.abs(lowered_ground)))
+              / math.exp(0.5 * phi(ground).log_norm()))
 
     return LadderReport(sigma=sigma, l3_ratio=l3_ratio, l3_expected=expected,
                         l3_max_rel_dev=l3_dev, lplus_norm_ratio=lplus_ratio,

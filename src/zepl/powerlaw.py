@@ -249,11 +249,12 @@ def norm(family: PowerLawFamily) -> NormResult:
     """Squared norm of the constructed wavefunction, re-measured by adaptive
     quadrature, independently of the Gauss-Laguerre rule that normalized it.
     Finiteness is that rule's (divergent exactly when mu < -1/2 and l = 0,
-    where the tail integrand tends to a constant)."""
+    where the tail integrand tends to a constant); a divergent norm is not
+    integrated."""
     sol = wavefunction(family)
-    q = oracle.quad_seminfinite(lambda r: sol.value(r) ** 2, 1e-10)
     if not sol.normalized:
-        return NormResult(False, None, q)
+        return NormResult(False, None, None)
+    q = oracle.quad_seminfinite(lambda r: sol.value(r) ** 2, 1e-10)
     return NormResult(True, q.value, q)
 
 

@@ -149,14 +149,26 @@ def test_oracle_csv_header(capsys):
     ["oracle", "--mu", "3/2", "--tolerance", "-1"],
     ["bender", "--N", "0", "--tolerance", "0"],
     ["dirac", "--beta", "0.5", "--tolerance", "-1"],
+    ["oracle", "--mu", "3/2", "--tolerance", "-1e-8"],
+    ["dirac", "--beta", "0.5", "--tolerance", "-1e-8"],
+    ["bender", "--N", "0", "--tolerance", "-1e-8"],
+    ["verify", "--suite", "specfn", "--tolerance-scale", "-1e-3"],
 ], ids=["oracle-count-7", "oracle-energy-count-5", "oracle-negative-l",
         "bender-negative-n-max", "potential-zero-points", "figures-zero-points",
-        "oracle-negative-tolerance", "bender-zero-tolerance", "dirac-negative-tolerance"])
+        "oracle-negative-tolerance", "bender-zero-tolerance", "dirac-negative-tolerance",
+        "oracle-exponent-tolerance", "dirac-exponent-tolerance",
+        "bender-exponent-tolerance", "verify-exponent-tolerance-scale"])
 def test_bad_input_is_a_one_line_validation_error(capsys, argv):
     code = cli.main(argv)
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_oracle_matches_in_the_well_at_mu_minus_20(capsys):
+    code, doc = run_json(capsys, ["oracle", "--mu", "-20", "--l", "2", "--count", "3"])
+    assert code == 0
+    assert [row["node_count"] for row in doc["results"]["levels"]] == [0, 1, 2]
 
 
 def test_tolerance_scale_does_not_pass_failed_flags(capsys, monkeypatch):

@@ -51,24 +51,31 @@ def test_quad_shifted_scale():
 # --- radial integration ---------------------------------------------------------
 
 def test_free_particle_log_derivative():
-    ode = oracle.RadialODE(q=lambda r, c: 0.0, r_inner=1e-3, r_outer=10.0,
-                           origin_exponent=1.0, match_radius=1.0)
+    # u'' = 0 from the regular start u ~ r: log-derivative 1/r, 1 at r = 1
+    ode = oracle.RadialODE(r2q=lambda t, c: 0.0,
+                           ends=lambda c: (math.log(1e-3), 0.0, math.log(10.0)),
+                           inner_slope=lambda t, c: 1.0, outer_slope=lambda t, c: 0.0)
     traj = oracle.integrate_radial(ode, 0.0, "outward")
-    assert traj.log_deriv == pytest.approx(1.0, abs=1e-8)
-    assert np.all(np.diff(traj.r) > 0)
+    assert traj.end_du / traj.end_u == pytest.approx(1.0, abs=1e-8)
+    assert math.floor(traj.end_theta / math.pi) == 0  # no zero on the way
 
 
 def test_inward_direction_and_renormalization():
-    # u'' = u with decaying outer start: u ~ e^(-r), log-derivative -1
-    ode = oracle.RadialODE(q=lambda r, c: 1.0, r_inner=0.1, r_outer=60.0,
-                           origin_exponent=1.0, match_radius=1.0)
+    # u'' = u with the WKB decaying outer start: u ~ e^(-r), log-derivative -1;
+    # 59 units of decay leave the unit-amplitude end finite
+    r2q = lambda t, c: math.exp(2.0 * t)
+    ode = oracle.RadialODE(r2q=r2q, ends=lambda c: (math.log(0.1), 0.0, math.log(60.0)),
+                           inner_slope=lambda t, c: 1.0,
+                           outer_slope=oracle._wkb_slope(r2q, -1.0))
     traj = oracle.integrate_radial(ode, 0.0, "inward")
-    assert traj.log_deriv == pytest.approx(-1.0, rel=1e-6)
-    assert np.isfinite(traj.u).all()
+    assert traj.end_du / traj.end_u == pytest.approx(-1.0, rel=1e-6)
+    assert math.isfinite(traj.end_u) and math.isfinite(traj.end_du)
 
 
 def test_direction_validated():
-    ode = oracle.RadialODE(q=lambda r, c: 0.0, r_inner=1e-3, r_outer=10.0)
+    ode = oracle.RadialODE(r2q=lambda t, c: 0.0,
+                           ends=lambda c: (math.log(1e-3), 0.0, math.log(10.0)),
+                           inner_slope=lambda t, c: 1.0, outer_slope=lambda t, c: 0.0)
     with pytest.raises(ValueError):
         oracle.integrate_radial(ode, 0.0, "sideways")
 
@@ -162,7 +169,9 @@ def test_shoot_energy_at_count_cap(n_power):
 def test_mismatch_is_the_scaled_wronskian(mu, l, coupling):
     ode = oracle.build_powerlaw_ode(mu, 1.0, l)
     mismatch, out, inn = oracle.coupling_mismatch(ode, coupling)
-    rm = ode.match_at(coupling)
+    t_inner, t_match, t_outer = ode.ends(coupling)
+    assert t_inner + math.log(3.0) < t_match < t_outer - math.log(3.0)  # no clamp
+    rm = math.exp(t_match)
     w = out.end_du * inn.end_u - inn.end_du * out.end_u
     scale = math.sqrt((out.end_u**2 + (rm * out.end_du) ** 2)
                       * (inn.end_u**2 + (rm * inn.end_du) ** 2))
@@ -186,3 +195,48 @@ def test_oracle_imports_nothing_from_the_package():
             assert node.level == 0 and not (node.module or "").startswith("zepl")
         elif isinstance(node, ast.Import):
             assert not any(a.name.split(".")[0] == "zepl" for a in node.names)
+
+
+# --- the problem stated in t = log r ---------------------------------------------
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu, lam, l, count", [
+    (-20.0, 1.0, 2, 3), (50.0, 1.0, 1, 2), (50.0, 1.0, 2, 2), (-50.0, 1.0, 1, 2),
+    (-50.0, 1.0, 2, 2), (-50.0, 1e-3, 1, 1)])
+def test_shoot_coupling_where_r_is_extreme(mu, lam, l, count):
+    # the well of (-20, 1, 2) sits at r ~ 3e-41, and a match point far from it
+    # can miscount nodes; at |mu| = 50 the regular start r = x^(1/k) lies
+    # outside the float range, and at (-50, 1e-3) so does the match point
+    res = oracle.shoot_coupling(mu, lam, l, count=count)
+    for got, want in zip(res.values, _coupling_levels(mu, lam, l, count), strict=True):
+        assert got == pytest.approx(want, rel=1e-9)
+    assert res.node_counts == list(range(count))
+
+
+def _scan_argmin(f, lo, hi, points):
+    t = np.linspace(lo, hi, points)
+    v = f(t)
+    return t, v, int(np.argmin(v))
+
+
+def test_match_point_is_the_bottom_of_the_well():
+    wells = 0
+    for mu in (-10.0, -3.0, -1.5, -0.75, -0.3, 0.2, 0.25, 0.75, 1.5, 4.0, 10.0):
+        # q = l(l+1)/r^2 + 2 (c_rep r^p1 - c r^p2), in t = log r
+        p1, p2 = -2.0 * (mu - 0.5) / (mu + 0.5), -2.0 * mu / (mu + 0.5)
+        unit = (1.0 / (2.0 * mu + 1.0)) ** 2
+        c_rep = unit / 2.0
+        for l in (0, 1, 3):
+            ode = oracle.build_powerlaw_ode(mu, 1.0, l)
+            for c in (0.5 * unit, 2.0 * unit, 8.0 * unit, 30.0 * unit):
+                def q(t):
+                    return (l * (l + 1) * np.exp(-2.0 * t)
+                            + 2.0 * (c_rep * np.exp(p1 * t) - c * np.exp(p2 * t)))
+                t_inner, t_match, t_outer = ode.ends(c)
+                t, v, i = _scan_argmin(q, t_inner, t_outer, 4001)
+                if not (0 < i < t.size - 1 and v[i] < 0):
+                    continue  # no negative well
+                t, v, i = _scan_argmin(q, t[i - 1], t[i + 1], 1001)
+                assert t_match == pytest.approx(t[i], abs=2.0 * (t[1] - t[0]))
+                wells += 1
+    assert wells > 50

@@ -279,7 +279,14 @@ def test_degenerate_states_share_potential_but_not_wavefunction():
 def test_norm_divergent_below_l0():
     res = pl.norm(pl.PowerLawFamily(mu=-1.5, lam=1.0, l=0, n=0))
     assert not res.finite and res.value is None
-    assert not res.quad.converged
+    assert res.quad is None
+
+
+@pytest.mark.filterwarnings("error")
+def test_divergent_norm_is_not_integrated():
+    # integrating this divergent norm takes 2000 panels and overflows in the sum
+    res = pl.norm(pl.PowerLawFamily(mu=-2.5, lam=0.7, l=0, n=4))
+    assert not res.finite and res.value is None and res.quad is None
 
 
 def test_norm_finite_below_l1():
