@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -47,10 +48,20 @@ def parse_rational(text: str):
         raise ValidationError(f"cannot parse number {text!r}") from exc
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float replaced by None, so JSON stays strict."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _emit(doc: dict, rows: list[dict], args) -> None:
-    """Write the JSON envelope or the CSV rows for this command."""
+    """Write the JSON envelope (non-finite numbers as null) or the CSV rows
+    for this command."""
     if args.format == "json":
-        payload = json.dumps(doc, indent=2, sort_keys=False) + "\n"
+        payload = json.dumps(_finite_or_null(doc), indent=2, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         if rows:
@@ -88,6 +99,11 @@ def _num(value):
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
+    if args.all and args.suite:
+        raise ValidationError("--all runs every suite; it cannot be combined with --suite")
+    scale = args.tolerance_scale
+    if not scale > 0:
+        raise ValidationError("--tolerance-scale must be positive")
     names = args.suite or verify.suite_names()
     checks = []
     for name in names:
@@ -95,9 +111,6 @@ def _cmd_verify(args) -> int:
             checks.extend(verify.run_suite(name))
         except KeyError as exc:
             raise ValidationError(str(exc)) from exc
-    scale = args.tolerance_scale
-    if not scale > 0:
-        raise ValidationError("--tolerance-scale must be positive")
     # flags and the runtime limit keep their own tolerance and verdict
     rows = [{"name": c.name, "value": c.value,
              "tolerance": c.tolerance * scale if c.scales else c.tolerance,
@@ -354,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run verification suites; exit 1 on any failure")
     sp.add_argument("--suite", action="append", choices=verify.suite_names(),
-                    help="run only this suite (repeatable); default: all")
-    sp.add_argument("--all", action="store_true", help="run every suite (default)")
+                    help="run only this suite (repeatable); default: every suite")
+    sp.add_argument("--all", action="store_true", help="run every suite (the default)")
     sp.add_argument("--tolerance-scale", type=float, default=1.0,
                     help="multiply every check tolerance by this factor")
     _add_common(sp)

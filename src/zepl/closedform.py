@@ -138,18 +138,30 @@ class ClosedFormSolution:
     def scaled(self, factor: float, **changes) -> "ClosedFormSolution":
         return replace(self, amplitude=self.amplitude * factor, **changes)
 
+    def grid(self, num: int = 240, w_lo: float = 1e-2,
+             w_hi: float | None = None) -> np.ndarray:
+        """Radii of a geometric grid in the Laguerre argument w = rate r^shape,
+        where the zeros and turning points live; w_hi defaults to 30(degree+1)."""
+        if w_hi is None:
+            w_hi = 30.0 * (self.degree + 1)
+        w = np.geomspace(w_lo, w_hi, num)
+        return np.sort((w / self.rate) ** (1.0 / self.shape))
+
+    def residual(self, r, q_terms) -> "ResidualReport":
+        """Relative residual of psi'' = sum(q_terms) psi at the radii r, kept
+        where |psi| is above 1e-12 of its peak on r."""
+        val, _, d2 = self._derivs(r)
+        mask = np.abs(val) > 1e-12 * np.abs(val).max()
+        return relative_residual([d2] + [-q * val for q in q_terms], mask=mask)
+
 
 @dataclass(frozen=True)
 class ResidualReport:
     """Pointwise relative residuals of an identity on a grid."""
 
-    grid: np.ndarray
     residuals: np.ndarray
     max_residual: float
     masked_points: int
-
-    def __bool__(self):  # truthiness == "there is data"
-        return self.residuals.size > 0
 
 
 def relative_residual(terms, mask=None) -> ResidualReport:
@@ -157,7 +169,9 @@ def relative_residual(terms, mask=None) -> ResidualReport:
 
     ``terms`` is a sequence of equal-length arrays; ``mask`` marks points to
     keep (True).  Points whose normalization is vanishingly small relative to
-    the grid maximum are dropped: the identity is 0 == 0 there.
+    the grid maximum are dropped: the identity is 0 == 0 there.  The check
+    fails (max_residual = inf) when a term is not finite at a point the mask
+    keeps, or when no point is left to check.
     """
     terms = [np.asarray(t, dtype=float) for t in terms]
     total = np.zeros_like(terms[0])
@@ -165,13 +179,14 @@ def relative_residual(terms, mask=None) -> ResidualReport:
     for t in terms:
         total = total + t
         scale = scale + np.abs(t)
-    keep = scale > 1e-12 * (scale.max() if scale.size else 0.0)
-    if mask is not None:
-        keep &= np.asarray(mask, dtype=bool)
+    wanted = np.ones(total.shape, bool) if mask is None else np.asarray(mask, dtype=bool)
+    finite = np.isfinite(scale)
+    peak = scale[finite].max() if finite.any() else 0.0
+    keep = wanted & finite & (scale > 1e-12 * peak)
     rel = np.abs(total[keep]) / (scale[keep] + 1e-300)
-    grid = np.arange(total.size)[keep]
-    max_rel = float(rel.max()) if rel.size else 0.0
-    return ResidualReport(grid=grid, residuals=rel, max_residual=max_rel,
+    checked = rel.size > 0 and finite[wanted].all()
+    max_rel = float(rel.max()) if checked else math.inf
+    return ResidualReport(residuals=rel, max_residual=max_rel,
                           masked_points=int(total.size - keep.sum()))
 
 

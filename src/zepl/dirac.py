@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .closedform import (ClosedFormSolution, ResidualReport, log_grid, positive_radii,
-                         relative_residual)
+from .closedform import ClosedFormSolution, ResidualReport, log_grid, positive_radii
 
 __all__ = ["DiracFamily", "Correspondence", "SpinorSolution", "odd_potential",
            "odd_potential_nu_form", "correspondence", "upper_spinor",
@@ -96,12 +95,10 @@ def correspondence(beta: float, l: int, lam: float = 1.0) -> Correspondence:
     return Correspondence(nu=fam.nu, kappa=fam.kappa, coupling=fam.coupling, n=0)
 
 
-def odd_potential(family: DiracFamily, r, w_scale: float = 1.0):
-    """W(r) = (lam^2 beta/2) r^(beta-1); independent of l by construction.
-    ``w_scale`` doubles as a detector hook for the vanishing-lower-component
-    test."""
+def odd_potential(family: DiracFamily, r):
+    """W(r) = (lam^2 beta/2) r^(beta-1); independent of l by construction."""
     r = positive_radii(r)
-    return w_scale * family.coupling * r ** (family.beta - 1.0)
+    return family.coupling * r ** (family.beta - 1.0)
 
 
 def odd_potential_nu_form(family: DiracFamily, r):
@@ -112,9 +109,8 @@ def odd_potential_nu_form(family: DiracFamily, r):
     return family.coupling / r ** ((nu - 0.5) / (nu + 0.5))
 
 
-def _odd_deriv(family: DiracFamily, r, w_scale: float = 1.0):
-    return (w_scale * family.coupling * (family.beta - 1.0)
-            * positive_radii(r) ** (family.beta - 2.0))
+def _odd_deriv(family: DiracFamily, r):
+    return family.coupling * (family.beta - 1.0) * positive_radii(r) ** (family.beta - 2.0)
 
 
 @dataclass(frozen=True)
@@ -128,8 +124,8 @@ class SpinorSolution:
     normalized: bool
     notes: tuple[str, ...] = ()
 
-    def theta(self, r, w_scale: float = 1.0):
-        return lower_component(self.family, self, r, w_scale=w_scale)
+    def theta(self, r):
+        return lower_component(self.family, self, r)
 
 
 def normalization_constant(family: DiracFamily) -> float:
@@ -181,30 +177,21 @@ def reduced_potential(family: DiracFamily, r):
                         * r ** (family.beta - 2.0))
 
 
-def operator_bracket(family: DiracFamily, r, kappa_offset: int = 0):
+def operator_bracket(family: DiracFamily, r):
     """W^2 - dW/dr + 2 kappa W / r, the potential-like part of the reduced
     operator; agrees with kappa(kappa+1)/r^2 + 2 V - kappa(kappa+1)/r^2."""
     r = positive_radii(r)
-    k = family.kappa + kappa_offset
     w = odd_potential(family, r)
-    return w**2 - _odd_deriv(family, r) + 2.0 * k * w / r
+    return w**2 - _odd_deriv(family, r) + 2.0 * family.kappa * w / r
 
 
-def residual_33(family: DiracFamily, grid=None, kappa_offset: int = 0) -> ResidualReport:
+def residual_33(family: DiracFamily, grid=None) -> ResidualReport:
     """Relative residual of the reduced second-order equation applied to the
-    upper spinor.  ``kappa_offset`` perturbs the spin-orbit label in the
-    equation only (detector sanity)."""
+    upper spinor."""
     r = default_grid(family) if grid is None else positive_radii(grid)
-    sol = upper_spinor(family)
-    val, _, d2 = sol.phi._derivs(r)
-    k = family.kappa + kappa_offset
-    terms = [
-        -d2,
-        k * (k + 1.0) / r**2 * val,
-        operator_bracket(family, r, kappa_offset=kappa_offset) * val,
-    ]
-    mask = np.abs(val) > 1e-12 * np.abs(val).max()
-    return relative_residual(terms, mask=mask)
+    k = family.kappa
+    return upper_spinor(family).phi.residual(r, [k * (k + 1.0) / r**2,
+                                                 operator_bracket(family, r)])
 
 
 def reduced_form_agreement(family: DiracFamily, grid=None) -> float:
@@ -216,14 +203,12 @@ def reduced_form_agreement(family: DiracFamily, grid=None) -> float:
     return float(np.max(np.abs(a - b) / (np.abs(a) + np.abs(b) + 1e-300)))
 
 
-def lower_component(family: DiracFamily, solution: SpinorSolution, r,
-                    w_scale: float = 1.0):
+def lower_component(family: DiracFamily, solution: SpinorSolution, r):
     """theta(r) = (alpha/2)(W + kappa/r + d/dr) phi(r); identically zero for
-    the exact upper component.  Scaling W (detector hook) breaks the
-    cancellation."""
+    the exact upper component."""
     r = positive_radii(r)
     val, d1, _ = solution.phi._derivs(r)
-    w = odd_potential(family, r, w_scale=w_scale)
+    w = odd_potential(family, r)
     out = 0.5 * family.alpha_fs * (w * val + family.kappa / r * val + d1)
     return out if np.ndim(out) else float(out)
 

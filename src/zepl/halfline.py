@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import ClosedFormSolution, ResidualReport, relative_residual
+from .closedform import ClosedFormSolution, ResidualReport, positive_radii
 
 __all__ = ["HalfLineProblem", "spectrum", "eigenfunction", "residual_41"]
 
@@ -95,24 +95,8 @@ def eigenfunction(N: int, n: int, normalize: bool = True) -> ClosedFormSolution:
     return sol
 
 
-def default_grid(prob: HalfLineProblem, num: int = 240) -> np.ndarray:
-    w = np.geomspace(1e-2, 30.0 * (prob.n + 1), num)
-    x = (w / prob.lam_sq) ** (1.0 / (prob.N + 2))
-    return np.sort(x)
-
-
-def residual_41(N: int, n: int, grid=None, energy_offset: float = 0.0) -> ResidualReport:
-    """Relative residual of [-d2/dx2 + x^(2N+2) - E_n x^N] psi = 0.
-
-    ``energy_offset`` shifts E in the equation only (detector sanity).
-    """
-    prob = HalfLineProblem(N=N, n=n)
-    x = default_grid(prob) if grid is None else np.asarray(grid, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("grid points must be strictly positive")
+def residual_41(N: int, n: int, grid=None) -> ResidualReport:
+    """Relative residual of [-d2/dx2 + x^(2N+2) - E_n x^N] psi = 0."""
     sol = eigenfunction(N, n, normalize=False)
-    val, _, d2 = sol._derivs(x)
-    e = prob.energy + energy_offset
-    terms = [-d2, x ** (2 * N + 2) * val, -e * x ** float(N) * val]
-    mask = np.abs(val) > 1e-12 * np.abs(val).max()
-    return relative_residual(terms, mask=mask)
+    x = sol.grid() if grid is None else positive_radii(grid)
+    return sol.residual(x, [x ** (2 * N + 2), -spectrum(N, n) * x ** float(N)])

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import oracle
-from .closedform import ClosedFormSolution, ResidualReport, log_grid, relative_residual
+from .closedform import ClosedFormSolution, ResidualReport, log_grid, positive_radii
 
 __all__ = ["OscillatorState", "phi", "phi_eval", "residual_a5", "ladder_check",
            "eigenvalue_term", "LadderReport"]
@@ -85,26 +85,12 @@ def default_grid(state: OscillatorState, num: int = 200) -> np.ndarray:
     return log_grid(1e-2 / state.lam, 10.0 / state.lam, num)
 
 
-def residual_a5(state: OscillatorState, grid=None, lambda_sq_scale: float = 1.0) -> ResidualReport:
-    """Relative residual of the oscillator wave equation on a grid.
-
-    ``lambda_sq_scale`` perturbs lam^2 in the equation only (not in Phi); it
-    exists so tests can verify the detector actually fires.
-    """
-    x = default_grid(state) if grid is None else np.asarray(grid, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("grid points must be strictly positive")
-    val, _, d2 = phi_eval(state, x)
-    lam_sq = state.lam**2 * lambda_sq_scale
-    g = state.gamma
-    terms = [
-        d2,
-        -(4.0 * g * (g + 1.0) + 0.75) / x**2 * val,
-        -(lam_sq**2) * x**2 * val,
-        4.0 * lam_sq * (g + state.n + 1.0) * val,
-    ]
-    mask = np.abs(val) > 1e-12 * np.abs(val).max()
-    return relative_residual(terms, mask=mask)
+def residual_a5(state: OscillatorState, grid=None) -> ResidualReport:
+    """Relative residual of the oscillator wave equation on a grid."""
+    x = default_grid(state) if grid is None else positive_radii(grid)
+    g, lam_sq = state.gamma, state.lam**2
+    return phi(state).residual(x, [(4.0 * g * (g + 1.0) + 0.75) / x**2, lam_sq**2 * x**2,
+                                   -4.0 * lam_sq * (g + state.n + 1.0)])
 
 
 def _apply_l3(state: OscillatorState, x):

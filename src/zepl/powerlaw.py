@@ -193,31 +193,14 @@ def _unit_solution(family: PowerLawFamily) -> ClosedFormSolution:
                               degree=n, order=(2 * l + 1) * abs(mu + 0.5))
 
 
-def _raw_solution(family: PowerLawFamily) -> ClosedFormSolution:
-    unit = _unit_solution(family)
-    return unit.scaled((family.lam ** (2.0 * family.mu_f + 1.0)) ** unit.power)
-
-
-def _default_grid(family: PowerLawFamily, num: int = 240,
-                  w_lo: float = 1e-2, w_hi: float | None = None) -> np.ndarray:
-    """Radial grid mapped from the Laguerre argument w = lam^2 r^(1/(mu+1/2)),
-    which is where all the structure (zeros, turning points) lives."""
-    if w_hi is None:
-        w_hi = 30.0 * (family.n + 1)
-    w = np.geomspace(w_lo, w_hi, num)
-    m = 1.0 / (family.mu_f + 0.5)
-    r = (w / family.lam**2) ** (1.0 / m)
-    return np.sort(r)
-
-
 def _pinned_solution(family: PowerLawFamily) -> ClosedFormSolution:
     """Overall scale fixed at the attractive-term turning radius so ratio
     tests are well conditioned; falls back to the grid maximum if the turning
     radius sits too close to a node."""
-    raw = _raw_solution(family)
+    unit = _unit_solution(family)
+    raw = unit.scaled((family.lam ** (2.0 * family.mu_f + 1.0)) ** unit.power)
     r0 = map_parameters(family).terms.turning_scale
-    grid = _default_grid(family)
-    vals = raw.value(grid)
+    vals = raw.value(raw.grid())
     peak = np.abs(vals).max()
     v0 = float(raw.value(r0))
     if abs(v0) < 1e-3 * peak:
@@ -262,28 +245,15 @@ def norm(family: PowerLawFamily) -> NormResult:
 # Residual checks
 # ---------------------------------------------------------------------------
 
-def schrodinger_residual(family: PowerLawFamily, grid=None,
-                         coupling_scale: float = 1.0) -> ResidualReport:
-    """Relative residual of psi'' = [l(l+1)/r^2 + 2V] psi on a grid.
-
-    ``coupling_scale`` perturbs the attractive coefficient in the equation
-    only, as a detector sanity hook.
-    """
-    r = _default_grid(family) if grid is None else positive_radii(grid)
+def schrodinger_residual(family: PowerLawFamily, grid=None) -> ResidualReport:
+    """Relative residual of psi'' = [l(l+1)/r^2 + 2V] psi on a grid."""
     sol = _pinned_solution(family)
-    val, _, d2 = sol._derivs(r)
-    terms_obj = map_parameters(family).terms.scaled(coupling_scale)
-    terms = [
-        d2,
-        -family.l * (family.l + 1) / r**2 * val,
-        -2.0 * terms_obj.value(r) * val,
-    ]
-    mask = np.abs(val) > 1e-12 * np.abs(val).max()
-    return relative_residual(terms, mask=mask)
+    r = sol.grid() if grid is None else positive_radii(grid)
+    l = family.l
+    return sol.residual(r, [l * (l + 1) / r**2, 2.0 * potential_eval(family, r)])
 
 
-def pct_identity_check(family: PowerLawFamily, grid=None,
-                       gamma_offset: float = 0.0) -> ResidualReport:
+def pct_identity_check(family: PowerLawFamily, grid=None) -> ResidualReport:
     """Check that the coordinate map r = x^(2 mu + 1) applied to the
     oscillator equation reproduces -l(l+1)/r^2 - 2V(r).
 
@@ -295,12 +265,11 @@ def pct_identity_check(family: PowerLawFamily, grid=None,
     """
     lam, l, n = family.lam, family.l, family.n
     M = 2.0 * family.mu_f + 1.0
-    if grid is None:
-        w = np.geomspace(1e-2, 30.0 * (n + 1), 240)
-        x = np.sqrt(w) / lam
+    if grid is None:  # the oscillator variable, w = lam^2 x^2
+        x = ClosedFormSolution(1.0, 0.0, lam**2, 2.0, degree=n).grid()
     else:
         x = positive_radii(grid)
-    g = family.gamma + gamma_offset
+    g = family.gamma
     dg = M * x ** (M - 1.0)
     d2g_over = (M - 1.0) / x          # g''/g'
     d3g_over = (M - 1.0) * (M - 2.0) / x**2  # g'''/g'
@@ -476,6 +445,6 @@ def interior_node_count(family: PowerLawFamily) -> int:
     """Zeros of the wavefunction on (0, inf), counted by sign changes on a
     fine grid covering the Laguerre-argument range."""
     sol = _pinned_solution(family)
-    grid = _default_grid(family, num=4000, w_lo=1e-4,
-                         w_hi=4.0 * (family.n + 1) + 2.0 * sol.order + 20.0)
+    grid = sol.grid(num=4000, w_lo=1e-4,
+                    w_hi=4.0 * (family.n + 1) + 2.0 * sol.order + 20.0)
     return count_sign_changes(sol.value(grid))

@@ -64,26 +64,28 @@ def _families():
                     yield powerlaw.PowerLawFamily(mu=mu, lam=lam, l=l, n=n)
 
 
-def suite_zero_energy() -> list[CheckResult]:
-    """Wave-equation residual of the closed form over the full matrix."""
+def _worst_over_matrix(check) -> tuple[float, powerlaw.PowerLawFamily | None]:
+    """Largest check(family).max_residual over the matrix, and where it occurs."""
     worst, worst_fam = 0.0, None
     for fam in _families():
-        r = powerlaw.schrodinger_residual(fam).max_residual
+        r = check(fam).max_residual
         if r > worst:
             worst, worst_fam = r, fam
+    return worst, worst_fam
+
+
+def suite_zero_energy() -> list[CheckResult]:
+    """Wave-equation residual of the closed form over the full matrix."""
+    worst, fam = _worst_over_matrix(powerlaw.schrodinger_residual)
     return [CheckResult.from_max("powerlaw.schrodinger_residual[matrix]", worst,
-                                 RESIDUAL_TOL, detail=f"worst at {worst_fam}")]
+                                 RESIDUAL_TOL, detail=f"worst at {fam}")]
 
 
 def suite_pct_identity() -> list[CheckResult]:
     """Coordinate-map identity reproducing the potential and gamma."""
-    worst, worst_fam = 0.0, None
-    for fam in _families():
-        r = powerlaw.pct_identity_check(fam).max_residual
-        if r > worst:
-            worst, worst_fam = r, fam
+    worst, fam = _worst_over_matrix(powerlaw.pct_identity_check)
     return [CheckResult.from_max("powerlaw.pct_identity[matrix]", worst,
-                                 PCT_TOL, detail=f"worst at {worst_fam}")]
+                                 PCT_TOL, detail=f"worst at {fam}")]
 
 
 def suite_degeneracy() -> list[CheckResult]:

@@ -1,9 +1,11 @@
+import argparse
 import csv
 import io
 import json
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 from zepl import cli, verify
@@ -153,16 +155,32 @@ def test_oracle_csv_header(capsys):
     ["dirac", "--beta", "0.5", "--tolerance", "-1e-8"],
     ["bender", "--N", "0", "--tolerance", "-1e-8"],
     ["verify", "--suite", "specfn", "--tolerance-scale", "-1e-3"],
+    ["verify", "--all", "--suite", "specfn"],
 ], ids=["oracle-count-7", "oracle-energy-count-5", "oracle-negative-l",
         "bender-negative-n-max", "potential-zero-points", "figures-zero-points",
         "oracle-negative-tolerance", "bender-zero-tolerance", "dirac-negative-tolerance",
         "oracle-exponent-tolerance", "dirac-exponent-tolerance",
-        "bender-exponent-tolerance", "verify-exponent-tolerance-scale"])
+        "bender-exponent-tolerance", "verify-exponent-tolerance-scale",
+        "verify-all-with-suite"])
 def test_bad_input_is_a_one_line_validation_error(capsys, argv):
     code = cli.main(argv)
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_json_writes_non_finite_numbers_as_null(capsys, schema):
+    row = {"name": "suite.residual", "value": float("inf"), "tolerance": 1e-8,
+           "passed": False, "detail": ""}
+    doc = cli._envelope("verify", {"suites": ["x"], "nan": float("nan")},
+                        [row, {**row, "value": -np.inf}], passed=False)
+    cli._emit(doc, [], argparse.Namespace(format="json", output=None))
+    text = capsys.readouterr().out
+    out = json.loads(text, parse_constant=pytest.fail)
+    assert out["parameters"]["nan"] is None
+    assert [r["value"] for r in out["results"]] == [None, None]
+    assert out["results"][0]["tolerance"] == 1e-8
+    jsonschema.validate(out, schema)
 
 
 def test_oracle_matches_in_the_well_at_mu_minus_20(capsys):

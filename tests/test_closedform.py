@@ -62,6 +62,46 @@ def test_relative_residual_mask():
     assert rep.max_residual == 0.0
 
 
+def test_residual_fails_when_no_point_is_left():
+    # psi = exp(-r/2) underflows to 0 at both radii: nothing can be checked
+    sol = ClosedFormSolution(amplitude=1.0, power=0.0, rate=1.0, shape=1.0)
+    assert sol.residual(np.array([1.0, 2.0]), [0.25]).max_residual < 1e-15
+    assert sol.residual(np.array([1e4, 2e4]), [0.25]).max_residual == math.inf
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_relative_residual_fails_on_non_finite_kept_terms(bad):
+    terms = [np.array([1.0, bad, 1.0]), np.array([-1.0, 1.0, -1.0])]
+    assert relative_residual(terms).max_residual == math.inf
+    assert relative_residual(terms, mask=[True, True, False]).max_residual == math.inf
+    assert relative_residual(terms, mask=[True, False, True]).max_residual == 0.0
+
+
+@pytest.mark.parametrize("shape", [2.0, -1.5])
+def test_grid_is_geometric_in_the_laguerre_argument(shape):
+    sol = ClosedFormSolution(amplitude=1.0, power=1.0, rate=0.7, shape=shape, degree=3)
+    r = sol.grid()
+    w = np.sort(sol.rate * r**sol.shape)
+    assert r.size == 240 and np.all(np.diff(r) > 0)
+    assert w[0] == pytest.approx(1e-2) and w[-1] == pytest.approx(120.0)
+    assert np.allclose(w, np.geomspace(1e-2, 120.0, 240))
+
+
+def test_relative_residual_is_called_only_by_the_closed_form_and_pct_check():
+    callers = set()
+    for path in Path(closedform.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", getattr(node.func, "attr", None))
+                        == "relative_residual"):
+                    callers.add((path.name, fn.name))
+    assert callers == {("closedform.py", "residual"), ("powerlaw.py", "pct_identity_check")}
+
+
 def test_log_grid_validation():
     with pytest.raises(ValueError):
         log_grid(-1.0, 2.0)

@@ -77,9 +77,24 @@ def test_reduced_equation_residual(beta, lam, l):
     assert dirac.residual_33(fam).max_residual < 1e-8
 
 
+@pytest.mark.parametrize("beta,kept", [(-0.5, 200), (-3.0, 124)])
+def test_residual_is_exactly_zero_at_kappa_zero(beta, kept):
+    # l = 0, beta < 0 (kappa = 0): the residual vanishes on every kept point
+    with pytest.warns(UserWarning, match="kappa = 0"):
+        rep = dirac.residual_33(dirac.DiracFamily(beta=beta, lam=1.0, l=0))
+    assert rep.max_residual == 0.0 and rep.residuals.size == kept
+
+
 def test_residual_detector_fires():
+    # the same check with kappa + 1 in the equation fails; at beta > 0,
+    # kappa = -l-1, so the l = 0 family carries kappa + 1 of the l = 1 one
     fam = dirac.DiracFamily(beta=0.5, lam=1.0, l=1)
-    assert dirac.residual_33(fam, kappa_offset=1).max_residual > 1e-2
+    shifted = dirac.DiracFamily(beta=0.5, lam=1.0, l=0)
+    r = dirac.default_grid(fam)
+    k = shifted.kappa
+    phi = dirac.upper_spinor(fam).phi
+    assert phi.residual(r, [k * (k + 1.0) / r**2,
+                            dirac.operator_bracket(shifted, r)]).max_residual > 1e-2
 
 
 def test_operator_and_reduced_potential_agree():
@@ -95,10 +110,13 @@ def test_lower_component_vanishes():
     assert dirac.lower_component_relative(fam) < 1e-12
 
 
-def test_lower_component_detector_fires():
+def test_lower_component_detector_fires(monkeypatch):
+    # doubling W breaks the cancellation
     fam = dirac.DiracFamily(beta=0.5, lam=1.0, l=0, alpha_fs=1.0)
     sol = dirac.upper_spinor(fam)
-    assert abs(dirac.lower_component(fam, sol, 1.0, w_scale=2.0)) > 1e-3
+    odd_potential = dirac.odd_potential
+    monkeypatch.setattr(dirac, "odd_potential", lambda f, r: 2.0 * odd_potential(f, r))
+    assert abs(dirac.lower_component(fam, sol, 1.0)) > 1e-3
 
 
 def test_odd_potential_independent_of_l():

@@ -6,7 +6,7 @@ import pytest
 from zepl import halfline as hl
 from zepl import oracle
 from zepl import powerlaw as pl
-from zepl.closedform import ClosedFormSolution, relative_residual
+from zepl.closedform import ClosedFormSolution
 from zepl.specfn import laguerre
 
 
@@ -54,7 +54,10 @@ def test_equation_residual(N, n):
 
 
 def test_energy_detector_fires():
-    assert hl.residual_41(0, 0, energy_offset=0.01).max_residual > 1e-4
+    # the same check with E shifted by 0.01 in the equation fails
+    sol = hl.eigenfunction(0, 0, normalize=False)
+    x = sol.grid()
+    assert sol.residual(x, [x**2, -(hl.spectrum(0, 0) + 0.01)]).max_residual > 1e-4
 
 
 def test_laguerre_order_choice():
@@ -64,19 +67,17 @@ def test_laguerre_order_choice():
     assert hl.residual_41(1, 2).max_residual < 1e-8
     alt = ClosedFormSolution(amplitude=1.0, power=1.0, rate=prob.lam_sq,
                              shape=3.0, degree=2, order=float(abs(1 + 2)))
-    x = hl.default_grid(prob)
-    val, _, d2 = alt._derivs(x)
-    rep = relative_residual([-d2, x**4 * val, -prob.energy * x * val],
-                            mask=np.abs(val) > 1e-12 * np.abs(val).max())
-    assert rep.max_residual > 1e-2
+    x = alt.grid()
+    assert alt.residual(x, [x**4, -prob.energy * x]).max_residual > 1e-2
 
 
 @pytest.mark.parametrize("N", [1, 3, -3])
 def test_consistent_with_powerlaw_family(N):
     prob = hl.HalfLineProblem(N=N, n=2)
     fam = pl.PowerLawFamily(mu=prob.mu, lam=math.sqrt(prob.lam_sq), l=0, n=2)
-    x = hl.default_grid(prob)
-    ratio = hl.eigenfunction(N, 2).value(x) / pl.wavefunction(fam).value(x)
+    sol = hl.eigenfunction(N, 2)
+    x = sol.grid()
+    ratio = sol.value(x) / pl.wavefunction(fam).value(x)
     assert ratio.std() / abs(ratio.mean()) < 1e-10
 
 

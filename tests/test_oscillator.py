@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from zepl import oracle
-from zepl.oscillator import (OscillatorState, eigenvalue_term, ladder_check, phi,
-                             phi_eval, residual_a5)
+from zepl.oscillator import (OscillatorState, default_grid, eigenvalue_term, ladder_check,
+                             phi, phi_eval, residual_a5)
 
 
 def test_state_validation():
@@ -46,8 +46,13 @@ def test_wave_equation_residual(gamma, n, lam):
 
 
 def test_residual_detector_fires():
+    # the same check with lam^2 scaled by 1.01 in the equation fails
     state = OscillatorState(gamma=0.5, n=0, lam=1.0)
-    assert residual_a5(state, lambda_sq_scale=1.01).max_residual > 1e-3
+    x = default_grid(state)
+    g, lam_sq = state.gamma, 1.01
+    q = [(4.0 * g * (g + 1.0) + 0.75) / x**2, lam_sq**2 * x**2,
+         -4.0 * lam_sq * (g + state.n + 1.0)]
+    assert phi(state).residual(x, q).max_residual > 1e-3
 
 
 def test_phi_eval_returns_derivatives():

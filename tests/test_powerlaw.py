@@ -139,8 +139,21 @@ def test_zero_energy_residual(mu, l, n, lam):
 
 
 def test_residual_detector_fires():
+    # l = 0: the same check with the attractive coefficient scaled by 1.001 fails
     fam = pl.PowerLawFamily(mu=1.5, lam=1.0, l=0, n=0)
-    assert pl.schrodinger_residual(fam, coupling_scale=1.001).max_residual > 1e-4
+    sol = pl.wavefunction(fam)
+    r = sol.grid()
+    v = pl.map_parameters(fam).terms.scaled(1.001).value(r)
+    assert sol.residual(r, [2.0 * pl.potential_eval(fam, r)]).max_residual < 1e-8
+    assert sol.residual(r, [2.0 * v]).max_residual > 1e-4
+
+
+@pytest.mark.parametrize("mu,lam,l,n", [(-50, 1.0, 2, 3), (50, 1.0, 2, 3), (1.5, 1.0, 60, 3)])
+def test_residual_fails_where_the_closed_form_overflows(mu, lam, l, n):
+    # psi over- or underflows on the whole grid, so no point is checked
+    with np.errstate(all="ignore"):
+        rep = pl.schrodinger_residual(pl.PowerLawFamily(mu=mu, lam=lam, l=l, n=n))
+    assert rep.max_residual == math.inf
 
 
 @pytest.mark.parametrize("mu,l,n,lam", [(1.5, 1, 0, 1.0), (-0.75, 0, 2, 0.8)])
@@ -149,9 +162,12 @@ def test_pct_identity(mu, l, n, lam):
     assert pl.pct_identity_check(fam).max_residual < 1e-10
 
 
-def test_pct_detector_fires():
+def test_pct_detector_fires(monkeypatch):
     fam = pl.PowerLawFamily(mu=1.5, lam=1.0, l=1, n=0)
-    assert pl.pct_identity_check(fam, gamma_offset=0.01).max_residual > 1e-3
+    gamma = pl.PowerLawFamily.gamma
+    monkeypatch.setattr(pl.PowerLawFamily, "gamma",
+                        property(lambda self: gamma.fget(self) + 0.01))
+    assert pl.pct_identity_check(fam).max_residual > 1e-3
 
 
 # --- bound-state condition ---------------------------------------------------
@@ -390,5 +406,5 @@ def test_norm_is_unit_on_the_verify_matrix():
 def test_wavefunction_normalized_at_extreme_mu(mu, l, n):
     fam = pl.PowerLawFamily(mu=mu, lam=1.0, l=l, n=n)
     sol = pl.wavefunction(fam)
-    assert sol.normalized and np.all(np.isfinite(sol.value(pl._default_grid(fam))))
+    assert sol.normalized and np.all(np.isfinite(sol.value(sol.grid())))
     assert pl.norm(fam).value == pytest.approx(1.0, abs=1e-9)
