@@ -198,7 +198,8 @@ def _cmd_dirac(args) -> int:
     res = dirac.residual_33(fam).max_residual
     agree = dirac.reduced_form_agreement(fam)
     result = {
-        "nu": fam.nu, "kappa": fam.kappa, "coupling": fam.coupling, "n": 0,
+        "nu": fam.nu, "kappa": fam.kappa, "coupling": fam.coupling,
+        "n": dirac.correspondence(fam.beta, fam.l, fam.lam).n,
         "c_l": sol.c_l, "normalized": sol.normalized, "notes": list(sol.notes),
         "theta_max_rel": theta, "residual_33_max": res,
         "reduced_form_agreement": agree,

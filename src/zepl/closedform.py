@@ -1,28 +1,30 @@
 """Shared closed-form radial function and residual-report machinery.
 
-Every exact solution in this package has the same shape,
+Every exact solution in this package is the paper's zero-energy solution,
 
-    psi(r) = amplitude * r^power * exp(-(rate/2) * r^shape)
-                       * L_degree^order(rate * r^shape),
+    psi(r) = amplitude * r^(l+1 or -l) * exp(-w/2) * L_n^((2l+1)/|k|)(w),
+    w = lam^2 r^k,
 
-with a possibly negative (or fractional) shape exponent.  Value and the first
-two derivatives follow from the product/chain rule plus the Laguerre
-derivative identity, so residual checks never touch finite differences.  The
-squared norm is a Laguerre-weight integral of a polynomial, which a Gauss rule
-computes exactly.
+built by ``zero_energy_solution``: the power-law family at k = 1/(mu+1/2),
+the half line at k = N+2 and l = 0, the oscillator at k = 2 and
+l = 2 gamma + 1/2, and the Dirac upper spinor at k = beta and n = 0.  Value and
+the first two derivatives follow from the product/chain rule plus the
+Laguerre derivative identity, so residual checks never touch finite
+differences.  The squared norm is a Laguerre-weight integral of a
+polynomial, which a Gauss rule computes exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .specfn import laguerre, laguerre_deriv, laguerre_deriv2
 
-__all__ = ["ClosedFormSolution", "ResidualReport", "log_grid", "positive_radii",
+__all__ = ["ClosedFormSolution", "ResidualReport", "zero_energy_solution", "positive_radii",
            "relative_residual", "count_sign_changes"]
 
 
@@ -31,12 +33,6 @@ def positive_radii(r) -> np.ndarray:
     if np.any(r <= 0):
         raise ValueError("radial argument must be positive")
     return r
-
-
-def log_grid(lo: float, hi: float, num: int = 200) -> np.ndarray:
-    if not (lo > 0 and hi > lo):
-        raise ValueError("log grid needs 0 < lo < hi")
-    return np.geomspace(lo, hi, num)
 
 
 @dataclass(frozen=True)
@@ -50,8 +46,7 @@ class ClosedFormSolution:
     degree: int = 0
     order: float = 0.0
     normalized: bool = False
-    norm_constant: float | None = None
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
     def _pieces(self, r):
         r = positive_radii(r)
@@ -138,6 +133,12 @@ class ClosedFormSolution:
     def scaled(self, factor: float, **changes) -> "ClosedFormSolution":
         return replace(self, amplitude=self.amplitude * factor, **changes)
 
+    def to_unit_norm(self) -> "ClosedFormSolution":
+        """This solution scaled by exp(-log_norm()/2), so it integrates to one."""
+        if not self.norm_finite:
+            raise ValueError("the norm diverges: the solution cannot be normalized")
+        return self.scaled(math.exp(-0.5 * self.log_norm()), normalized=True)
+
     def grid(self, num: int = 240, w_lo: float = 1e-2,
              w_hi: float | None = None) -> np.ndarray:
         """Radii of a geometric grid in the Laguerre argument w = rate r^shape,
@@ -153,6 +154,15 @@ class ClosedFormSolution:
         val, _, d2 = self._derivs(r)
         mask = np.abs(val) > 1e-12 * np.abs(val).max()
         return relative_residual([d2] + [-q * val for q in q_terms], mask=mask)
+
+
+def zero_energy_solution(shape: float, lam: float, l: float, n: int) -> ClosedFormSolution:
+    """The paper's solution at unit amplitude: r^(l+1) for shape > 0, r^-l for
+    shape < 0, times exp(-w/2) L_n^((2l+1)/|shape|)(w), w = lam^2 r^shape.
+    l need not be an integer (the oscillator's is 2 gamma + 1/2)."""
+    return ClosedFormSolution(amplitude=1.0, power=l + 1.0 if shape > 0 else -float(l),
+                              rate=lam**2, shape=float(shape), degree=n,
+                              order=(2.0 * l + 1.0) / abs(shape))
 
 
 @dataclass(frozen=True)
@@ -191,12 +201,10 @@ def relative_residual(terms, mask=None) -> ResidualReport:
 
 
 def count_sign_changes(values) -> int:
-    """Strict sign changes along a sampled curve, ignoring near-zero samples."""
+    """Strict sign changes along a sampled curve, ignoring near-zero samples.
+    A non-finite sample hides any sign it has, so it is an error."""
     v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        return 0
-    good = np.abs(v) > 1e-12 * np.abs(v).max()
-    s = np.sign(v[good])
-    if s.size < 2:
-        return 0
+    if not np.all(np.isfinite(v)):
+        raise ValueError("cannot count sign changes through non-finite samples")
+    s = np.sign(v[np.abs(v) > 1e-12 * np.abs(v).max(initial=0.0)])
     return int(np.sum(s[1:] * s[:-1] < 0))

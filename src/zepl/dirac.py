@@ -9,11 +9,12 @@ to a second-order equation for the upper spinor component,
 
     [-d2/dr2 + k(k+1)/r^2 + W^2 - W' + 2 k W / r] phi = 0,
 
-whose exact solution is phi = C_l (lam^(2/beta) r)^(-k) exp(-(lam^2/2) r^beta).
-The parameter map to the nonrelativistic family forces the state index to
-zero and selects the spin-orbit label k by branch: k = -l-1 for beta > 0 and
-k = l for beta < 0.  The lower component is the first-order operator
-(alpha/2)(W + k/r + d/dr) applied to phi and vanishes identically.
+whose exact solution is phi = C_l (lam^(2/beta) r)^(-k) exp(-(lam^2/2) r^beta),
+the paper's closed form at shape beta and n = 0.  The parameter map to the
+nonrelativistic family forces the state index to zero and selects the
+spin-orbit label k by branch: k = -l-1 for beta > 0 and k = l for beta < 0.
+The lower component is the first-order operator (alpha/2)(W + k/r + d/dr)
+applied to phi and vanishes identically.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle
-from .closedform import ClosedFormSolution, ResidualReport, log_grid, positive_radii
+from . import oracle, powerlaw
+from .closedform import ClosedFormSolution, ResidualReport, positive_radii, zero_energy_solution
 
 __all__ = ["DiracFamily", "Correspondence", "SpinorSolution", "odd_potential",
            "odd_potential_nu_form", "correspondence", "upper_spinor",
@@ -85,14 +86,19 @@ class Correspondence:
     nu: float
     kappa: int
     coupling: float
-    n: int  # identically zero: the only index compatible with the map
+    n: float  # zero (to rounding) on both branches: the only compatible index
 
 
 def correspondence(beta: float, l: int, lam: float = 1.0) -> Correspondence:
-    """Parameter map onto the nonrelativistic family.  Compatibility pins the
-    state index to zero and picks the branch from the sign of beta."""
+    """Parameter map onto the nonrelativistic family at mu = nu.  The
+    r^(beta-2) coefficient of the reduced equation, A(2 kappa - beta + 1) with
+    A = lam^2 beta/2, matches the family's -2 (lam beta/2)^2 Omega, and
+    n = (Omega - 1 - (2l+1)/|beta|)/2 follows; the branch choice of kappa is
+    what makes it zero."""
     fam = DiracFamily(beta=beta, lam=lam, l=l)
-    return Correspondence(nu=fam.nu, kappa=fam.kappa, coupling=fam.coupling, n=0)
+    omega = -fam.coupling * (2.0 * fam.kappa - beta + 1.0) / (2.0 * (lam * beta / 2.0) ** 2)
+    n = 0.5 * (omega - 1.0 - (2 * l + 1) / abs(beta))
+    return Correspondence(nu=fam.nu, kappa=fam.kappa, coupling=fam.coupling, n=n)
 
 
 def odd_potential(family: DiracFamily, r):
@@ -107,10 +113,6 @@ def odd_potential_nu_form(family: DiracFamily, r):
     r = positive_radii(r)
     nu = family.nu
     return family.coupling / r ** ((nu - 0.5) / (nu + 0.5))
-
-
-def _odd_deriv(family: DiracFamily, r):
-    return family.coupling * (family.beta - 1.0) * positive_radii(r) ** (family.beta - 2.0)
 
 
 @dataclass(frozen=True)
@@ -128,53 +130,35 @@ class SpinorSolution:
         return lower_component(self.family, self, r)
 
 
-def normalization_constant(family: DiracFamily) -> float:
-    """C_l = lam^(1/beta) sqrt(|beta| / Gamma((1 - 2 kappa)/beta))."""
-    arg = (1.0 - 2.0 * family.kappa) / family.beta
-    if arg <= 0:
-        raise ValueError("normalization undefined: Gamma argument must be positive")
-    return family.lam ** (1.0 / family.beta) * math.sqrt(
-        abs(family.beta) / math.exp(math.lgamma(arg)))
-
-
 def upper_spinor(family: DiracFamily) -> SpinorSolution:
-    """phi(r) = C_l (lam^(2/beta) r)^(-kappa) exp(-(lam^2/2) r^beta), with the
-    closed-form normalization constant whenever the norm is finite."""
-    kappa = family.kappa
-    power = float(-kappa)
-    base_amp = (family.lam ** (2.0 / family.beta)) ** power
+    """phi(r) = C_l (lam^(2/beta) r)^(-kappa) exp(-(lam^2/2) r^beta): the
+    paper's closed form at shape beta and n = 0 scaled by
+    exp(log C_l - (2 kappa/beta) log lam), with
+    C_l = lam^(1/beta) sqrt(|beta| / Gamma((1 - 2 kappa)/beta)) formed in logs
+    wherever the norm is finite, which is where the Gamma argument is positive."""
+    beta, lam, kappa = family.beta, family.lam, family.kappa
     notes: tuple[str, ...] = ()
-    if family.kappa == 0:
-        notes += ("kappa = 0 lies outside the physical spin-orbit spectrum",)
+    log_c = None
+    if family.normalizable:
+        log_c = (math.log(lam) / beta
+                 + 0.5 * (math.log(abs(beta)) - math.lgamma((1.0 - 2.0 * kappa) / beta)))
+    else:  # l = 0 with beta < 0, the one case where kappa = 0
+        notes = ("kappa = 0 lies outside the physical spin-orbit spectrum",
+                 "unnormalized: norm diverges for l = 0 with beta < 0")
         warnings.warn("DiracFamily with l = 0 and beta < 0 yields kappa = 0, "
                       "outside the physical spin-orbit spectrum", stacklevel=2)
-    if family.normalizable:
-        c_l = normalization_constant(family)
-        phi = ClosedFormSolution(amplitude=c_l * base_amp, power=power,
-                                 rate=family.lam**2, shape=family.beta,
-                                 normalized=True, norm_constant=c_l, notes=notes)
-        return SpinorSolution(family=family, phi=phi, c_l=c_l, normalized=True,
-                              notes=notes)
-    notes += ("unnormalized: norm diverges for l = 0 with beta < 0",)
-    phi = ClosedFormSolution(amplitude=base_amp, power=power, rate=family.lam**2,
-                             shape=family.beta, normalized=False, notes=notes)
-    return SpinorSolution(family=family, phi=phi, c_l=None, normalized=False,
-                          notes=notes)
-
-
-def default_grid(family: DiracFamily, num: int = 200) -> np.ndarray:
-    scale = (2.0 / family.lam**2) ** (1.0 / family.beta)
-    return log_grid(scale * 1e-2, scale * 1e2, num)
+    phi = zero_energy_solution(beta, lam, family.l, 0).scaled(
+        math.exp((log_c or 0.0) - 2.0 * kappa / beta * math.log(lam)),
+        normalized=family.normalizable, notes=notes)
+    return SpinorSolution(family=family, phi=phi, normalized=family.normalizable, notes=notes,
+                          c_l=None if log_c is None else math.exp(log_c))
 
 
 def reduced_potential(family: DiracFamily, r):
-    """V(r) = (lam^2 beta/4)[(lam^2 beta/2) r^(2 beta-2) + (2k - beta + 1) r^(beta-2)]
-    entering the Schroedinger-like form of the reduced equation."""
-    r = positive_radii(r)
-    a = family.lam**2 * family.beta
-    return (a / 4.0) * ((a / 2.0) * r ** (2.0 * family.beta - 2.0)
-                        + (2.0 * family.kappa - family.beta + 1.0)
-                        * r ** (family.beta - 2.0))
+    """V(r) of the Schroedinger-like form of the reduced equation: the
+    power-law family's potential at (mu, lam, l, n) = (nu, lam, l, 0)."""
+    return powerlaw.potential_eval(
+        powerlaw.PowerLawFamily(mu=family.nu, lam=family.lam, l=family.l), r)
 
 
 def operator_bracket(family: DiracFamily, r):
@@ -182,22 +166,24 @@ def operator_bracket(family: DiracFamily, r):
     operator; agrees with kappa(kappa+1)/r^2 + 2 V - kappa(kappa+1)/r^2."""
     r = positive_radii(r)
     w = odd_potential(family, r)
-    return w**2 - _odd_deriv(family, r) + 2.0 * family.kappa * w / r
+    dw = family.coupling * (family.beta - 1.0) * r ** (family.beta - 2.0)
+    return w**2 - dw + 2.0 * family.kappa * w / r
 
 
 def residual_33(family: DiracFamily, grid=None) -> ResidualReport:
     """Relative residual of the reduced second-order equation applied to the
     upper spinor."""
-    r = default_grid(family) if grid is None else positive_radii(grid)
+    phi = upper_spinor(family).phi
+    r = phi.grid() if grid is None else positive_radii(grid)
     k = family.kappa
-    return upper_spinor(family).phi.residual(r, [k * (k + 1.0) / r**2,
-                                                 operator_bracket(family, r)])
+    return phi.residual(r, [k * (k + 1.0) / r**2, operator_bracket(family, r)])
 
 
 def reduced_form_agreement(family: DiracFamily, grid=None) -> float:
-    """Max relative discrepancy between the operator bracket and the
-    closed-form reduced potential, 2 V(r)."""
-    r = default_grid(family) if grid is None else positive_radii(grid)
+    """Max relative discrepancy between the operator bracket and twice the
+    power-law family's potential at mu = nu, n = 0: the paper's map."""
+    r = (zero_energy_solution(family.beta, family.lam, family.l, 0).grid()
+         if grid is None else positive_radii(grid))
     a = operator_bracket(family, r)
     b = 2.0 * reduced_potential(family, r)
     return float(np.max(np.abs(a - b) / (np.abs(a) + np.abs(b) + 1e-300)))
@@ -216,8 +202,8 @@ def lower_component(family: DiracFamily, solution: SpinorSolution, r):
 def lower_component_relative(family: DiracFamily, grid=None) -> float:
     """sup |theta| normalized by the size of the individual operator pieces,
     so 'vanishes' is meaningful across scales."""
-    r = default_grid(family) if grid is None else positive_radii(grid)
     sol = upper_spinor(family)
+    r = sol.phi.grid() if grid is None else positive_radii(grid)
     val, d1, _ = sol.phi._derivs(r)
     w = odd_potential(family, r)
     theta = lower_component(family, sol, r)

@@ -18,9 +18,9 @@ essential singularity.  N = -1 and N = 0 are accepted here even though the
 general family rejects the corresponding mu values (they are the S-wave
 Coulomb and oscillator problems, treated explicitly by this reduction).
 
-The Laguerre order is derived from the general wavefunction, giving
-(2l+1)|mu+1/2| = 1/|N+2| at l = 0; the residual check below is the authority
-for that choice.
+The eigenfunction is the paper's closed form at shape k = N+2 and l = 0,
+whose Laguerre order (2l+1)/|k| is 1/|N+2|; the residual check below is the
+authority for that choice.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import ClosedFormSolution, ResidualReport, positive_radii
+from .closedform import ClosedFormSolution, ResidualReport, positive_radii, zero_energy_solution
 
 __all__ = ["HalfLineProblem", "spectrum", "eigenfunction", "residual_41"]
 
@@ -57,10 +57,6 @@ class HalfLineProblem:
         return 2.0 / abs(self.N + 2)
 
     @property
-    def omega(self) -> float:
-        return 2 * self.n + 1 + 1.0 / abs(self.N + 2)
-
-    @property
     def energy(self) -> float:
         return (2 * self.n + 1) * abs(self.N + 2) + 1.0
 
@@ -70,7 +66,7 @@ def spectrum(N: int, n: int) -> float:
     return HalfLineProblem(N=N, n=n).energy
 
 
-def eigenfunction(N: int, n: int, normalize: bool = True) -> ClosedFormSolution:
+def eigenfunction(N: int, n: int) -> ClosedFormSolution:
     """Closed-form eigenfunction with analytic derivatives.
 
     For N > -2 the norm is finite and the returned solution integrates to
@@ -78,25 +74,14 @@ def eigenfunction(N: int, n: int, normalize: bool = True) -> ClosedFormSolution:
     returned unnormalized with unit amplitude.
     """
     prob = HalfLineProblem(N=N, n=n)
-    lam_sq = prob.lam_sq
-    if N > -2:
-        power = 1.0
-        amp = math.sqrt(lam_sq) ** (2.0 / (N + 2))
-    else:
-        power = 0.0
-        amp = 1.0
-    sol = ClosedFormSolution(amplitude=amp, power=power, rate=lam_sq,
-                             shape=float(N + 2), degree=n,
-                             order=1.0 / abs(N + 2))
+    sol = zero_energy_solution(N + 2, math.sqrt(prob.lam_sq), 0, n)
     if not sol.norm_finite:
         return sol.scaled(1.0, notes=("unnormalized: psi tends to a constant at infinity",))
-    if normalize:
-        return sol.scaled(math.exp(-0.5 * sol.log_norm()), normalized=True)
-    return sol
+    return sol.to_unit_norm()
 
 
 def residual_41(N: int, n: int, grid=None) -> ResidualReport:
     """Relative residual of [-d2/dx2 + x^(2N+2) - E_n x^N] psi = 0."""
-    sol = eigenfunction(N, n, normalize=False)
+    sol = eigenfunction(N, n)
     x = sol.grid() if grid is None else positive_radii(grid)
     return sol.residual(x, [x ** (2 * N + 2), -spectrum(N, n) * x ** float(N)])

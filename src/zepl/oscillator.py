@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import oracle
-from .closedform import ClosedFormSolution, ResidualReport, log_grid, positive_radii
+from .closedform import ClosedFormSolution, ResidualReport, positive_radii, zero_energy_solution
 
 __all__ = ["OscillatorState", "phi", "phi_eval", "residual_a5", "ladder_check",
            "eigenvalue_term", "LadderReport"]
@@ -65,15 +65,13 @@ def eigenvalue_term(state: OscillatorState) -> float:
 def phi(state: OscillatorState) -> ClosedFormSolution:
     """Normalized wavefunction
     sqrt(2 lam n! / Gamma(2 gamma + n + 2)) (lam x)^(2 gamma + 3/2)
-    exp(-lam^2 x^2 / 2) L_n^(2 gamma + 1)(lam^2 x^2)."""
+    exp(-lam^2 x^2 / 2) L_n^(2 gamma + 1)(lam^2 x^2): the paper's closed form
+    at shape 2 and l = 2 gamma + 1/2, with its constant formed in logs."""
     g, n, lam = state.gamma, state.n, state.lam
-    p = 2.0 * g + 1.5
-    log_norm = 0.5 * (math.log(2.0 * lam) + math.lgamma(n + 1.0)
-                      - math.lgamma(2.0 * g + n + 2.0))
-    amp = math.exp(log_norm + p * math.log(lam))
-    return ClosedFormSolution(amplitude=amp, power=p, rate=lam**2, shape=2.0,
-                              degree=n, order=2.0 * g + 1.0,
-                              normalized=True, norm_constant=amp)
+    unit = zero_energy_solution(2.0, lam, 2.0 * g + 0.5, n)
+    log_c = 0.5 * (math.log(2.0 * lam) + math.lgamma(n + 1.0)
+                   - math.lgamma(2.0 * g + n + 2.0))
+    return unit.scaled(math.exp(log_c + unit.power * math.log(lam)), normalized=True)
 
 
 def phi_eval(state: OscillatorState, x):
@@ -81,16 +79,13 @@ def phi_eval(state: OscillatorState, x):
     return phi(state)._derivs(x)
 
 
-def default_grid(state: OscillatorState, num: int = 200) -> np.ndarray:
-    return log_grid(1e-2 / state.lam, 10.0 / state.lam, num)
-
-
 def residual_a5(state: OscillatorState, grid=None) -> ResidualReport:
     """Relative residual of the oscillator wave equation on a grid."""
-    x = default_grid(state) if grid is None else positive_radii(grid)
+    sol = phi(state)
+    x = sol.grid() if grid is None else positive_radii(grid)
     g, lam_sq = state.gamma, state.lam**2
-    return phi(state).residual(x, [(4.0 * g * (g + 1.0) + 0.75) / x**2, lam_sq**2 * x**2,
-                                   -4.0 * lam_sq * (g + state.n + 1.0)])
+    return sol.residual(x, [(4.0 * g * (g + 1.0) + 0.75) / x**2, lam_sq**2 * x**2,
+                            -4.0 * lam_sq * (g + state.n + 1.0)])
 
 
 def _apply_l3(state: OscillatorState, x):
@@ -115,7 +110,7 @@ def _global_sign() -> int:
     the ground state fixes sigma once for the whole suite.
     """
     state = OscillatorState(gamma=0.5, n=0, lam=math.sqrt(_LADDER_LAMBDA_SQ))
-    x = default_grid(state)
+    x = phi(state).grid()
     up = np.max(np.abs(_apply_ladder(state, x, +1.0)))
     dn = np.max(np.abs(_apply_ladder(state, x, -1.0)))
     return -1 if up < dn else +1
@@ -138,7 +133,7 @@ def ladder_check(gamma: float, n: int, grid=None) -> LadderReport:
     coefficients.  All comparisons hold up to the one global sign."""
     lam = math.sqrt(_LADDER_LAMBDA_SQ)
     state = OscillatorState(gamma=gamma, n=n, lam=lam)
-    x = default_grid(state) if grid is None else np.asarray(grid, dtype=float)
+    x = phi(state).grid() if grid is None else np.asarray(grid, dtype=float)
     sigma = _global_sign()
 
     l3_val, val = _apply_l3(state, x)
@@ -158,9 +153,9 @@ def ladder_check(gamma: float, n: int, grid=None) -> LadderReport:
     lplus_expected = math.sqrt((n + 1.0) * (n + 2.0 * gamma + 2.0) / 2.0)
 
     ground = OscillatorState(gamma=gamma, n=0, lam=lam)
-    lowered_ground = _apply_ladder(ground, default_grid(ground), -float(sigma))
-    lminus = (float(np.max(np.abs(lowered_ground)))
-              / math.exp(0.5 * phi(ground).log_norm()))
+    ground_phi = phi(ground)
+    lowered_ground = _apply_ladder(ground, ground_phi.grid(), -float(sigma))
+    lminus = float(np.max(np.abs(lowered_ground))) / math.exp(0.5 * ground_phi.log_norm())
 
     return LadderReport(sigma=sigma, l3_ratio=l3_ratio, l3_expected=expected,
                         l3_max_rel_dev=l3_dev, lplus_norm_ratio=lplus_ratio,

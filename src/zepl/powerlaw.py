@@ -32,7 +32,7 @@ import numpy as np
 
 from . import oracle
 from .closedform import (ClosedFormSolution, ResidualReport, count_sign_changes,
-                         positive_radii, relative_residual)
+                         positive_radii, relative_residual, zero_energy_solution)
 
 __all__ = [
     "PowerLawFamily", "PotentialTerms", "MappedParameters", "BoundCondition",
@@ -185,12 +185,8 @@ def effective_potential_beta_form(family: PowerLawFamily, r):
 # ---------------------------------------------------------------------------
 
 def _unit_solution(family: PowerLawFamily) -> ClosedFormSolution:
-    """The closed form with unit amplitude, which decides normalizability
-    without computing (lam^(2 mu+1))^p, a power that can overflow."""
-    mu, lam, l, n = family.mu_f, family.lam, family.l, family.n
-    p = float(l + 1) if family.above else float(-l)
-    return ClosedFormSolution(amplitude=1.0, power=p, rate=lam**2, shape=1.0 / (mu + 0.5),
-                              degree=n, order=(2 * l + 1) * abs(mu + 0.5))
+    """The closed form with unit amplitude: the paper's member k = 1/(mu+1/2)."""
+    return zero_energy_solution(1.0 / (family.mu_f + 0.5), family.lam, family.l, family.n)
 
 
 def _pinned_solution(family: PowerLawFamily) -> ClosedFormSolution:
@@ -198,14 +194,13 @@ def _pinned_solution(family: PowerLawFamily) -> ClosedFormSolution:
     tests are well conditioned; falls back to the grid maximum if the turning
     radius sits too close to a node."""
     unit = _unit_solution(family)
-    raw = unit.scaled((family.lam ** (2.0 * family.mu_f + 1.0)) ** unit.power)
     r0 = map_parameters(family).terms.turning_scale
-    vals = raw.value(raw.grid())
+    vals = unit.value(unit.grid())
     peak = np.abs(vals).max()
-    v0 = float(raw.value(r0))
+    v0 = float(unit.value(r0))
     if abs(v0) < 1e-3 * peak:
         v0 = float(vals[np.argmax(np.abs(vals))])
-    return raw.scaled(1.0 / v0)
+    return unit.scaled(1.0 / v0)
 
 
 def wavefunction(family: PowerLawFamily) -> ClosedFormSolution:
@@ -215,10 +210,8 @@ def wavefunction(family: PowerLawFamily) -> ClosedFormSolution:
     tagged unnormalized."""
     pinned = _pinned_solution(family)
     if not pinned.norm_finite:
-        return pinned.scaled(1.0, normalized=False, norm_constant=None,
-                             notes=("unnormalized: norm diverges for l = 0 below mu = -1/2",))
-    a_n = math.exp(-0.5 * pinned.log_norm())
-    return pinned.scaled(a_n, normalized=True, norm_constant=pinned.amplitude * a_n)
+        return pinned.scaled(1.0, notes=("unnormalized: norm diverges for l = 0 below mu = -1/2",))
+    return pinned.to_unit_norm()
 
 
 @dataclass(frozen=True)
@@ -265,11 +258,11 @@ def pct_identity_check(family: PowerLawFamily, grid=None) -> ResidualReport:
     """
     lam, l, n = family.lam, family.l, family.n
     M = 2.0 * family.mu_f + 1.0
-    if grid is None:  # the oscillator variable, w = lam^2 x^2
-        x = ClosedFormSolution(1.0, 0.0, lam**2, 2.0, degree=n).grid()
+    g = family.gamma
+    if grid is None:  # the grid of the oscillator state the map starts from
+        x = zero_energy_solution(2.0, lam, 2.0 * g + 0.5, n).grid()
     else:
         x = positive_radii(grid)
-    g = family.gamma
     dg = M * x ** (M - 1.0)
     d2g_over = (M - 1.0) / x          # g''/g'
     d3g_over = (M - 1.0) * (M - 2.0) / x**2  # g'''/g'
@@ -348,8 +341,10 @@ def _well(terms: PotentialTerms, l: int) -> WellScan:
     With t = r^k, k = p2 + 2 = (p1 + 2)/2, r^2 V_eff = l(l+1) + 2A t^2 - 2B t.
     Both limits are positive (+inf at 0, 0+ at inf), so V_eff goes negative
     exactly when that quadratic does, B^2 > 2A l(l+1), and then the well is
-    the lower stationary point, a root of A p1 t^2 - B p2 t - l(l+1) = 0, with
-    positive V_eff beyond it.
+    the stationary point, a root of A p1 t^2 - B p2 t - l(l+1) = 0, where the
+    quadratic is negative; the other root is the positive barrier beyond it.
+    The well is formed in logs: r_min is None where |log r| >= 709 (r would
+    overflow or underflow), v_min is -inf where its magnitude overflows.
     """
     a, p1 = terms.repulsive_coeff, terms.repulsive_exponent
     b, p2 = terms.attractive_coeff, terms.attractive_exponent
@@ -358,11 +353,11 @@ def _well(terms: PotentialTerms, l: int) -> WellScan:
         return WellScan(False, None, None, None)
     # p1, p2 < 0 here, so both roots are positive; stable quadratic formula
     q = 0.5 * (-b * p2 + math.sqrt((b * p2) ** 2 + 4.0 * a * p1 * c))
-    k = p2 + 2.0
-    r = np.array([-q / (a * p1), c / q]) ** (1.0 / k)
-    v = c / r**2 + 2.0 * terms.value(r)
-    i = int(np.argmin(v))
-    return WellScan(True, float(r[i]), float(v[i]), True)
+    r2v, t = min((c + 2.0 * a * t * t - 2.0 * b * t, t) for t in (-q / (a * p1), c / q))
+    log_r = math.log(t) / (p2 + 2.0)
+    log_v = math.log(-r2v) - 2.0 * log_r
+    return WellScan(True, math.exp(log_r) if abs(log_r) < 709.0 else None,
+                    -math.exp(log_v) if log_v < 709.0 else -math.inf, True)
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,19 @@ def test_dirac_json(capsys, schema):
     jsonschema.validate(doc, schema)
 
 
+def test_dirac_where_the_gamma_function_overflows(capsys, schema):
+    # C_l needs Gamma(260) here, which overflows a float; it is formed in logs
+    code, doc = run_json(capsys, ["dirac", "--beta", "0.05", "--lambda", "3", "--l", "5"])
+    assert code == 0 and doc["passed"] is True
+    assert 0.0 < doc["results"]["c_l"] < 1e-200
+    jsonschema.validate(doc, schema)
+
+
+def test_dirac_norm_row_names_the_independent_check():
+    row = next(c for c in verify.suite_dirac() if c.name.startswith("dirac.norm"))
+    assert row.passed and "independent check of the closed-form C_l" in row.detail
+
+
 def test_verify_suite_and_schema(capsys, schema):
     code, doc = run_json(capsys, ["verify", "--suite", "specfn", "--suite", "degeneracy"])
     assert code == 0 and doc["passed"] is True

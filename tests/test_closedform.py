@@ -7,7 +7,8 @@ import pytest
 import scipy.special
 
 from zepl import closedform, halfline
-from zepl.closedform import ClosedFormSolution, count_sign_changes, log_grid, relative_residual
+from zepl.closedform import (ClosedFormSolution, count_sign_changes, relative_residual,
+                             zero_energy_solution)
 
 
 @pytest.mark.parametrize("params", [
@@ -45,6 +46,14 @@ def test_count_sign_changes():
     assert count_sign_changes([1.0, -1.0, 1.0]) == 2
     assert count_sign_changes([1.0, 1e-18, -1.0]) == 1  # near-zero sample ignored
     assert count_sign_changes([]) == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_count_sign_changes_rejects_non_finite_samples(bad):
+    # a non-finite sample hides its sign: [1, -inf] would count one change,
+    # [1, nan, -1] could count any number
+    with pytest.raises(ValueError, match="non-finite"):
+        count_sign_changes([1.0, bad, -1.0])
 
 
 def test_relative_residual_cancellation():
@@ -102,13 +111,6 @@ def test_relative_residual_is_called_only_by_the_closed_form_and_pct_check():
     assert callers == {("closedform.py", "residual"), ("powerlaw.py", "pct_identity_check")}
 
 
-def test_log_grid_validation():
-    with pytest.raises(ValueError):
-        log_grid(-1.0, 2.0)
-    g = log_grid(1e-2, 10.0, 50)
-    assert g.shape == (50,) and g[0] == pytest.approx(1e-2)
-
-
 def test_log_norm_diverges_exactly_when_s_is_at_most_minus_one():
     # s = (2 power + 1)/shape - 1
     for power, shape, finite in ((1.0, 2.0, True), (0.0, -1.0, False), (-1.0, -1.0, True),
@@ -146,3 +148,34 @@ def test_closed_forms_import_nothing_from_the_oracle(module):
         else:
             continue
         assert "oracle" not in names
+
+
+@pytest.mark.parametrize("shape,l,power", [(2.0, 1, 2.0), (-1.5, 2, -2.0), (3.0, 0, 1.0),
+                                           (2.0, 1.25, 2.25)])
+def test_zero_energy_solution_is_the_papers_closed_form(shape, l, power):
+    # r^(l+1) for shape > 0, r^-l for shape < 0, order (2l+1)/|shape|, w = lam^2 r^shape
+    sol = zero_energy_solution(shape, 1.3, l, 3)
+    assert (sol.amplitude, sol.power, sol.rate, sol.shape, sol.degree) == (
+        1.0, power, pytest.approx(1.69), shape, 3)
+    assert sol.order == pytest.approx((2 * l + 1) / abs(shape))
+
+
+def test_to_unit_norm():
+    sol = zero_energy_solution(0.5, 0.8, 2, 4).scaled(1e30)
+    unit = sol.to_unit_norm()
+    assert unit.normalized and abs(unit.log_norm()) < 1e-12
+    assert unit.value(2.0) / sol.value(2.0) == pytest.approx(math.exp(-0.5 * sol.log_norm()))
+    with pytest.raises(ValueError, match="diverges"):
+        zero_energy_solution(-1.0, 1.0, 0, 0).to_unit_norm()
+
+
+def test_only_closedform_constructs_closed_form_solutions():
+    # every closed form in the package is built by zero_energy_solution
+    callers = set()
+    for path in Path(closedform.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    == "ClosedFormSolution"):
+                callers.add(path.name)
+    assert callers == {"closedform.py"}

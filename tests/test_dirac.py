@@ -38,14 +38,22 @@ def test_beta_nu_exponent_map():
 
 def test_correspondence_branches():
     c = dirac.correspondence(0.5, 1)
-    assert (c.nu, c.kappa, c.n) == (pytest.approx(1.5), -2, 0)
+    assert (c.nu, c.kappa, c.n) == (pytest.approx(1.5), -2, pytest.approx(0.0, abs=1e-12))
     c = dirac.correspondence(-0.5, 1)
-    assert (c.nu, c.kappa, c.n) == (pytest.approx(-2.5), 1, 0)
+    assert (c.nu, c.kappa, c.n) == (pytest.approx(-2.5), 1, pytest.approx(0.0, abs=1e-12))
 
 
 @pytest.mark.parametrize("beta,l", [(0.5, 0), (3.0, 2), (-0.5, 1), (-3.0, 0)])
 def test_index_always_zero(beta, l):
-    assert dirac.correspondence(beta, l).n == 0
+    # n is derived from the r^(beta-2) coefficient, so it is zero to rounding
+    assert abs(dirac.correspondence(beta, l).n) < 1e-12
+
+
+def test_correspondence_detector_fires(monkeypatch):
+    # on the other branch's kappa (l instead of -l-1 at beta > 0) the index
+    # the map derives is -6, far outside the verify row's |n| < 1e-12
+    monkeypatch.setattr(dirac.DiracFamily, "kappa", property(lambda self: self.l))
+    assert dirac.correspondence(0.5, 1).n == pytest.approx(-6.0, abs=1e-12)
 
 
 def test_spinor_norm_matches_constant():
@@ -77,7 +85,7 @@ def test_reduced_equation_residual(beta, lam, l):
     assert dirac.residual_33(fam).max_residual < 1e-8
 
 
-@pytest.mark.parametrize("beta,kept", [(-0.5, 200), (-3.0, 124)])
+@pytest.mark.parametrize("beta,kept", [(-0.5, 228), (-3.0, 240)])
 def test_residual_is_exactly_zero_at_kappa_zero(beta, kept):
     # l = 0, beta < 0 (kappa = 0): the residual vanishes on every kept point
     with pytest.warns(UserWarning, match="kappa = 0"):
@@ -90,9 +98,9 @@ def test_residual_detector_fires():
     # kappa = -l-1, so the l = 0 family carries kappa + 1 of the l = 1 one
     fam = dirac.DiracFamily(beta=0.5, lam=1.0, l=1)
     shifted = dirac.DiracFamily(beta=0.5, lam=1.0, l=0)
-    r = dirac.default_grid(fam)
-    k = shifted.kappa
     phi = dirac.upper_spinor(fam).phi
+    r = phi.grid()
+    k = shifted.kappa
     assert phi.residual(r, [k * (k + 1.0) / r**2,
                             dirac.operator_bracket(shifted, r)]).max_residual > 1e-2
 
@@ -138,3 +146,15 @@ def test_bridge_to_nonrelativistic_family():
     ratio = dirac.upper_spinor(fam).phi.value(r) / pl.wavefunction(pw).value(r)
     assert ratio.std() / abs(ratio.mean()) < 1e-10
     assert fam.kappa * (fam.kappa + 1) == fam.l * (fam.l + 1)
+
+
+@pytest.mark.parametrize("beta,lam,l", [(0.05, 3.0, 5), (-0.05, 3.0, 5), (0.25, 2.0, 20)])
+def test_log_form_constant_where_gamma_overflows(beta, lam, l):
+    # C_l = lam^(1/beta) sqrt(|beta| / Gamma((1 - 2 kappa)/beta)); at (0.05, 3, 5)
+    # the Gamma argument is 260 and Gamma alone overflows a float
+    fam = dirac.DiracFamily(beta=beta, lam=lam, l=l)
+    sol = dirac.upper_spinor(fam)
+    arg = (1.0 - 2.0 * fam.kappa) / beta
+    log_c = math.log(lam) / beta + 0.5 * (math.log(abs(beta)) - math.lgamma(arg))
+    assert 0.0 < sol.c_l and math.log(sol.c_l) == pytest.approx(log_c, rel=1e-13)
+    assert dirac.residual_33(fam).max_residual < 1e-8

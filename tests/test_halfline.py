@@ -55,7 +55,7 @@ def test_equation_residual(N, n):
 
 def test_energy_detector_fires():
     # the same check with E shifted by 0.01 in the equation fails
-    sol = hl.eigenfunction(0, 0, normalize=False)
+    sol = hl.eigenfunction(0, 0)
     x = sol.grid()
     assert sol.residual(x, [x**2, -(hl.spectrum(0, 0) + 0.01)]).max_residual > 1e-4
 

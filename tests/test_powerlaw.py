@@ -130,6 +130,13 @@ def test_interior_node_count(mu, l, lam, n):
     assert pl.interior_node_count(fam) == n
 
 
+@pytest.mark.parametrize("mu,lam,l,n", [(50, 1.0, 2, 3), (1.5, 1.0, 60, 3)])
+def test_node_count_refuses_where_the_closed_form_overflows(mu, lam, l, n):
+    # psi is not finite on the count grid; counting through it reported 0 nodes
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+        pl.interior_node_count(pl.PowerLawFamily(mu=mu, lam=lam, l=l, n=n))
+
+
 # --- residual identities ----------------------------------------------------
 
 @pytest.mark.parametrize("mu,l,n,lam", FAMILY_GRID)
@@ -352,6 +359,14 @@ def test_classify_bounded_where_the_table_says(mu, lam, l, n):
     assert rep.bounded and rep.normalizable
     assert rep.condition.status == "satisfied"
     assert rep.well.found_negative_minimum and rep.well.v_min < 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_classify_reports_a_well_beyond_float_range_in_t():
+    # the well sits at log r = 1130: r_min is not representable, v_min is -0.0
+    rep = pl.classify(pl.PowerLawFamily(mu=50, lam=1e-3, l=60, n=40))
+    assert rep.bounded and rep.normalizable
+    assert rep.well.r_min is None and rep.well.v_min == 0.0
 
 
 def test_bound_condition_is_the_stationary_point_discriminant():
