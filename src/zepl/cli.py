@@ -188,24 +188,24 @@ def _check_tolerance(args) -> None:
 
 def _cmd_dirac(args) -> int:
     _check_tolerance(args)
-    try:
+    try:  # the spinor and its checks validate their own domain
         fam = dirac.DiracFamily(beta=args.beta, lam=args.lam, l=args.l,
                                 alpha_fs=args.alpha_fs)
+        sol = dirac.upper_spinor(fam)
+        theta = dirac.lower_component_relative(fam)
+        res = dirac.residual_33(fam).max_residual
+        agree = dirac.reduced_form_agreement(fam)
+        result = {
+            "nu": fam.nu, "kappa": fam.kappa, "coupling": fam.coupling,
+            "n": dirac.correspondence(fam.beta, fam.l, fam.lam).n,
+            "c_l": sol.c_l, "normalized": sol.normalized, "notes": list(sol.notes),
+            "theta_max_rel": theta, "residual_33_max": res,
+            "reduced_form_agreement": agree,
+        }
+        if sol.normalized:
+            result["norm_quadrature"] = dirac.spinor_norm(fam).value
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    sol = dirac.upper_spinor(fam)
-    theta = dirac.lower_component_relative(fam)
-    res = dirac.residual_33(fam).max_residual
-    agree = dirac.reduced_form_agreement(fam)
-    result = {
-        "nu": fam.nu, "kappa": fam.kappa, "coupling": fam.coupling,
-        "n": dirac.correspondence(fam.beta, fam.l, fam.lam).n,
-        "c_l": sol.c_l, "normalized": sol.normalized, "notes": list(sol.notes),
-        "theta_max_rel": theta, "residual_33_max": res,
-        "reduced_form_agreement": agree,
-    }
-    if sol.normalized:
-        result["norm_quadrature"] = dirac.spinor_norm(fam).value
     row = {k: (json.dumps(v) if isinstance(v, list) else v) for k, v in result.items()}
     passed = theta < 1e-12 and res < args.tolerance and agree < 1e-12
     _emit(_envelope("dirac", vars_of(args, "beta", "lam", "l", "alpha_fs"),

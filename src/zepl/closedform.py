@@ -131,13 +131,20 @@ class ClosedFormSolution:
                 - math.lgamma(n + 2.0) + top + math.log(inner))
 
     def scaled(self, factor: float, **changes) -> "ClosedFormSolution":
-        return replace(self, amplitude=self.amplitude * factor, **changes)
+        """This solution times ``factor``; a zero or non-finite amplitude
+        would make psi vanish or blow up everywhere, so it is an error."""
+        amplitude = self.amplitude * factor
+        if amplitude == 0.0 or not math.isfinite(amplitude):
+            raise ValueError(f"amplitude {amplitude:g} is outside the floats")
+        return replace(self, amplitude=amplitude, **changes)
 
     def to_unit_norm(self) -> "ClosedFormSolution":
         """This solution scaled by exp(-log_norm()/2), so it integrates to one."""
         if not self.norm_finite:
             raise ValueError("the norm diverges: the solution cannot be normalized")
-        return self.scaled(math.exp(-0.5 * self.log_norm()), normalized=True)
+        log_factor = -0.5 * self.log_norm()
+        return self.scaled(math.exp(log_factor) if log_factor < 709.0 else math.inf,
+                           normalized=True)
 
     def grid(self, num: int = 240, w_lo: float = 1e-2,
              w_hi: float | None = None) -> np.ndarray:

@@ -147,8 +147,9 @@ def upper_spinor(family: DiracFamily) -> SpinorSolution:
                  "unnormalized: norm diverges for l = 0 with beta < 0")
         warnings.warn("DiracFamily with l = 0 and beta < 0 yields kappa = 0, "
                       "outside the physical spin-orbit spectrum", stacklevel=2)
+    log_scale = (log_c or 0.0) - 2.0 * kappa / beta * math.log(lam)
     phi = zero_energy_solution(beta, lam, family.l, 0).scaled(
-        math.exp((log_c or 0.0) - 2.0 * kappa / beta * math.log(lam)),
+        math.exp(log_scale) if log_scale < 709.0 else math.inf,
         normalized=family.normalizable, notes=notes)
     return SpinorSolution(family=family, phi=phi, normalized=family.normalizable, notes=notes,
                           c_l=None if log_c is None else math.exp(log_c))

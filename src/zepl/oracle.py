@@ -251,48 +251,40 @@ class ShootingResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def build_powerlaw_ode(mu: float, lam: float, l: int) -> RadialODE:
-    """Zero-energy radial problem of the two-term power-law family with the
-    attractive coefficient left free as the shooting parameter.
+def _two_term_ode(k: float, a: float, b: float, l: int) -> RadialODE:
+    """u'' = q u with r^2 q = l(l+1) + x (a x - b c), x = r^k, a, b > 0 and
+    the shooting parameter c > 0: the power-law family's radial problem.
 
-    In x = r^k, k = 1/(mu + 1/2), r^2 q = l(l+1) + 2 c_rep x^2 - 2 c x, so
-    the end where x -> 0 is a regular singular point: there the sweep starts
-    on the bare power (r^(l+1) at the origin above mu = -1/2, r^(-l) at
-    infinity below) at x = 1e-12/(1 + 2|c|), where both potential terms are
-    negligible next to l(l+1) and the regular solution has no zero beyond
-    the start.  The other end starts on WKB decay at
-    x = max(72/lam^2, 6c/c_rep), which gives both a ~36 decay budget and
+    The end where x -> 0 is a regular singular point: there the sweep starts
+    on the bare power (r^(l+1) at the origin for k > 0, r^(-l) at infinity
+    for k < 0) at x = 1e-12/(1 + b c), where both potential terms are below
+    1e-12, negligible in the Euler-scaled equations, and the regular
+    solution has no zero beyond the start.  The other end starts on WKB decay at
+    x = max(36|k|/sqrt(a), 6 b c/a), which gives both a ~36 decay budget and
     clear dominance of the repulsive term.  The sides match at the bottom of
     q's negative well."""
-    if not (lam > 0 and l >= 0):
-        raise ValueError(f"need lam > 0 and l >= 0, got lam = {lam}, l = {l}")
-    mu = float(mu)
-    if mu in (0.0, 0.5, -0.5):
-        raise ValueError("mu in {0, +1/2, -1/2} is outside the family")
-    k = 1.0 / (mu + 0.5)
-    c_rep = (lam * k / 2.0) ** 2 * lam**2 / 2.0
     ll = l * (l + 1.0)
 
     def r2q(t, c):
         x = math.exp(k * t)
-        return ll + 2.0 * x * (c_rep * x - c)
+        return ll + x * (a * x - b * c)
 
     def log_x_match(c):
-        # q = r^-2 r2q is stationary where c_rep p1 x^2 - c p2 x - l(l+1) = 0,
-        # p1 = 2k - 2, p2 = k - 2; at most one such root lies in a negative
+        # q = r^-2 r2q is stationary where a(k-1) x^2 - (b c (k-2)/2) x - l(l+1)
+        # = 0 (linear at k = 1); at most one such root lies in a negative
         # region of q, and that is its well.  Without a well r^2 q has no
-        # positive zero (l > 0) or only x = c/c_rep (l = 0).
-        a, b = c_rep * (2.0 * k - 2.0), c * (k - 2.0)
-        disc = b * b + 4.0 * a * ll
-        half = 0.5 * (b + math.copysign(math.sqrt(disc), b)) if disc >= 0.0 else 0.0
-        for x in ((half / a, -ll / half) if half else ()):
-            if x > 0.0 and ll + 2.0 * x * (c_rep * x - c) < 0.0:
+        # positive zero (l > 0) or only x = b c/a (l = 0).
+        qa, qb = a * (k - 1.0), 0.5 * b * c * (k - 2.0)
+        disc = qb * qb + 4.0 * qa * ll
+        half = 0.5 * (qb + math.copysign(math.sqrt(disc), qb)) if disc >= 0.0 else 0.0
+        for x in ((half / qa if qa else 0.0, -ll / half) if half else ()):
+            if x > 0.0 and ll + x * (a * x - b * c) < 0.0:
                 return math.log(x)
-        return math.log(c / c_rep)
+        return math.log(b * c / a)
 
     def ends(c):
-        t_regular = math.log(1e-12 / (1.0 + 2.0 * abs(c))) / k
-        t_wkb = math.log(max(72.0 / lam**2, 6.0 * c / c_rep)) / k
+        t_regular = math.log(1e-12 / (1.0 + b * abs(c))) / k
+        t_wkb = math.log(max(36.0 * abs(k) / math.sqrt(a), 6.0 * b * c / a)) / k
         t_match = log_x_match(c) / k
         if k > 0:
             return t_regular, t_match, t_wkb
@@ -302,6 +294,19 @@ def build_powerlaw_ode(mu: float, lam: float, l: int) -> RadialODE:
     if k > 0:
         return RadialODE(r2q, ends, lambda t, c: l + 1.0, _wkb_slope(r2q, -1.0))
     return RadialODE(r2q, ends, _wkb_slope(r2q, +1.0), lambda t, c: -float(l))
+
+
+def build_powerlaw_ode(mu: float, lam: float, l: int) -> RadialODE:
+    """Zero-energy radial problem of the two-term power-law family with the
+    attractive coefficient c left free as the shooting parameter: in
+    x = r^k, k = 1/(mu + 1/2), r^2 q = l(l+1) + (lam k/2)^2 lam^2 x^2 - 2 c x."""
+    if not (lam > 0 and l >= 0):
+        raise ValueError(f"need lam > 0 and l >= 0, got lam = {lam}, l = {l}")
+    mu = float(mu)
+    if mu in (0.0, 0.5, -0.5):
+        raise ValueError("mu in {0, +1/2, -1/2} is outside the family")
+    k = 1.0 / (mu + 0.5)
+    return _two_term_ode(k, (lam * k / 2.0) ** 2 * lam**2, 2.0, l)
 
 
 def coupling_mismatch(ode: RadialODE, coupling: float, rtol: float = 1e-10):
@@ -367,28 +372,12 @@ def shoot_coupling(mu, lam: float, l: int, count: int = 3) -> ShootingResult:
 
 
 def build_halfline_ode(n_power: int) -> RadialODE:
-    """Half-line problem -psi'' + x^(2N+2) psi = E x^N psi with psi(0) = 0.
-
-    In X = x^(N+2), x^2 q = X^2 - E X.  For N >= -1 this -> 0 at the origin,
-    so the sweep starts on psi ~ x at x = 1e-8; the outer start is WKB decay
-    beyond the turning point X = E.
-    """
-    if n_power == -2:
-        raise ValueError("N = -2 is excluded")
+    """Half-line problem -psi'' + x^(2N+2) psi = E x^N psi with psi(0) = 0:
+    in X = x^(N+2), x^2 q = X (X - E), the power-law problem at k = N+2 and
+    l = 0 with the energy E as the shooting parameter."""
     if n_power < -1:
-        raise ValueError("shooting supports N >= -1 (regular origin)")
-    N = int(n_power)
-
-    def r2q(t, energy):
-        x = math.exp((N + 2) * t)  # x^(N+2)
-        return x * (x - energy)
-
-    def ends(energy):
-        return (math.log(1e-8),
-                math.log(0.55) + math.log(max(energy, 0.3)) / (N + 2),
-                math.log(1.2) + math.log(36.0 * (N + 2) + 2.0 * energy) / (N + 2))
-
-    return RadialODE(r2q, ends, lambda t, energy: 1.0, _wkb_slope(r2q, -1.0))
+        raise ValueError("shooting supports N >= -1 (regular origin; N = -2 is excluded)")
+    return _two_term_ode(int(n_power) + 2, 1.0, 1.0, 0)
 
 
 def shoot_energy_bender(n_power: int, count: int = 2) -> ShootingResult:

@@ -13,16 +13,16 @@ generators acts on Phi with the representation coefficients
     L+ |g,n>  = sqrt((n+1)(n+2 gamma+2)/2) |g,n+1>
     L- |g,n>  = sqrt(n (n+2 gamma+1)/2)   |g,n-1>
 
-up to one global sign convention determined empirically (the realization
-below annihilates the ground state with its nominal raising combination, so
-the whole triple is reconciled by a single sign sigma).
+up to one sign sigma: at lam^2 = 1/4 the realization below acts as
+L3 = -(gamma+n+1), so sigma = -1 and its nominal raising and lowering
+combinations swap roles.  ``ladder_check`` measures sigma from each state's
+own L3 ratio, so a state off the common sign shows in the suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -100,22 +100,6 @@ def _apply_ladder(state: OscillatorState, x, pm: float):
     return (core + pm * 0.5 * (x * d1 + 0.5 * val)) / math.sqrt(2.0)
 
 
-@lru_cache(maxsize=1)
-def _global_sign() -> int:
-    """Empirical sign reconciling the differential realization with the
-    representation coefficients.
-
-    With sigma = -1 the realized L3 acts as -(gamma+n+1) and the nominal
-    raising/lowering pair acts with swapped roles; the choice that annihilates
-    the ground state fixes sigma once for the whole suite.
-    """
-    state = OscillatorState(gamma=0.5, n=0, lam=math.sqrt(_LADDER_LAMBDA_SQ))
-    x = phi(state).grid()
-    up = np.max(np.abs(_apply_ladder(state, x, +1.0)))
-    dn = np.max(np.abs(_apply_ladder(state, x, -1.0)))
-    return -1 if up < dn else +1
-
-
 @dataclass(frozen=True)
 class LadderReport:
     sigma: int
@@ -130,17 +114,19 @@ class LadderReport:
 def ladder_check(gamma: float, n: int, grid=None) -> LadderReport:
     """Apply the differential realization of the generators to Phi_n^gamma in
     the frame lam^2 = 1/4 and compare against the representation
-    coefficients.  All comparisons hold up to the one global sign."""
+    coefficients.  All comparisons hold up to the sign sigma of the median
+    L3 ratio, which is measured here for this state."""
     lam = math.sqrt(_LADDER_LAMBDA_SQ)
     state = OscillatorState(gamma=gamma, n=n, lam=lam)
     x = phi(state).grid() if grid is None else np.asarray(grid, dtype=float)
-    sigma = _global_sign()
 
     l3_val, val = _apply_l3(state, x)
     mask = np.abs(val) > 1e-9 * np.abs(val).max()
     ratio = l3_val[mask] / val[mask]
     expected = gamma + n + 1.0
-    l3_ratio = float(np.median(ratio)) * sigma
+    median = float(np.median(ratio))
+    sigma = 1 if median > 0 else -1
+    l3_ratio = abs(median)
     l3_dev = float(np.max(np.abs(ratio * sigma - expected))) / expected
 
     # effective raising operator is the nominal "-" combination when sigma=-1;

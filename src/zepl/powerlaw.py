@@ -43,9 +43,6 @@ __all__ = [
     "classify", "degenerate_pairs", "norm",
 ]
 
-_EXCLUDED_MU = {Fraction(0), Fraction(1, 2), Fraction(-1, 2)}
-
-
 def _validate_mu(mu) -> float:
     mu_f = float(mu)
     if not math.isfinite(mu_f):
@@ -189,29 +186,16 @@ def _unit_solution(family: PowerLawFamily) -> ClosedFormSolution:
     return zero_energy_solution(1.0 / (family.mu_f + 0.5), family.lam, family.l, family.n)
 
 
-def _pinned_solution(family: PowerLawFamily) -> ClosedFormSolution:
-    """Overall scale fixed at the attractive-term turning radius so ratio
-    tests are well conditioned; falls back to the grid maximum if the turning
-    radius sits too close to a node."""
-    unit = _unit_solution(family)
-    r0 = map_parameters(family).terms.turning_scale
-    vals = unit.value(unit.grid())
-    peak = np.abs(vals).max()
-    v0 = float(unit.value(r0))
-    if abs(v0) < 1e-3 * peak:
-        v0 = float(vals[np.argmax(np.abs(vals))])
-    return unit.scaled(1.0 / v0)
-
-
 def wavefunction(family: PowerLawFamily) -> ClosedFormSolution:
-    """Closed-form solution with analytic derivatives.  Normalized by the
-    Gauss-Laguerre norm whenever that is finite (always above mu = -1/2; for
-    l > 0 below); otherwise pinned to unit value at the turning radius and
-    tagged unnormalized."""
-    pinned = _pinned_solution(family)
-    if not pinned.norm_finite:
-        return pinned.scaled(1.0, notes=("unnormalized: norm diverges for l = 0 below mu = -1/2",))
-    return pinned.to_unit_norm()
+    """Closed-form solution with analytic derivatives, positive at its regular
+    end (a_n > 0 and L_n(0) > 0).  Normalized by the Gauss-Laguerre norm
+    whenever that is finite (always above mu = -1/2; for l > 0 below);
+    otherwise unit amplitude, tagged unnormalized.  Raises ValueError where
+    the normalized amplitude is outside the floats."""
+    unit = _unit_solution(family)
+    if not unit.norm_finite:
+        return unit.scaled(1.0, notes=("unnormalized: norm diverges for l = 0 below mu = -1/2",))
+    return unit.to_unit_norm()
 
 
 @dataclass(frozen=True)
@@ -239,8 +223,9 @@ def norm(family: PowerLawFamily) -> NormResult:
 # ---------------------------------------------------------------------------
 
 def schrodinger_residual(family: PowerLawFamily, grid=None) -> ResidualReport:
-    """Relative residual of psi'' = [l(l+1)/r^2 + 2V] psi on a grid."""
-    sol = _pinned_solution(family)
+    """Relative residual of psi'' = [l(l+1)/r^2 + 2V] psi on a grid; scale-free,
+    so the unit-amplitude solution is checked."""
+    sol = _unit_solution(family)
     r = sol.grid() if grid is None else positive_radii(grid)
     l = family.l
     return sol.residual(r, [l * (l + 1) / r**2, 2.0 * potential_eval(family, r)])
@@ -438,8 +423,9 @@ def degenerate_pairs(mu, omega, l_max: int) -> set[tuple[int, int]]:
 
 def interior_node_count(family: PowerLawFamily) -> int:
     """Zeros of the wavefunction on (0, inf), counted by sign changes on a
-    fine grid covering the Laguerre-argument range."""
-    sol = _pinned_solution(family)
+    fine grid covering the Laguerre-argument range, on the unit-amplitude
+    solution."""
+    sol = _unit_solution(family)
     grid = sol.grid(num=4000, w_lo=1e-4,
                     w_hi=4.0 * (family.n + 1) + 2.0 * sol.order + 20.0)
     return count_sign_changes(sol.value(grid))

@@ -169,12 +169,18 @@ def test_oracle_csv_header(capsys):
     ["bender", "--N", "0", "--tolerance", "-1e-8"],
     ["verify", "--suite", "specfn", "--tolerance-scale", "-1e-3"],
     ["verify", "--all", "--suite", "specfn"],
+    ["dirac", "--beta", "1e-3"],
+    ["dirac", "--beta", "1e6"],
+    ["dirac", "--beta", "1e17"],
+    ["dirac", "--beta", "0.5", "--l", "90"],
+    ["dirac", "--beta", "0.01", "--lambda", "1000"],
 ], ids=["oracle-count-7", "oracle-energy-count-5", "oracle-negative-l",
         "bender-negative-n-max", "potential-zero-points", "figures-zero-points",
         "oracle-negative-tolerance", "bender-zero-tolerance", "dirac-negative-tolerance",
         "oracle-exponent-tolerance", "dirac-exponent-tolerance",
         "bender-exponent-tolerance", "verify-exponent-tolerance-scale",
-        "verify-all-with-suite"])
+        "verify-all-with-suite", "dirac-beta-1e-3", "dirac-beta-1e6", "dirac-beta-1e17",
+        "dirac-l-90", "dirac-lambda-1000"])
 def test_bad_input_is_a_one_line_validation_error(capsys, argv):
     code = cli.main(argv)
     err = capsys.readouterr().err.splitlines()

@@ -41,6 +41,13 @@ def test_scaled_keeps_shape():
     assert doubled.value(1.7) == pytest.approx(3.0 * sol.value(1.7), rel=1e-15)
 
 
+@pytest.mark.parametrize("factor", [0.0, 1e-320, math.inf, math.nan])
+def test_scaled_refuses_an_amplitude_outside_the_floats(factor):
+    sol = ClosedFormSolution(amplitude=1e-10, power=1.0, rate=1.0, shape=2.0)
+    with pytest.raises(ValueError, match="amplitude"):
+        sol.scaled(factor)
+
+
 def test_count_sign_changes():
     assert count_sign_changes([1.0, 2.0, 3.0]) == 0
     assert count_sign_changes([1.0, -1.0, 1.0]) == 2

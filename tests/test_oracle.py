@@ -197,6 +197,19 @@ def test_oracle_imports_nothing_from_the_package():
             assert not any(a.name.split(".")[0] == "zepl" for a in node.names)
 
 
+def test_one_builder_states_every_shooting_problem():
+    # the power-law and half-line problems are both _two_term_ode's
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    builders = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "RadialODE"):
+                    builders.add(fn.name)
+    assert builders == {"_two_term_ode"}
+
+
 # --- the problem stated in t = log r ---------------------------------------------
 
 @pytest.mark.filterwarnings("error")

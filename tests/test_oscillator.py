@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zepl import oracle
+from zepl import oracle, oscillator, verify
 from zepl.oscillator import (OscillatorState, eigenvalue_term, ladder_check, phi, phi_eval,
                              residual_a5)
 
@@ -86,6 +86,20 @@ def test_compact_generator_eigenvalue():
 def test_single_global_sign():
     sigmas = {ladder_check(g, n).sigma for g, n in [(0.5, 0), (0.5, 3), (1.75, 2), (3.0, 1)]}
     assert len(sigmas) == 1
+
+
+def test_sign_row_fails_when_one_state_breaks_the_convention(monkeypatch):
+    # the sign is measured per state, so one flipped L3 must show in the suite
+    apply_l3 = oscillator._apply_l3
+
+    def flipped_at_n3(state, x):
+        l3_val, val = apply_l3(state, x)
+        return (-l3_val if state.n == 3 else l3_val), val
+
+    monkeypatch.setattr(oscillator, "_apply_l3", flipped_at_n3)
+    row = next(c for c in verify.suite_oscillator()
+               if c.name == "oscillator.ladder[single global sign]")
+    assert not row.passed and row.detail == "sigma=[-1, 1]"
 
 
 def test_spectrum_linearity():

@@ -155,12 +155,20 @@ def test_residual_detector_fires():
     assert sol.residual(r, [2.0 * v]).max_residual > 1e-4
 
 
-@pytest.mark.parametrize("mu,lam,l,n", [(-50, 1.0, 2, 3), (50, 1.0, 2, 3), (1.5, 1.0, 60, 3)])
+@pytest.mark.parametrize("mu,lam,l,n", [(-50, 1.0, 2, 3), (50, 1.0, 2, 3)])
 def test_residual_fails_where_the_closed_form_overflows(mu, lam, l, n):
     # psi over- or underflows on the whole grid, so no point is checked
     with np.errstate(all="ignore"):
         rep = pl.schrodinger_residual(pl.PowerLawFamily(mu=mu, lam=lam, l=l, n=n))
     assert rep.max_residual == math.inf
+
+
+@pytest.mark.filterwarnings("error")
+def test_residual_is_checked_at_unit_amplitude():
+    # psi's scale does not enter the residual, and at unit amplitude this
+    # family is finite on its whole grid
+    rep = pl.schrodinger_residual(pl.PowerLawFamily(mu=1.5, lam=1.0, l=60, n=3))
+    assert rep.max_residual < 1e-8
 
 
 @pytest.mark.parametrize("mu,l,n,lam", [(1.5, 1, 0, 1.0), (-0.75, 0, 2, 0.8)])
@@ -415,6 +423,30 @@ def test_norm_is_unit_on_the_verify_matrix():
             worst = max(worst, abs(pl.norm(fam).value - 1.0))
     assert finite == 270
     assert worst < 1e-9
+
+
+def test_wavefunction_sign_and_scale_conventions():
+    # a_n > 0 and L_n(0) > 0; where the norm diverges the amplitude is 1
+    from zepl.verify import _families
+
+    unnormalized = 0
+    for fam in _families():
+        sol = pl.wavefunction(fam)
+        assert sol.amplitude > 0
+        if not sol.normalized:
+            unnormalized += 1
+            assert sol.amplitude == 1.0
+    assert unnormalized == 45
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu,lam,l,n", [
+    (50, 1.0, 2, 3), (10, 1.0, 20, 5), (-10, 1.0, 20, 5), (50, 1000.0, 40, 0)])
+def test_wavefunction_refuses_an_amplitude_outside_the_floats(mu, lam, l, n):
+    # the normalized amplitude underflows to 0 (or overflows at lam = 1000);
+    # psi == 0 marked normalized would pass for a solution
+    with pytest.raises(ValueError, match="amplitude"):
+        pl.wavefunction(pl.PowerLawFamily(mu=mu, lam=lam, l=l, n=n))
 
 
 @pytest.mark.parametrize("mu,l,n", [(-20, 5, 3), (10, 4, 3)])
