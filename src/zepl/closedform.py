@@ -7,11 +7,11 @@ Every exact solution in this package is the paper's zero-energy solution,
 
 built by ``zero_energy_solution``: the power-law family at k = 1/(mu+1/2),
 the half line at k = N+2 and l = 0, the oscillator at k = 2 and
-l = 2 gamma + 1/2, and the Dirac upper spinor at k = beta and n = 0.  Value and
-the first two derivatives follow from the product/chain rule plus the
-Laguerre derivative identity, so residual checks never touch finite
-differences.  The squared norm is a Laguerre-weight integral of a
-polynomial, which a Gauss rule computes exactly.
+l = 2 gamma + 1/2, and the Dirac upper spinor at k = beta and n = 0.  psi is
+formed in logs, as exp(log amplitude + power log r - w/2) times L(w), and
+its derivatives use the Laguerre derivative identity, so residual checks
+never touch finite differences.  The squared norm is a Laguerre-weight
+integral of a polynomial, which a Gauss rule computes exactly.
 """
 
 from __future__ import annotations
@@ -30,16 +30,17 @@ __all__ = ["ClosedFormSolution", "ResidualReport", "zero_energy_solution", "posi
 
 def positive_radii(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
+    if r.min(initial=1.0) <= 0:
         raise ValueError("radial argument must be positive")
     return r
 
 
 @dataclass(frozen=True)
 class ClosedFormSolution:
-    """Evaluable radial function with analytic first and second derivatives."""
+    """Radial function with analytic derivatives; its amplitude is a log, so
+    psi leaves the floats only where its own value does."""
 
-    amplitude: float
+    log_amplitude: float
     power: float
     rate: float
     shape: float
@@ -48,17 +49,44 @@ class ClosedFormSolution:
     normalized: bool = False
     notes: tuple[str, ...] = ()
 
-    def _pieces(self, r):
+    @property
+    def amplitude(self) -> float:  # 0.0 or inf where it leaves the floats
+        with np.errstate(over="ignore"):
+            return float(np.exp(self.log_amplitude))
+
+    def _log_envelope(self, r):
+        """(r, w, log E) with E = amplitude r^power exp(-w/2), psi = E L(w)."""
         r = positive_radii(r)
-        w = self.rate * r ** self.shape
-        f = r ** self.power
-        g = np.exp(-0.5 * w)
-        h = laguerre(self.degree, self.order, w)
-        return r, w, f, g, h
+        with np.errstate(over="ignore"):  # w = inf puts E at exactly 0
+            w = self.rate * r ** self.shape
+        return r, w, self.log_amplitude + self.power * np.log(r) - 0.5 * w
+
+    def _terms(self, r, derivs: bool = True):
+        """[psi, psi', psi''] in one pass, or [psi] alone.  With
+        g = d log E/dr = power/r - w'/2, psi' = E (g L + L_r) and
+        psi'' = E ((g^2 + g') L + 2 g L_r + L_rr), L_r = dL(w)/dr.  A point
+        where E is 0 is exactly 0: L is evaluated at r = 1 in its place, not at
+        its own w, which may be infinite."""
+        r, w, log_env = self._log_envelope(r)
+        env = np.exp(log_env)
+        if not env.all():
+            r, w = np.where(env > 0.0, r, 1.0), np.where(env > 0.0, w, self.rate)
+        n, a, p, m = self.degree, self.order, self.power, self.shape
+        h = laguerre(n, a, w)
+        if not derivs:
+            return [env * h]
+        dw = self.rate * m * r ** (m - 1.0)
+        g, hp = p / r - 0.5 * dw, laguerre_deriv(n, a, w)
+        dh = hp * dw
+        d2w = self.rate * m * (m - 1.0) * r ** (m - 2.0)
+        d2h = laguerre_deriv2(n, a, w) * dw**2 + hp * d2w
+        return [env * h, env * (g * h + dh),
+                env * ((g * g - p / r**2 - 0.5 * d2w) * h + 2.0 * g * dh + d2h)]
+
+    _derivs = _terms  # the name other modules call; value() goes to _terms directly
 
     def value(self, r):
-        r, _, f, g, h = self._pieces(r)
-        out = self.amplitude * f * g * h
+        out = self._terms(r, derivs=False)[0]
         return out if out.ndim else float(out)
 
     __call__ = value
@@ -70,31 +98,6 @@ class ClosedFormSolution:
     def deriv2(self, r):
         out = self._derivs(r)[2]
         return out if np.ndim(out) else float(out)
-
-    def _derivs(self, r):
-        """(value, d/dr, d2/dr2) in one pass."""
-        r, w, f, g, h = self._pieces(r)
-        p, m = self.power, self.shape
-        dw = self.rate * m * r ** (m - 1.0)
-        d2w = self.rate * m * (m - 1.0) * r ** (m - 2.0)
-        df = p * f / r
-        d2f = p * (p - 1.0) * f / r**2
-        dg = -0.5 * dw * g
-        d2g = (0.25 * dw**2 - 0.5 * d2w) * g
-        hp = laguerre_deriv(self.degree, self.order, w)
-        hpp = laguerre_deriv2(self.degree, self.order, w)
-        dh = hp * dw
-        d2h = hpp * dw**2 + hp * d2w
-        val = f * g * h
-        d1 = df * g * h + f * dg * h + f * g * dh
-        d2 = (
-            d2f * g * h
-            + f * d2g * h
-            + f * g * d2h
-            + 2.0 * (df * dg * h + df * g * dh + f * dg * dh)
-        )
-        a = self.amplitude
-        return a * val, a * d1, a * d2
 
     @property
     def norm_finite(self) -> bool:
@@ -113,8 +116,7 @@ class ClosedFormSolution:
         degree, keep their relative accuracy where they are tiny, which the
         eigenvectors' first components do not (at degree 40 those put the
         norm off by a factor of 2e7).  Everything stays in logs: the weights
-        sum to Gamma(s+1) and the amplitude may square to zero in floating
-        point.
+        sum to Gamma(s+1).
         """
         if not self.norm_finite:
             return math.inf
@@ -126,39 +128,46 @@ class ClosedFormSolution:
         log_weights = -np.log(x) - 2.0 * np.log(np.abs(laguerre(n, s + 1.0, x)))
         top = float(log_weights.max())
         inner = np.exp(log_weights - top) @ laguerre(n, self.order, x) ** 2
-        return (2.0 * math.log(abs(self.amplitude)) - (s + 1.0) * math.log(self.rate)
+        return (2.0 * self.log_amplitude - (s + 1.0) * math.log(self.rate)
                 - math.log(abs(self.shape)) + math.lgamma(n + s + 2.0)
                 - math.lgamma(n + 2.0) + top + math.log(inner))
 
-    def scaled(self, factor: float, **changes) -> "ClosedFormSolution":
-        """This solution times ``factor``; a zero or non-finite amplitude
-        would make psi vanish or blow up everywhere, so it is an error."""
-        amplitude = self.amplitude * factor
-        if amplitude == 0.0 or not math.isfinite(amplitude):
-            raise ValueError(f"amplitude {amplitude:g} is outside the floats")
-        return replace(self, amplitude=amplitude, **changes)
+    def scaled(self, log_factor: float, **changes) -> "ClosedFormSolution":
+        """This solution times exp(log_factor); a non-finite log factor would
+        make psi vanish or blow up everywhere, so it is an error."""
+        if not math.isfinite(log_factor):
+            raise ValueError(f"log amplitude factor {log_factor:g} is not finite")
+        return replace(self, log_amplitude=self.log_amplitude + log_factor, **changes)
 
     def to_unit_norm(self) -> "ClosedFormSolution":
         """This solution scaled by exp(-log_norm()/2), so it integrates to one."""
         if not self.norm_finite:
             raise ValueError("the norm diverges: the solution cannot be normalized")
-        log_factor = -0.5 * self.log_norm()
-        return self.scaled(math.exp(log_factor) if log_factor < 709.0 else math.inf,
-                           normalized=True)
+        return self.scaled(-0.5 * self.log_norm(), normalized=True)
 
-    def grid(self, num: int = 240, w_lo: float = 1e-2,
-             w_hi: float | None = None) -> np.ndarray:
-        """Radii of a geometric grid in the Laguerre argument w = rate r^shape,
-        where the zeros and turning points live; w_hi defaults to 30(degree+1)."""
-        if w_hi is None:
-            w_hi = 30.0 * (self.degree + 1)
-        w = np.geomspace(w_lo, w_hi, num)
-        return np.sort((w / self.rate) ** (1.0 / self.shape))
+    def unit_peak(self, r) -> "ClosedFormSolution":
+        """This solution rescaled so its envelope peaks at 1 on the radii r."""
+        return self.scaled(-float(self._log_envelope(r)[2].max()))
+
+    def grid(self, num: int = 240) -> np.ndarray:
+        """Geometric grid in w = rate r^shape; psi = w^c e^(-w/2) L_n^a(w) up to
+        scale, c = power/shape.  w runs from 1e-2 to 30(n+1), widened past L's
+        zeros (below m + h, m = 2n + a + 1, h = 2 sqrt(n(n + a + 1))) and past
+        the peak 2(c+n) of w^(c+n) e^(-w/2) by sqrt(80) of its widths
+        2 sqrt(c+n), and raised to min((m - h)/4, 2c e^(-1 - 40/c)), where
+        w^c e^(-w/2) is e^-40 below its peak.  ValueError where r leaves the floats."""
+        n, a, c = self.degree, self.order, max(self.power / self.shape, 0.0)
+        m, h = 2.0 * n + a + 1.0, 2.0 * math.sqrt(n * (n + a + 1.0))
+        w_lo = max(1e-2, min(0.25 * (m - h), 2.0 * c * math.exp(-1.0 - 40.0 / c) if c else 0.0))
+        w_hi = max(30.0 * (n + 1), m + h + 20.0, 2.0 * (c + n) + math.sqrt(320.0 * (c + n)))
+        if max(abs(math.log(w / self.rate)) for w in (w_lo, w_hi)) >= 709.0 * abs(self.shape):
+            raise ValueError("the grid's radii lie outside the floats")
+        return np.sort((np.geomspace(w_lo, w_hi, num) / self.rate) ** (1.0 / self.shape))
 
     def residual(self, r, q_terms) -> "ResidualReport":
         """Relative residual of psi'' = sum(q_terms) psi at the radii r, kept
-        where |psi| is above 1e-12 of its peak on r."""
-        val, _, d2 = self._derivs(r)
+        where |psi| is above 1e-12 of its peak on r; checked on unit_peak(r)."""
+        val, _, d2 = self.unit_peak(r)._derivs(r)
         mask = np.abs(val) > 1e-12 * np.abs(val).max()
         return relative_residual([d2] + [-q * val for q in q_terms], mask=mask)
 
@@ -167,7 +176,7 @@ def zero_energy_solution(shape: float, lam: float, l: float, n: int) -> ClosedFo
     """The paper's solution at unit amplitude: r^(l+1) for shape > 0, r^-l for
     shape < 0, times exp(-w/2) L_n^((2l+1)/|shape|)(w), w = lam^2 r^shape.
     l need not be an integer (the oscillator's is 2 gamma + 1/2)."""
-    return ClosedFormSolution(amplitude=1.0, power=l + 1.0 if shape > 0 else -float(l),
+    return ClosedFormSolution(log_amplitude=0.0, power=l + 1.0 if shape > 0 else -float(l),
                               rate=lam**2, shape=float(shape), degree=n,
                               order=(2.0 * l + 1.0) / abs(shape))
 
@@ -190,15 +199,11 @@ def relative_residual(terms, mask=None) -> ResidualReport:
     fails (max_residual = inf) when a term is not finite at a point the mask
     keeps, or when no point is left to check.
     """
-    terms = [np.asarray(t, dtype=float) for t in terms]
-    total = np.zeros_like(terms[0])
-    scale = np.zeros_like(terms[0])
-    for t in terms:
-        total = total + t
-        scale = scale + np.abs(t)
+    terms = np.asarray(terms, dtype=float)
+    total, scale = terms.sum(axis=0), np.abs(terms).sum(axis=0)
     wanted = np.ones(total.shape, bool) if mask is None else np.asarray(mask, dtype=bool)
     finite = np.isfinite(scale)
-    peak = scale[finite].max() if finite.any() else 0.0
+    peak = scale[finite & wanted].max(initial=0.0)
     keep = wanted & finite & (scale > 1e-12 * peak)
     rel = np.abs(total[keep]) / (scale[keep] + 1e-300)
     checked = rel.size > 0 and finite[wanted].all()

@@ -147,17 +147,19 @@ def upper_spinor(family: DiracFamily) -> SpinorSolution:
                  "unnormalized: norm diverges for l = 0 with beta < 0")
         warnings.warn("DiracFamily with l = 0 and beta < 0 yields kappa = 0, "
                       "outside the physical spin-orbit spectrum", stacklevel=2)
-    log_scale = (log_c or 0.0) - 2.0 * kappa / beta * math.log(lam)
     phi = zero_energy_solution(beta, lam, family.l, 0).scaled(
-        math.exp(log_scale) if log_scale < 709.0 else math.inf,
-        normalized=family.normalizable, notes=notes)
+        (log_c or 0.0) - 2.0 * kappa / beta * math.log(lam), normalized=family.normalizable,
+        notes=notes)
     return SpinorSolution(family=family, phi=phi, normalized=family.normalizable, notes=notes,
                           c_l=None if log_c is None else math.exp(log_c))
 
 
 def reduced_potential(family: DiracFamily, r):
     """V(r) of the Schroedinger-like form of the reduced equation: the
-    power-law family's potential at (mu, lam, l, n) = (nu, lam, l, 0)."""
+    power-law family's potential at (mu, lam, l, n) = (nu, lam, l, 0), which
+    holds 1/beta = nu + 1/2 only to 2^-54 |beta| relative: an error above 1e3."""
+    if abs(family.beta) > 1e3:
+        raise ValueError(f"|beta| > 1e3: nu keeps 1/beta to {2.0**-54 * abs(family.beta):.0e} only")
     return powerlaw.potential_eval(
         powerlaw.PowerLawFamily(mu=family.nu, lam=family.lam, l=family.l), r)
 
@@ -203,15 +205,13 @@ def lower_component(family: DiracFamily, solution: SpinorSolution, r):
 def lower_component_relative(family: DiracFamily, grid=None) -> float:
     """sup |theta| normalized by the size of the individual operator pieces,
     so 'vanishes' is meaningful across scales."""
-    sol = upper_spinor(family)
-    r = sol.phi.grid() if grid is None else positive_radii(grid)
-    val, d1, _ = sol.phi._derivs(r)
-    w = odd_potential(family, r)
-    theta = lower_component(family, sol, r)
-    scale = 0.5 * family.alpha_fs * (np.abs(w * val) + np.abs(family.kappa / r * val)
-                                     + np.abs(d1))
+    phi = upper_spinor(family).phi
+    r = phi.grid() if grid is None else positive_radii(grid)
+    val, d1, _ = phi._derivs(r)
+    pieces = np.array([odd_potential(family, r) * val, family.kappa / r * val, d1])
+    scale = np.abs(pieces).sum(axis=0)
     good = scale > 1e-12 * scale.max()
-    return float(np.max(np.abs(theta[good]) / scale[good]))
+    return float(np.max(np.abs(pieces.sum(axis=0)[good]) / scale[good]))
 
 
 def spinor_norm(family: DiracFamily) -> oracle.QuadResult:

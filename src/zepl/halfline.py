@@ -75,9 +75,8 @@ def eigenfunction(N: int, n: int) -> ClosedFormSolution:
     """
     prob = HalfLineProblem(N=N, n=n)
     sol = zero_energy_solution(N + 2, math.sqrt(prob.lam_sq), 0, n)
-    if not sol.norm_finite:
-        return sol.scaled(1.0, notes=("unnormalized: psi tends to a constant at infinity",))
-    return sol.to_unit_norm()
+    return sol.to_unit_norm() if sol.norm_finite else sol.scaled(
+        0.0, notes=("unnormalized: psi tends to a constant at infinity",))
 
 
 def residual_41(N: int, n: int, grid=None) -> ResidualReport:

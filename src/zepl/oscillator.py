@@ -71,7 +71,7 @@ def phi(state: OscillatorState) -> ClosedFormSolution:
     unit = zero_energy_solution(2.0, lam, 2.0 * g + 0.5, n)
     log_c = 0.5 * (math.log(2.0 * lam) + math.lgamma(n + 1.0)
                    - math.lgamma(2.0 * g + n + 2.0))
-    return unit.scaled(math.exp(log_c + unit.power * math.log(lam)), normalized=True)
+    return unit.scaled(log_c + unit.power * math.log(lam), normalized=True)
 
 
 def phi_eval(state: OscillatorState, x):

@@ -190,12 +190,10 @@ def wavefunction(family: PowerLawFamily) -> ClosedFormSolution:
     """Closed-form solution with analytic derivatives, positive at its regular
     end (a_n > 0 and L_n(0) > 0).  Normalized by the Gauss-Laguerre norm
     whenever that is finite (always above mu = -1/2; for l > 0 below);
-    otherwise unit amplitude, tagged unnormalized.  Raises ValueError where
-    the normalized amplitude is outside the floats."""
+    otherwise unit amplitude, tagged unnormalized."""
     unit = _unit_solution(family)
-    if not unit.norm_finite:
-        return unit.scaled(1.0, notes=("unnormalized: norm diverges for l = 0 below mu = -1/2",))
-    return unit.to_unit_norm()
+    return unit.to_unit_norm() if unit.norm_finite else unit.scaled(
+        0.0, notes=("unnormalized: norm diverges for l = 0 below mu = -1/2",))
 
 
 @dataclass(frozen=True)
@@ -423,9 +421,8 @@ def degenerate_pairs(mu, omega, l_max: int) -> set[tuple[int, int]]:
 
 def interior_node_count(family: PowerLawFamily) -> int:
     """Zeros of the wavefunction on (0, inf), counted by sign changes on a
-    fine grid covering the Laguerre-argument range, on the unit-amplitude
-    solution."""
+    fine default grid, which holds every zero of the Laguerre factor; the
+    count is scale-free, so it is made on ``unit_peak``."""
     sol = _unit_solution(family)
-    grid = sol.grid(num=4000, w_lo=1e-4,
-                    w_hi=4.0 * (family.n + 1) + 2.0 * sol.order + 20.0)
-    return count_sign_changes(sol.value(grid))
+    r = sol.grid(num=4000)
+    return count_sign_changes(sol.unit_peak(r).value(r))

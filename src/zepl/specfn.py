@@ -26,12 +26,12 @@ def laguerre(n, alpha, x):
     """
     n = _check_degree(n)
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("Laguerre argument must be finite")
-    prev = np.ones_like(x)
     if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 1.0 + alpha - x
+        one = np.ones_like(x)
+        return one if one.ndim else float(one)
+    prev, cur = 1.0, 1.0 + alpha - x
     for k in range(2, n + 1):
         prev, cur = cur, ((2 * k - 1 + alpha - x) * cur - (k - 1 + alpha) * prev) / k
     return cur if cur.ndim else float(cur)
@@ -44,8 +44,7 @@ def laguerre_deriv(n, alpha, x):
     if n == 0:
         z = np.zeros_like(x)
         return z if z.ndim else 0.0
-    out = -laguerre(n - 1, alpha + 1.0, x)
-    return out
+    return -laguerre(n - 1, alpha + 1.0, x)
 
 
 def laguerre_deriv2(n, alpha, x):

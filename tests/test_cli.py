@@ -102,6 +102,16 @@ def test_dirac_where_the_gamma_function_overflows(capsys, schema):
     jsonschema.validate(doc, schema)
 
 
+def test_dirac_where_c_l_underflows(capsys, schema):
+    # log C_l = -896.5, so c_l reads 0.0; the spinor is scaled in logs, and
+    # normalized it peaks near e^-5 at r = 1.3e5
+    code, doc = run_json(capsys, ["dirac", "--beta", "0.5", "--l", "90"])
+    assert code == 0 and doc["passed"] is True
+    assert doc["results"]["c_l"] == 0.0
+    assert doc["results"]["norm_quadrature"] == pytest.approx(1.0, abs=1e-8)
+    jsonschema.validate(doc, schema)
+
+
 def test_dirac_norm_row_names_the_independent_check():
     row = next(c for c in verify.suite_dirac() if c.name.startswith("dirac.norm"))
     assert row.passed and "independent check of the closed-form C_l" in row.detail
@@ -172,7 +182,6 @@ def test_oracle_csv_header(capsys):
     ["dirac", "--beta", "1e-3"],
     ["dirac", "--beta", "1e6"],
     ["dirac", "--beta", "1e17"],
-    ["dirac", "--beta", "0.5", "--l", "90"],
     ["dirac", "--beta", "0.01", "--lambda", "1000"],
 ], ids=["oracle-count-7", "oracle-energy-count-5", "oracle-negative-l",
         "bender-negative-n-max", "potential-zero-points", "figures-zero-points",
@@ -180,7 +189,7 @@ def test_oracle_csv_header(capsys):
         "oracle-exponent-tolerance", "dirac-exponent-tolerance",
         "bender-exponent-tolerance", "verify-exponent-tolerance-scale",
         "verify-all-with-suite", "dirac-beta-1e-3", "dirac-beta-1e6", "dirac-beta-1e17",
-        "dirac-l-90", "dirac-lambda-1000"])
+        "dirac-lambda-1000"])
 def test_bad_input_is_a_one_line_validation_error(capsys, argv):
     code = cli.main(argv)
     err = capsys.readouterr().err.splitlines()

@@ -12,23 +12,26 @@ from zepl.closedform import (ClosedFormSolution, count_sign_changes, relative_re
 
 
 @pytest.mark.parametrize("params", [
-    dict(amplitude=1.3, power=2.0, rate=1.0, shape=2.0, degree=3, order=0.5),
-    dict(amplitude=0.7, power=-1.0, rate=0.8, shape=-1.5, degree=2, order=2.0),
-    dict(amplitude=1.0, power=2.5, rate=1.2, shape=0.5, degree=4, order=1.5),
+    dict(log_amplitude=math.log(1.3), power=2.0, rate=1.0, shape=2.0, degree=3, order=0.5),
+    dict(log_amplitude=math.log(0.7), power=-1.0, rate=0.8, shape=-1.5, degree=2, order=2.0),
+    dict(log_amplitude=0.0, power=2.5, rate=1.2, shape=0.5, degree=4, order=1.5),
 ])
 def test_derivatives_match_finite_differences(params):
     sol = ClosedFormSolution(**params)
     r = np.linspace(0.5, 3.0, 7)
     h = 1e-6
     d1_fd = (sol.value(r + h) - sol.value(r - h)) / (2 * h)
-    d2_fd = (sol.value(r + h) - 2 * sol.value(r) + sol.value(r - h)) / h**2
+    # the second difference divides rounding noise by h^2: at h = 1e-6 that
+    # noise is 1e-3 of psi, at 1e-4 the truncation error is 1e-9
+    h2 = 1e-4
+    d2_fd = (sol.value(r + h2) - 2 * sol.value(r) + sol.value(r - h2)) / h2**2
     scale = np.abs(sol.value(r)).max()
     assert np.allclose(sol.deriv(r), d1_fd, rtol=1e-7, atol=1e-7 * scale)
     assert np.allclose(sol.deriv2(r), d2_fd, rtol=1e-3, atol=1e-3 * scale)
 
 
 def test_positive_domain_enforced():
-    sol = ClosedFormSolution(amplitude=1.0, power=1.0, rate=1.0, shape=2.0)
+    sol = ClosedFormSolution(log_amplitude=0.0, power=1.0, rate=1.0, shape=2.0)
     with pytest.raises(ValueError):
         sol.value(0.0)
     with pytest.raises(ValueError):
@@ -36,16 +39,31 @@ def test_positive_domain_enforced():
 
 
 def test_scaled_keeps_shape():
-    sol = ClosedFormSolution(amplitude=2.0, power=1.0, rate=1.0, shape=2.0)
-    doubled = sol.scaled(3.0)
-    assert doubled.value(1.7) == pytest.approx(3.0 * sol.value(1.7), rel=1e-15)
+    sol = ClosedFormSolution(log_amplitude=math.log(2.0), power=1.0, rate=1.0, shape=2.0)
+    tripled = sol.scaled(math.log(3.0))
+    assert tripled.value(1.7) == pytest.approx(3.0 * sol.value(1.7), rel=1e-15)
+    assert tripled.amplitude == pytest.approx(6.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("factor", [0.0, 1e-320, math.inf, math.nan])
+@pytest.mark.parametrize("factor", [math.inf, math.nan])
 def test_scaled_refuses_an_amplitude_outside_the_floats(factor):
-    sol = ClosedFormSolution(amplitude=1e-10, power=1.0, rate=1.0, shape=2.0)
+    # a log factor of inf (or nan) makes psi blow up (or undefined) everywhere
+    sol = ClosedFormSolution(log_amplitude=math.log(1e-10), power=1.0, rate=1.0, shape=2.0)
     with pytest.raises(ValueError, match="amplitude"):
         sol.scaled(factor)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("factor", [0.0, 1e-320])
+def test_scaled_keeps_an_amplitude_outside_the_floats(factor):
+    # the amplitude e^-800 (or 1e-320 e^-800) underflows and r^300 overflows
+    # at r = e^3, but psi = e^(log a + 900 - w/2) is inside the floats
+    sol = ClosedFormSolution(log_amplitude=0.0, power=300.0, rate=1.0, shape=0.5)
+    log_factor = -800.0 + (math.log(factor) if factor else 0.0)
+    small = sol.scaled(log_factor)
+    assert small.amplitude == 0.0
+    assert math.log(small.value(math.exp(3.0))) == pytest.approx(
+        log_factor + 900.0 - 0.5 * math.exp(1.5), rel=1e-14)
 
 
 def test_count_sign_changes():
@@ -79,10 +97,14 @@ def test_relative_residual_mask():
 
 
 def test_residual_fails_when_no_point_is_left():
-    # psi = exp(-r/2) underflows to 0 at both radii: nothing can be checked
-    sol = ClosedFormSolution(amplitude=1.0, power=0.0, rate=1.0, shape=1.0)
+    terms = [np.array([1.0, 2.0]), np.array([-1.0, -2.0])]
+    assert relative_residual(terms, mask=[False, False]).max_residual == math.inf
+    # psi = exp(-r/2) underflows at both radii, but the residual is checked at
+    # the scale where its envelope peaks at 1 there, so both points are kept
+    sol = ClosedFormSolution(log_amplitude=0.0, power=0.0, rate=1.0, shape=1.0)
     assert sol.residual(np.array([1.0, 2.0]), [0.25]).max_residual < 1e-15
-    assert sol.residual(np.array([1e4, 2e4]), [0.25]).max_residual == math.inf
+    rep = sol.residual(np.array([1e4, 1e4 + 10.0]), [0.25])
+    assert rep.max_residual < 1e-15 and rep.residuals.size == 2
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -95,7 +117,7 @@ def test_relative_residual_fails_on_non_finite_kept_terms(bad):
 
 @pytest.mark.parametrize("shape", [2.0, -1.5])
 def test_grid_is_geometric_in_the_laguerre_argument(shape):
-    sol = ClosedFormSolution(amplitude=1.0, power=1.0, rate=0.7, shape=shape, degree=3)
+    sol = ClosedFormSolution(log_amplitude=0.0, power=1.0, rate=0.7, shape=shape, degree=3)
     r = sol.grid()
     w = np.sort(sol.rate * r**sol.shape)
     assert r.size == 240 and np.all(np.diff(r) > 0)
@@ -122,16 +144,16 @@ def test_log_norm_diverges_exactly_when_s_is_at_most_minus_one():
     # s = (2 power + 1)/shape - 1
     for power, shape, finite in ((1.0, 2.0, True), (0.0, -1.0, False), (-1.0, -1.0, True),
                                  (-0.5, 3.0, False), (-2.0, -0.5, True)):
-        sol = ClosedFormSolution(amplitude=1.0, power=power, rate=1.0, shape=shape)
+        sol = ClosedFormSolution(log_amplitude=0.0, power=power, rate=1.0, shape=shape)
         assert sol.norm_finite is finite
         assert math.isfinite(sol.log_norm()) is finite
 
 
 @pytest.mark.parametrize("params", [
-    dict(amplitude=1.3, power=2.0, rate=1.0, shape=0.5, degree=40, order=6.0),
-    dict(amplitude=0.7, power=-1.0, rate=0.8, shape=-1.5, degree=2, order=2.0),
-    dict(amplitude=2.0, power=1.0, rate=1.4, shape=0.1, degree=12, order=0.3),
-    dict(amplitude=1.0, power=0.5, rate=2.0, shape=3.0, degree=25, order=1.5),
+    dict(log_amplitude=math.log(1.3), power=2.0, rate=1.0, shape=0.5, degree=40, order=6.0),
+    dict(log_amplitude=math.log(0.7), power=-1.0, rate=0.8, shape=-1.5, degree=2, order=2.0),
+    dict(log_amplitude=math.log(2.0), power=1.0, rate=1.4, shape=0.1, degree=12, order=0.3),
+    dict(log_amplitude=0.0, power=0.5, rate=2.0, shape=3.0, degree=25, order=1.5),
 ])
 def test_log_norm_matches_scipy_gauss_laguerre(params):
     # degree 40 is where weights from the Jacobi eigenvectors lose their
@@ -168,7 +190,7 @@ def test_zero_energy_solution_is_the_papers_closed_form(shape, l, power):
 
 
 def test_to_unit_norm():
-    sol = zero_energy_solution(0.5, 0.8, 2, 4).scaled(1e30)
+    sol = zero_energy_solution(0.5, 0.8, 2, 4).scaled(math.log(1e30))
     unit = sol.to_unit_norm()
     assert unit.normalized and abs(unit.log_norm()) < 1e-12
     assert unit.value(2.0) / sol.value(2.0) == pytest.approx(math.exp(-0.5 * sol.log_norm()))
@@ -186,3 +208,38 @@ def test_only_closedform_constructs_closed_form_solutions():
                     == "ClosedFormSolution"):
                 callers.add(path.name)
     assert callers == {"closedform.py"}
+
+
+def test_no_caller_scales_by_an_exponential():
+    # scaled() adds a log factor; exp() of that factor would leave the floats
+    # before psi does
+    for path in Path(closedform.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "scaled"):
+                continue
+            for arg in [*node.args, *(k.value for k in node.keywords)]:
+                for inner in ast.walk(arg):
+                    assert not (isinstance(inner, ast.Call)
+                                and getattr(inner.func, "attr", None) == "exp"), path.name
+
+
+@pytest.mark.parametrize("shape,rate", [(1e-3, 1.0), (0.01, 1e6)])
+def test_grid_refuses_radii_outside_the_floats(shape, rate):
+    # r = (w/rate)^(1/shape): w = 30 at shape 1e-3 is r = 30^1000
+    sol = zero_energy_solution(shape, math.sqrt(rate), 1, 0)
+    with pytest.raises(ValueError, match="outside the floats"):
+        sol.grid()
+
+
+@pytest.mark.filterwarnings("error")
+def test_grid_covers_psi_beyond_the_laguerre_range():
+    # the power-law family (3/2, 1, 60, 3): psi ~ w^122 e^(-w/2) L_3(w) peaks
+    # beyond w = 244, while the old grid ended at w = 120 and kept only the
+    # rising flank; the grid now starts where psi is below 1e-12 of its peak
+    # and ends past it, 1e-9 down its tail
+    sol = zero_energy_solution(0.5, 1.0, 60, 3)
+    r = sol.grid()
+    w, psi = sol.rate * r**sol.shape, np.abs(sol.unit_peak(r).value(r))
+    assert w[0] > 30.0 and w[-1] > 400.0
+    assert psi[0] < 1e-12 * psi.max() and psi[-1] < 1e-9 * psi.max()
+    assert np.sum(psi > 1e-12 * psi.max()) >= 120

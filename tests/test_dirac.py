@@ -93,6 +93,13 @@ def test_residual_is_exactly_zero_at_kappa_zero(beta, kept):
     assert rep.max_residual == 0.0 and rep.residuals.size == kept
 
 
+@pytest.mark.parametrize("beta", [1e6, -2e3])
+def test_reduced_form_refuses_a_beta_beyond_the_precision_of_nu(beta):
+    # nu + 1/2 = 1/beta loses digits; at beta = 1e6 the agreement read 1.7e-9
+    with pytest.raises(ValueError, match="keeps 1/beta"):
+        dirac.reduced_form_agreement(dirac.DiracFamily(beta=beta, lam=1.0, l=1))
+
+
 def test_residual_detector_fires():
     # the same check with kappa + 1 in the equation fails; at beta > 0,
     # kappa = -l-1, so the l = 0 family carries kappa + 1 of the l = 1 one

@@ -65,7 +65,7 @@ def test_laguerre_order_choice():
     # equation; the |N+2| alternative does not
     prob = hl.HalfLineProblem(N=1, n=2)
     assert hl.residual_41(1, 2).max_residual < 1e-8
-    alt = ClosedFormSolution(amplitude=1.0, power=1.0, rate=prob.lam_sq,
+    alt = ClosedFormSolution(log_amplitude=0.0, power=1.0, rate=prob.lam_sq,
                              shape=3.0, degree=2, order=float(abs(1 + 2)))
     x = alt.grid()
     assert alt.residual(x, [x**4, -prob.energy * x]).max_residual > 1e-2

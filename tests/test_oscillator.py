@@ -45,6 +45,16 @@ def test_wave_equation_residual(gamma, n, lam):
     assert rep.max_residual < 1e-8
 
 
+@pytest.mark.filterwarnings("error")
+def test_phi_where_its_constant_overflows():
+    # (lam x)^(2 gamma + 3/2) and the constant leave the floats (the constant
+    # reads inf); the log form gives a normalized phi that solves its equation
+    state = OscillatorState(gamma=300.0, n=0, lam=100.0)
+    sol = phi(state)
+    assert sol.amplitude == math.inf and abs(sol.log_norm()) < 1e-10
+    assert residual_a5(state).max_residual < 1e-8
+
+
 def test_residual_detector_fires():
     # the same check with lam^2 scaled by 1.01 in the equation fails
     state = OscillatorState(gamma=0.5, n=0, lam=1.0)
