@@ -213,10 +213,10 @@ def relative_residual(terms, mask=None) -> ResidualReport:
 
 
 def count_sign_changes(values) -> int:
-    """Strict sign changes along a sampled curve, ignoring near-zero samples.
+    """Strict sign changes along a sampled curve, skipping exact zeros.
     A non-finite sample hides any sign it has, so it is an error."""
     v = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("cannot count sign changes through non-finite samples")
-    s = np.sign(v[np.abs(v) > 1e-12 * np.abs(v).max(initial=0.0)])
+    s = np.sign(v[v != 0.0])
     return int(np.sum(s[1:] * s[:-1] < 0))

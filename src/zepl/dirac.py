@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle, powerlaw
-from .closedform import ClosedFormSolution, ResidualReport, positive_radii, zero_energy_solution
+from .closedform import (ClosedFormSolution, ResidualReport, positive_radii, relative_residual,
+                         zero_energy_solution)
 
 __all__ = ["DiracFamily", "Correspondence", "SpinorSolution", "odd_potential",
            "odd_potential_nu_form", "correspondence", "upper_spinor",
@@ -126,9 +127,6 @@ class SpinorSolution:
     normalized: bool
     notes: tuple[str, ...] = ()
 
-    def theta(self, r):
-        return lower_component(self.family, self, r)
-
 
 def upper_spinor(family: DiracFamily) -> SpinorSolution:
     """phi(r) = C_l (lam^(2/beta) r)^(-kappa) exp(-(lam^2/2) r^beta): the
@@ -164,13 +162,18 @@ def reduced_potential(family: DiracFamily, r):
         powerlaw.PowerLawFamily(mu=family.nu, lam=family.lam, l=family.l), r)
 
 
-def operator_bracket(family: DiracFamily, r):
-    """W^2 - dW/dr + 2 kappa W / r, the potential-like part of the reduced
-    operator; agrees with kappa(kappa+1)/r^2 + 2 V - kappa(kappa+1)/r^2."""
+def _bracket_pieces(family: DiracFamily, r):
+    """[W^2, -dW/dr, 2 kappa W / r], the pieces of the operator bracket."""
     r = positive_radii(r)
     w = odd_potential(family, r)
     dw = family.coupling * (family.beta - 1.0) * r ** (family.beta - 2.0)
-    return w**2 - dw + 2.0 * family.kappa * w / r
+    return [w**2, -dw, 2.0 * family.kappa * w / r]
+
+
+def operator_bracket(family: DiracFamily, r):
+    """W^2 - dW/dr + 2 kappa W / r, the potential-like part of the reduced
+    operator; agrees with kappa(kappa+1)/r^2 + 2 V - kappa(kappa+1)/r^2."""
+    return sum(_bracket_pieces(family, r))
 
 
 def residual_33(family: DiracFamily, grid=None) -> ResidualReport:
@@ -184,12 +187,12 @@ def residual_33(family: DiracFamily, grid=None) -> ResidualReport:
 
 def reduced_form_agreement(family: DiracFamily, grid=None) -> float:
     """Max relative discrepancy between the operator bracket and twice the
-    power-law family's potential at mu = nu, n = 0: the paper's map."""
+    power-law family's potential at mu = nu, n = 0: the paper's map.  The
+    bracket is a cancelling sum, so the scale is the sum of its pieces."""
     r = (zero_energy_solution(family.beta, family.lam, family.l, 0).grid()
          if grid is None else positive_radii(grid))
-    a = operator_bracket(family, r)
-    b = 2.0 * reduced_potential(family, r)
-    return float(np.max(np.abs(a - b) / (np.abs(a) + np.abs(b) + 1e-300)))
+    terms = _bracket_pieces(family, r) + [-2.0 * reduced_potential(family, r)]
+    return relative_residual(terms).max_residual
 
 
 def lower_component(family: DiracFamily, solution: SpinorSolution, r):
@@ -208,10 +211,8 @@ def lower_component_relative(family: DiracFamily, grid=None) -> float:
     phi = upper_spinor(family).phi
     r = phi.grid() if grid is None else positive_radii(grid)
     val, d1, _ = phi._derivs(r)
-    pieces = np.array([odd_potential(family, r) * val, family.kappa / r * val, d1])
-    scale = np.abs(pieces).sum(axis=0)
-    good = scale > 1e-12 * scale.max()
-    return float(np.max(np.abs(pieces.sum(axis=0)[good]) / scale[good]))
+    return relative_residual([odd_potential(family, r) * val, family.kappa / r * val,
+                              d1]).max_residual
 
 
 def spinor_norm(family: DiracFamily) -> oracle.QuadResult:

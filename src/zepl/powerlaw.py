@@ -30,7 +30,7 @@ from numbers import Rational
 
 import numpy as np
 
-from . import oracle
+from . import oracle, specfn
 from .closedform import (ClosedFormSolution, ResidualReport, count_sign_changes,
                          positive_radii, relative_residual, zero_energy_solution)
 
@@ -420,9 +420,9 @@ def degenerate_pairs(mu, omega, l_max: int) -> set[tuple[int, int]]:
 
 
 def interior_node_count(family: PowerLawFamily) -> int:
-    """Zeros of the wavefunction on (0, inf), counted by sign changes on a
-    fine default grid, which holds every zero of the Laguerre factor; the
-    count is scale-free, so it is made on ``unit_peak``."""
+    """Zeros of the wavefunction on (0, inf).  Its envelope is positive, so
+    they are the zeros of the Laguerre factor L(w), counted by sign changes
+    on the w values of a fine default grid, which holds every one of them."""
     sol = _unit_solution(family)
-    r = sol.grid(num=4000)
-    return count_sign_changes(sol.unit_peak(r).value(r))
+    w = sol.rate * sol.grid(num=4000) ** sol.shape
+    return count_sign_changes(specfn.laguerre(sol.degree, sol.order, w))

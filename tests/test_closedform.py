@@ -137,7 +137,9 @@ def test_relative_residual_is_called_only_by_the_closed_form_and_pct_check():
                         and getattr(node.func, "id", getattr(node.func, "attr", None))
                         == "relative_residual"):
                     callers.add((path.name, fn.name))
-    assert callers == {("closedform.py", "residual"), ("powerlaw.py", "pct_identity_check")}
+    assert callers == {("closedform.py", "residual"), ("powerlaw.py", "pct_identity_check"),
+                       ("dirac.py", "reduced_form_agreement"),
+                       ("dirac.py", "lower_component_relative")}
 
 
 def test_log_norm_diverges_exactly_when_s_is_at_most_minus_one():

@@ -113,7 +113,9 @@ def test_residual_detector_fires():
 
 
 def test_operator_and_reduced_potential_agree():
-    for beta, l in [(0.5, 0), (3.0, 1), (-0.5, 1)]:
+    # at beta = 47.2852 the bracket's pieces are near 2450 and it is 0.197:
+    # scaled by |bracket| + |2V| instead of its pieces, rounding read 3.1e-12
+    for beta, l in [(0.5, 0), (3.0, 1), (-0.5, 1), (47.2852, 1)]:
         fam = dirac.DiracFamily(beta=beta, lam=1.1, l=l)
         assert dirac.reduced_form_agreement(fam) < 1e-12
 

@@ -48,6 +48,22 @@ def test_quad_shifted_scale():
     assert q.value == pytest.approx(math.sqrt(math.pi) * math.exp(15.0 + 0.25), rel=1e-8)
 
 
+@pytest.mark.filterwarnings("error")
+def test_quad_all_zero_integrand_is_unconverged():
+    # no sample is nonzero: whatever mass there is lies beyond the floats
+    q = oracle.quad_seminfinite(lambda r: np.zeros_like(r), 1e-10)
+    assert not q.converged and q.value == 0.0
+    assert "beyond the floats" in q.note
+
+
+@pytest.mark.filterwarnings("error")
+def test_quad_error_estimate_is_scale_free():
+    f = lambda r: r**3 * np.exp(-1.7 * r)
+    q, tiny = (oracle.quad_seminfinite(lambda r, s=s: s * f(r), 1e-10) for s in (1.0, 1e-20))
+    assert q.converged and tiny.converged and q.panels == tiny.panels
+    assert tiny.error / q.error == pytest.approx(1e-20, rel=1e-6)
+
+
 # --- radial integration ---------------------------------------------------------
 
 def test_free_particle_log_derivative():

@@ -131,10 +131,12 @@ def test_interior_node_count(mu, l, lam, n):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("mu,lam,l,n", [(50, 1.0, 2, 3), (1.5, 1.0, 60, 3)])
+@pytest.mark.parametrize("mu,lam,l,n", [(50, 1.0, 2, 3), (1.5, 1.0, 60, 3),
+                                        (-10, 1e-3, 0, 40), (-10, 1.0, 0, 40),
+                                        (-10, 30.0, 0, 40)])
 def test_node_count_where_the_factors_leave_the_floats(mu, lam, l, n):
-    # r^power overflows on the count grid, but the count is made in logs at
-    # the scale where psi's envelope peaks at 1
+    # r^power overflows on the count grid, or psi's outer lobes lie e^30
+    # below its peak (mu = -10); the count is made on L(w) alone
     assert pl.interior_node_count(pl.PowerLawFamily(mu=mu, lam=lam, l=l, n=n)) == n
 
 
@@ -473,6 +475,34 @@ def test_norm_where_a_factor_leaves_the_floats_in_the_quadrature_window(mu, lam,
     # w = lam^2 r^(1/(mu+1/2)) overflows and the Laguerre kernel raised
     assert pl.norm(pl.PowerLawFamily(mu=mu, lam=lam, l=l, n=n)).value == pytest.approx(
         1.0, abs=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu,lam,l,n", [
+    (Fraction(-121, 40), 1.980712, 3, 16), (50, 1.0, 2, 3), (-0.4999, 1.0, 1, 2),
+    (-0.5001, 1.0, 1, 2)])
+def test_norm_quadrature_converges_where_it_once_reported_a_miss(mu, lam, l, n):
+    # these read 1 + 1.1e-8 (error claimed 9.1e-11), 0.0, 1.0010 and 1.0002,
+    # each with converged=True
+    res = pl.norm(pl.PowerLawFamily(mu=mu, lam=lam, l=l, n=n))
+    assert res.quad.converged and res.value == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+def test_norm_at_mu_50_is_right_or_unconverged():
+    # psi's mass sits hundreds of e-folds out in log r; 36 of these 63
+    # normalizable families read off by more than 1e-9 with converged=True
+    checked = 0
+    for mu in (50, -50):
+        for l in (0, 2, 20, 60):
+            for n in (0, 5, 40):
+                for lam in (1e-3, 1.0, 30.0):
+                    res = pl.norm(pl.PowerLawFamily(mu=mu, lam=lam, l=l, n=n))
+                    if res.finite:
+                        checked += 1
+                        assert not res.quad.converged or abs(res.value - 1.0) <= 1e-9, (
+                            mu, lam, l, n)
+    assert checked == 63
 
 
 @pytest.mark.parametrize("mu,l,n", [(-20, 5, 3), (10, 4, 3)])
