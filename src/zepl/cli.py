@@ -36,16 +36,19 @@ class ValidationError(Exception):
 
 def parse_rational(text: str):
     """'3/2' parses exactly (Fraction); plain integers stay exact; anything
-    else falls back to float."""
+    else falls back to float, which must be finite."""
     text = text.strip()
     try:
         if "/" in text:
             return Fraction(text)
         if text.lstrip("+-").isdigit():
             return Fraction(int(text))
-        return float(text)
+        value = float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse number {text!r}") from exc
+    if not math.isfinite(value):
+        raise ValidationError(f"{text!r} is not a finite number")
+    return value
 
 
 def _finite_or_null(obj):
@@ -105,12 +108,7 @@ def _cmd_verify(args) -> int:
     if not scale > 0:
         raise ValidationError("--tolerance-scale must be positive")
     names = args.suite or verify.suite_names()
-    checks = []
-    for name in names:
-        try:
-            checks.extend(verify.run_suite(name))
-        except KeyError as exc:
-            raise ValidationError(str(exc)) from exc
+    checks = [c for name in names for c in verify.run_suite(name)]
     # flags and the runtime limit keep their own tolerance and verdict
     rows = [{"name": c.name, "value": c.value,
              "tolerance": c.tolerance * scale if c.scales else c.tolerance,
@@ -125,10 +123,7 @@ def _cmd_verify(args) -> int:
 
 
 def _family_from(args) -> powerlaw.PowerLawFamily:
-    try:
-        return powerlaw.PowerLawFamily(mu=args.mu, lam=args.lam, l=args.l, n=args.n)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return powerlaw.PowerLawFamily(mu=args.mu, lam=args.lam, l=args.l, n=args.n)
 
 
 def _cmd_classify(args) -> int:
@@ -150,10 +145,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_degeneracy(args) -> int:
-    try:
-        pairs = sorted(powerlaw.degenerate_pairs(args.mu, args.omega, args.l_max))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    pairs = sorted(powerlaw.degenerate_pairs(args.mu, args.omega, args.l_max))
     result = {"pairs": [list(p) for p in pairs]}
     rows = [{"l": l, "n": n} for l, n in pairs]
     _emit(_envelope("degeneracy", vars_of(args, "mu", "omega", "l_max"), result),
@@ -188,26 +180,22 @@ def _check_tolerance(args) -> None:
 
 def _cmd_dirac(args) -> int:
     _check_tolerance(args)
-    try:  # the spinor and its checks validate their own domain
-        fam = dirac.DiracFamily(beta=args.beta, lam=args.lam, l=args.l,
-                                alpha_fs=args.alpha_fs)
-        sol = dirac.upper_spinor(fam)
-        theta = dirac.lower_component_relative(fam)
-        res = dirac.residual_33(fam).max_residual
-        agree = dirac.reduced_form_agreement(fam)
-        result = {
-            "nu": fam.nu, "kappa": fam.kappa, "coupling": fam.coupling,
-            "n": dirac.correspondence(fam.beta, fam.l, fam.lam).n,
-            "c_l": sol.c_l, "normalized": sol.normalized, "notes": list(sol.notes),
-            "theta_max_rel": theta, "residual_33_max": res,
-            "reduced_form_agreement": agree,
-        }
-        if sol.normalized:
-            result["norm_quadrature"] = dirac.spinor_norm(fam).value
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    fam = dirac.DiracFamily(beta=args.beta, lam=args.lam, l=args.l, alpha_fs=args.alpha_fs)
+    sol = dirac.upper_spinor(fam)
+    theta = dirac.lower_component_relative(fam)
+    res = dirac.residual_33(fam).max_residual
+    agree = dirac.reduced_form_agreement(fam)
+    result = {
+        "nu": fam.nu, "kappa": fam.kappa, "coupling": fam.coupling,
+        "n": dirac.correspondence(fam.beta, fam.l, fam.lam).n,
+        "c_l": sol.c_l, "normalized": sol.normalized, "notes": list(sol.notes),
+        "theta_max_rel": theta, "residual_33_max": res,
+        "reduced_form_agreement": agree,
+    }
+    if sol.normalized:
+        result["norm_quadrature"] = dirac.spinor_norm(fam).value
     row = {k: (json.dumps(v) if isinstance(v, list) else v) for k, v in result.items()}
-    passed = theta < 1e-12 and res < args.tolerance and agree < 1e-12
+    passed = theta < verify.THETA_TOL and res < args.tolerance and agree < verify.REDUCED_FORM_TOL
     _emit(_envelope("dirac", vars_of(args, "beta", "lam", "l", "alpha_fs"),
                     result, passed=passed), [row], args)
     return EXIT_OK if passed else EXIT_VERIFICATION
@@ -237,21 +225,15 @@ def _cmd_oracle(args) -> int:
     if coupling_mode == (args.N is not None):
         raise ValidationError("give either --mu (coupling mode) or --N (energy mode)")
     _check_tolerance(args)
-    try:
-        if coupling_mode:
-            res = oracle.shoot_coupling(args.mu, args.lam, args.l, count=args.count)
-        else:
-            res = oracle.shoot_energy_bender(args.N, count=args.count)
-    except ValueError as exc:  # the oracle validates its own domain
-        raise ValidationError(str(exc)) from exc
     if coupling_mode:
-        mu_f = float(args.mu)
-        unit = (args.lam / (2.0 * mu_f + 1.0)) ** 2
-        omega0 = 1.0 + (2 * args.l + 1) * abs(mu_f + 0.5)
-        predicted = [unit * (2 * n + omega0) for n in range(args.count)]
+        res = oracle.shoot_coupling(args.mu, args.lam, args.l, count=args.count)
+        predicted = [powerlaw.map_parameters(powerlaw.PowerLawFamily(
+            mu=args.mu, lam=args.lam, l=args.l, n=n)).terms.attractive_coeff
+            for n in range(args.count)]
         params = vars_of(args, "mu", "lam", "l", "count")
     else:
-        predicted = [(2 * n + 1) * abs(args.N + 2) + 1.0 for n in range(args.count)]
+        res = oracle.shoot_energy_bender(args.N, count=args.count)
+        predicted = [halfline.spectrum(args.N, n) for n in range(args.count)]
         params = vars_of(args, "N", "count")
     rows = [{"index": i, "recovered": got, "predicted": pred,
              "rel_err": abs(got - pred) / abs(pred), "node_count": nodes}
@@ -280,13 +262,11 @@ def _subcritical_scale(fam: powerlaw.PowerLawFamily) -> float:
     cond = powerlaw.bound_condition(fam)
     if cond.rhs is None:
         raise ValidationError("no well-existence condition in this regime")
-    b = fam.beta
-    omega = 2 * fam.n + 1 + (2 * fam.l + 1) / b
-    omega_crit = 2 * cond.rhs + 1 + (2 * fam.l + 1) / b
+    omega_crit = 2 * cond.rhs + 1 + (2 * fam.l + 1) / fam.beta
     if omega_crit <= 0:
         raise ValidationError(
             f"condition cannot be violated for l = {fam.l}: critical coupling is negative")
-    return 0.9 * omega_crit / omega
+    return 0.9 * omega_crit / fam.omega
 
 
 def _cmd_figures(args) -> int:
@@ -408,14 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
     sp.add_argument("--l", type=int, default=0)
     sp.add_argument("--alpha-fs", type=float, default=dirac.FINE_STRUCTURE_DEFAULT)
-    sp.add_argument("--tolerance", type=float, default=1e-8)
+    sp.add_argument("--tolerance", type=float, default=verify.RESIDUAL_TOL)
     _add_common(sp)
     sp.set_defaults(run=_cmd_dirac)
 
     sp = sub.add_parser("bender", help="half-line monomial spectrum E_n = (2n+1)|N+2|+1")
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--n-max", type=int, default=3)
-    sp.add_argument("--tolerance", type=float, default=1e-8)
+    sp.add_argument("--tolerance", type=float, default=verify.RESIDUAL_TOL)
     _add_common(sp)
     sp.set_defaults(run=_cmd_bender)
 
@@ -425,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
     sp.add_argument("--l", type=int, default=0)
     sp.add_argument("--count", type=int, default=3)
-    sp.add_argument("--tolerance", type=float, default=1e-6)
+    sp.add_argument("--tolerance", type=float, default=verify.ORACLE_TOL)
     _add_common(sp)
     sp.set_defaults(run=_cmd_oracle)
 
@@ -463,17 +443,17 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _merge_negative_values(list(argv))
+    """Run one command.  Bad input, whether refused by the parser's types,
+    by this module or by the library's own domain checks (ValueError, or
+    OverflowError where a value leaves the floats), is one error line and
+    exit 2."""
+    argv = _merge_negative_values(list(sys.argv[1:] if argv is None else argv))
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
-    try:
-        return args.run(args)
-    except ValidationError as exc:
+    except (ValidationError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -149,20 +149,25 @@ class ClosedFormSolution:
         """This solution rescaled so its envelope peaks at 1 on the radii r."""
         return self.scaled(-float(self._log_envelope(r)[2].max()))
 
-    def grid(self, num: int = 240) -> np.ndarray:
+    def w_grid(self, num: int) -> np.ndarray:
         """Geometric grid in w = rate r^shape; psi = w^c e^(-w/2) L_n^a(w) up to
         scale, c = power/shape.  w runs from 1e-2 to 30(n+1), widened past L's
         zeros (below m + h, m = 2n + a + 1, h = 2 sqrt(n(n + a + 1))) and past
         the peak 2(c+n) of w^(c+n) e^(-w/2) by sqrt(80) of its widths
         2 sqrt(c+n), and raised to min((m - h)/4, 2c e^(-1 - 40/c)), where
-        w^c e^(-w/2) is e^-40 below its peak.  ValueError where r leaves the floats."""
+        w^c e^(-w/2) is e^-40 below its peak."""
         n, a, c = self.degree, self.order, max(self.power / self.shape, 0.0)
         m, h = 2.0 * n + a + 1.0, 2.0 * math.sqrt(n * (n + a + 1.0))
         w_lo = max(1e-2, min(0.25 * (m - h), 2.0 * c * math.exp(-1.0 - 40.0 / c) if c else 0.0))
         w_hi = max(30.0 * (n + 1), m + h + 20.0, 2.0 * (c + n) + math.sqrt(320.0 * (c + n)))
-        if max(abs(math.log(w / self.rate)) for w in (w_lo, w_hi)) >= 709.0 * abs(self.shape):
+        return np.geomspace(w_lo, w_hi, num)
+
+    def grid(self) -> np.ndarray:
+        """Radii of w_grid(240), ascending; ValueError where they leave the floats."""
+        w = self.w_grid(240)
+        if max(abs(math.log(v / self.rate)) for v in (w[0], w[-1])) >= 709.0 * abs(self.shape):
             raise ValueError("the grid's radii lie outside the floats")
-        return np.sort((np.geomspace(w_lo, w_hi, num) / self.rate) ** (1.0 / self.shape))
+        return np.sort((w / self.rate) ** (1.0 / self.shape))
 
     def residual(self, r, q_terms) -> "ResidualReport":
         """Relative residual of psi'' = sum(q_terms) psi at the radii r, kept

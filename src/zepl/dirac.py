@@ -176,43 +176,43 @@ def operator_bracket(family: DiracFamily, r):
     return sum(_bracket_pieces(family, r))
 
 
-def residual_33(family: DiracFamily, grid=None) -> ResidualReport:
+def residual_33(family: DiracFamily) -> ResidualReport:
     """Relative residual of the reduced second-order equation applied to the
-    upper spinor."""
+    upper spinor, on its grid."""
     phi = upper_spinor(family).phi
-    r = phi.grid() if grid is None else positive_radii(grid)
+    r = phi.grid()
     k = family.kappa
     return phi.residual(r, [k * (k + 1.0) / r**2, operator_bracket(family, r)])
 
 
-def reduced_form_agreement(family: DiracFamily, grid=None) -> float:
+def reduced_form_agreement(family: DiracFamily) -> float:
     """Max relative discrepancy between the operator bracket and twice the
-    power-law family's potential at mu = nu, n = 0: the paper's map.  The
-    bracket is a cancelling sum, so the scale is the sum of its pieces."""
-    r = (zero_energy_solution(family.beta, family.lam, family.l, 0).grid()
-         if grid is None else positive_radii(grid))
+    power-law family's potential at mu = nu, n = 0 (the paper's map) on phi's
+    grid.  The bracket is a cancelling sum, so the scale is its pieces' sum."""
+    r = zero_energy_solution(family.beta, family.lam, family.l, 0).grid()
     terms = _bracket_pieces(family, r) + [-2.0 * reduced_potential(family, r)]
     return relative_residual(terms).max_residual
+
+
+def _lower_pieces(family: DiracFamily, phi: ClosedFormSolution, r):
+    """[W phi, kappa phi / r, phi'], the pieces of (W + kappa/r + d/dr) phi."""
+    r = positive_radii(r)
+    val, d1, _ = phi._derivs(r)
+    return [odd_potential(family, r) * val, family.kappa / r * val, d1]
 
 
 def lower_component(family: DiracFamily, solution: SpinorSolution, r):
     """theta(r) = (alpha/2)(W + kappa/r + d/dr) phi(r); identically zero for
     the exact upper component."""
-    r = positive_radii(r)
-    val, d1, _ = solution.phi._derivs(r)
-    w = odd_potential(family, r)
-    out = 0.5 * family.alpha_fs * (w * val + family.kappa / r * val + d1)
+    out = 0.5 * family.alpha_fs * sum(_lower_pieces(family, solution.phi, r))
     return out if np.ndim(out) else float(out)
 
 
-def lower_component_relative(family: DiracFamily, grid=None) -> float:
-    """sup |theta| normalized by the size of the individual operator pieces,
-    so 'vanishes' is meaningful across scales."""
+def lower_component_relative(family: DiracFamily) -> float:
+    """sup |theta| on the upper spinor's grid, normalized by the size of the
+    individual operator pieces, so 'vanishes' is meaningful across scales."""
     phi = upper_spinor(family).phi
-    r = phi.grid() if grid is None else positive_radii(grid)
-    val, d1, _ = phi._derivs(r)
-    return relative_residual([odd_potential(family, r) * val, family.kappa / r * val,
-                              d1]).max_residual
+    return relative_residual(_lower_pieces(family, phi, phi.grid())).max_residual
 
 
 def spinor_norm(family: DiracFamily) -> oracle.QuadResult:

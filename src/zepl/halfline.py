@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import ClosedFormSolution, ResidualReport, positive_radii, zero_energy_solution
+from .closedform import ClosedFormSolution, ResidualReport, zero_energy_solution
 
 __all__ = ["HalfLineProblem", "spectrum", "eigenfunction", "residual_41"]
 
@@ -79,8 +79,8 @@ def eigenfunction(N: int, n: int) -> ClosedFormSolution:
         0.0, notes=("unnormalized: psi tends to a constant at infinity",))
 
 
-def residual_41(N: int, n: int, grid=None) -> ResidualReport:
-    """Relative residual of [-d2/dx2 + x^(2N+2) - E_n x^N] psi = 0."""
+def residual_41(N: int, n: int) -> ResidualReport:
+    """Relative residual of [-d2/dx2 + x^(2N+2) - E_n x^N] psi = 0 on psi's grid."""
     sol = eigenfunction(N, n)
-    x = sol.grid() if grid is None else positive_radii(grid)
+    x = sol.grid()
     return sol.residual(x, [x ** (2 * N + 2), -spectrum(N, n) * x ** float(N)])

@@ -194,8 +194,7 @@ def _wkb_slope(r2q, sign: float):
     return slope
 
 
-def integrate_radial(ode: RadialODE, coupling: float, direction: str = "outward",
-                     rtol: float = 1e-10) -> Trajectory:
+def integrate_radial(ode: RadialODE, coupling: float, direction: str = "outward") -> Trajectory:
     """One LSODA sweep toward the matching radius in the Euler-scaled Pruefer
     variables u = rho sin(theta), r u' = rho cos(theta) with t = log r:
 
@@ -220,10 +219,11 @@ def integrate_radial(ode: RadialODE, coupling: float, direction: str = "outward"
         s, c = math.sin(y[0]), math.cos(y[0])
         return (c * c - s * c - r2q * s * s, c * c + (1.0 + r2q) * s * c)
 
-    # log rho only scales u and du; its loose absolute tolerance keeps it out
-    # of the step-size control
+    # the angle's global error grows with each oscillation; rtol 1e-12 keeps
+    # the sixth level within about 1e-10 of its value.  log rho only scales u
+    # and du; its loose absolute tolerance keeps it out of the step-size control
     sol = solve_ivp(rhs, (t_from, t_match), [theta0, 0.0],
-                    method="LSODA", rtol=rtol, atol=(1e-12, 1e-6))
+                    method="LSODA", rtol=1e-12, atol=(1e-12, 1e-6))
     if not sol.success:
         raise RuntimeError(f"radial integration failed on log r in "
                            f"[{t_from:g}, {t_match:g}]: {sol.message}")
@@ -242,7 +242,6 @@ def integrate_radial(ode: RadialODE, coupling: float, direction: str = "outward"
 class ShootingResult:
     values: list[float]
     node_counts: list[int]
-    mismatches: list[float]
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -304,12 +303,12 @@ def build_powerlaw_ode(mu: float, lam: float, l: int) -> RadialODE:
     return _two_term_ode(k, (lam * k / 2.0) ** 2 * lam**2, 2.0, l)
 
 
-def coupling_mismatch(ode: RadialODE, coupling: float, rtol: float = 1e-10):
+def coupling_mismatch(ode: RadialODE, coupling: float):
     """Scaled Wronskian of the two one-sided solutions at the matching radius,
     sin(theta_in - theta_out): zero exactly at a quantized parameter value,
     continuous in between."""
-    out = integrate_radial(ode, coupling, "outward", rtol=rtol)
-    inn = integrate_radial(ode, coupling, "inward", rtol=rtol)
+    out = integrate_radial(ode, coupling, "outward")
+    inn = integrate_radial(ode, coupling, "inward")
     return math.sin(inn.end_theta - out.end_theta), out, inn
 
 
@@ -320,21 +319,19 @@ def _shoot(ode: RadialODE, unit: float, count: int) -> ShootingResult:
     phase passes k only at the k-th level, whatever the matching radius, and
     it rises with c (Sturm).  Each level is bracketed by doubling out from
     ``unit`` or from the couplings already swept, then solved by brentq."""
-    sweeps: dict[float, tuple[float, float, int]] = {}  # c -> (phase, |mismatch|, nodes)
+    sweeps: dict[float, tuple[float, int]] = {}  # c -> (phase, nodes)
     rhs_evals = 0
 
     def phase(c):
         nonlocal rhs_evals
         if c not in sweeps:
-            # the angle's global error grows with each oscillation; 1e-12
-            # keeps the sixth level within about 1e-10 of its value
-            mismatch, out, inn = coupling_mismatch(ode, c, rtol=1e-12)
+            _, out, inn = coupling_mismatch(ode, c)
             rhs_evals += out.nfev + inn.nfev
             nodes = math.floor(out.end_theta / math.pi) - math.floor(inn.end_theta / math.pi)
-            sweeps[c] = ((out.end_theta - inn.end_theta) / math.pi, abs(mismatch), nodes)
+            sweeps[c] = ((out.end_theta - inn.end_theta) / math.pi, nodes)
         return sweeps[c][0]
 
-    values, nodes, mism = [], [], []
+    values, nodes = [], []
     for k in range(count):
         lo = max((c for c, s in sweeps.items() if s[0] < k), default=None)
         hi = min((c for c, s in sweeps.items() if s[0] >= k), default=None)
@@ -347,11 +344,10 @@ def _shoot(ode: RadialODE, unit: float, count: int) -> ShootingResult:
         root = brentq(lambda c: phase(c) - k, lo, hi, xtol=1e-12 * unit, rtol=1e-10)
         phase(root)
         values.append(float(root))
-        mism.append(sweeps[root][1])
-        nodes.append(sweeps[root][2])
+        nodes.append(sweeps[root][1])
     diagnostics = {"mismatch_evals": len(sweeps), "ode_sweeps": 2 * len(sweeps),
                    "rhs_evals": rhs_evals}
-    return ShootingResult(values, nodes, mism, diagnostics)
+    return ShootingResult(values, nodes, diagnostics)
 
 
 def shoot_coupling(mu, lam: float, l: int, count: int = 3) -> ShootingResult:

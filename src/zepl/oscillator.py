@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .closedform import ClosedFormSolution, ResidualReport, positive_radii, zero_energy_solution
+from .closedform import ClosedFormSolution, ResidualReport, zero_energy_solution
 
 __all__ = ["OscillatorState", "phi", "phi_eval", "residual_a5", "ladder_check",
            "eigenvalue_term", "LadderReport"]
@@ -79,13 +79,11 @@ def phi_eval(state: OscillatorState, x):
     return phi(state)._derivs(x)
 
 
-def residual_a5(state: OscillatorState, grid=None) -> ResidualReport:
-    """Relative residual of the oscillator wave equation on a grid."""
+def residual_a5(state: OscillatorState) -> ResidualReport:
+    """Relative residual of the oscillator wave equation on Phi's grid."""
     sol = phi(state)
-    x = sol.grid() if grid is None else positive_radii(grid)
-    g, lam_sq = state.gamma, state.lam**2
-    return sol.residual(x, [(4.0 * g * (g + 1.0) + 0.75) / x**2, lam_sq**2 * x**2,
-                            -4.0 * lam_sq * (g + state.n + 1.0)])
+    x = sol.grid()
+    return sol.residual(x, [-state.eta / x**2, state.lam**4 * x**2, -eigenvalue_term(state)])
 
 
 def _apply_l3(state: OscillatorState, x):
@@ -111,14 +109,14 @@ class LadderReport:
     lminus_annihilation: float
 
 
-def ladder_check(gamma: float, n: int, grid=None) -> LadderReport:
+def ladder_check(gamma: float, n: int) -> LadderReport:
     """Apply the differential realization of the generators to Phi_n^gamma in
     the frame lam^2 = 1/4 and compare against the representation
-    coefficients.  All comparisons hold up to the sign sigma of the median
-    L3 ratio, which is measured here for this state."""
+    coefficients on Phi's grid.  All comparisons hold up to the sign sigma of
+    the median L3 ratio, which is measured here for this state."""
     lam = math.sqrt(_LADDER_LAMBDA_SQ)
     state = OscillatorState(gamma=gamma, n=n, lam=lam)
-    x = phi(state).grid() if grid is None else np.asarray(grid, dtype=float)
+    x = phi(state).grid()
 
     l3_val, val = _apply_l3(state, x)
     mask = np.abs(val) > 1e-9 * np.abs(val).max()

@@ -143,13 +143,12 @@ def exponent_pair(mu) -> tuple[float, float]:
 def map_parameters(family: PowerLawFamily) -> MappedParameters:
     """Physical parameters produced by the coordinate map r = x^(2 mu + 1):
     zero energy, the representation label gamma, and the potential terms."""
-    mu, lam, l, n = family.mu_f, family.lam, family.l, family.n
+    mu, lam = family.mu_f, family.lam
     p1, p2 = exponent_pair(mu)
     unit = (lam / (2.0 * mu + 1.0)) ** 2
-    omega = 2 * n + 1 + (2 * l + 1) * abs(mu + 0.5)
     terms = PotentialTerms(repulsive_coeff=unit * lam**2 / 2.0,
                            repulsive_exponent=p1,
-                           attractive_coeff=unit * omega,
+                           attractive_coeff=unit * family.omega,
                            attractive_exponent=p2)
     return MappedParameters(energy=0.0, gamma=family.gamma, terms=terms)
 
@@ -220,16 +219,16 @@ def norm(family: PowerLawFamily) -> NormResult:
 # Residual checks
 # ---------------------------------------------------------------------------
 
-def schrodinger_residual(family: PowerLawFamily, grid=None) -> ResidualReport:
-    """Relative residual of psi'' = [l(l+1)/r^2 + 2V] psi on a grid; scale-free,
-    so the unit-amplitude solution is checked."""
+def schrodinger_residual(family: PowerLawFamily) -> ResidualReport:
+    """Relative residual of psi'' = [l(l+1)/r^2 + 2V] psi on the solution's
+    grid; scale-free, so the unit-amplitude solution is checked."""
     sol = _unit_solution(family)
-    r = sol.grid() if grid is None else positive_radii(grid)
+    r = sol.grid()
     l = family.l
     return sol.residual(r, [l * (l + 1) / r**2, 2.0 * potential_eval(family, r)])
 
 
-def pct_identity_check(family: PowerLawFamily, grid=None) -> ResidualReport:
+def pct_identity_check(family: PowerLawFamily) -> ResidualReport:
     """Check that the coordinate map r = x^(2 mu + 1) applied to the
     oscillator equation reproduces -l(l+1)/r^2 - 2V(r).
 
@@ -242,10 +241,7 @@ def pct_identity_check(family: PowerLawFamily, grid=None) -> ResidualReport:
     lam, l, n = family.lam, family.l, family.n
     M = 2.0 * family.mu_f + 1.0
     g = family.gamma
-    if grid is None:  # the grid of the oscillator state the map starts from
-        x = zero_energy_solution(2.0, lam, 2.0 * g + 0.5, n).grid()
-    else:
-        x = positive_radii(grid)
+    x = zero_energy_solution(2.0, lam, 2.0 * g + 0.5, n).grid()  # the oscillator state's grid
     dg = M * x ** (M - 1.0)
     d2g_over = (M - 1.0) / x          # g''/g'
     d3g_over = (M - 1.0) * (M - 2.0) / x**2  # g'''/g'
@@ -287,7 +283,7 @@ def bound_condition(family: PowerLawFamily, coupling_scale: float = 1.0) -> Boun
     sign = -1.0 if mu > 0.5 else +1.0  # (1 -+ beta), (2 -+ beta)
     one, two = 1.0 + sign * b, 2.0 + sign * b
     rhs = (2.0 * math.sqrt(l * (l + 1) * one) / (b * two) - (l + 0.5) / b - 0.5)
-    omega_eff = coupling_scale * (2 * family.n + 1 + (2 * l + 1) / b)
+    omega_eff = coupling_scale * family.omega
     n_eff = 0.5 * (omega_eff - 1.0 - (2 * l + 1) / b)
     return BoundCondition(rhs=rhs, satisfied=bool(n_eff > rhs), applicable=l > 0)
 
@@ -422,7 +418,6 @@ def degenerate_pairs(mu, omega, l_max: int) -> set[tuple[int, int]]:
 def interior_node_count(family: PowerLawFamily) -> int:
     """Zeros of the wavefunction on (0, inf).  Its envelope is positive, so
     they are the zeros of the Laguerre factor L(w), counted by sign changes
-    on the w values of a fine default grid, which holds every one of them."""
+    on w_grid(4000), which holds every one of them; no radius is formed."""
     sol = _unit_solution(family)
-    w = sol.rate * sol.grid(num=4000) ** sol.shape
-    return count_sign_changes(specfn.laguerre(sol.degree, sol.order, w))
+    return count_sign_changes(specfn.laguerre(sol.degree, sol.order, sol.w_grid(4000)))

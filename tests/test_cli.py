@@ -183,18 +183,29 @@ def test_oracle_csv_header(capsys):
     ["dirac", "--beta", "1e6"],
     ["dirac", "--beta", "1e17"],
     ["dirac", "--beta", "0.01", "--lambda", "1000"],
+    ["classify", "--mu", "abc"],
+    ["classify", "--mu", "1/0"],
+    ["classify", "--mu", "3/2", "--coupling-scale", "-1"],
+    ["oracle", "--mu", "3/2", "--lambda", "1e300", "--count", "1"],
+    ["degeneracy", "--mu", "3/2", "--omega", "1e400"],
 ], ids=["oracle-count-7", "oracle-energy-count-5", "oracle-negative-l",
         "bender-negative-n-max", "potential-zero-points", "figures-zero-points",
         "oracle-negative-tolerance", "bender-zero-tolerance", "dirac-negative-tolerance",
         "oracle-exponent-tolerance", "dirac-exponent-tolerance",
         "bender-exponent-tolerance", "verify-exponent-tolerance-scale",
         "verify-all-with-suite", "dirac-beta-1e-3", "dirac-beta-1e6", "dirac-beta-1e17",
-        "dirac-lambda-1000"])
+        "dirac-lambda-1000", "classify-mu-not-a-number", "classify-mu-1-over-0",
+        "classify-negative-coupling-scale", "oracle-lambda-1e300", "degeneracy-omega-1e400"])
 def test_bad_input_is_a_one_line_validation_error(capsys, argv):
     code = cli.main(argv)
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_an_infinite_number_is_refused_by_name(capsys):
+    assert cli.main(["degeneracy", "--mu", "3/2", "--omega", "1e400"]) == 2
+    assert "not a finite number" in capsys.readouterr().err
 
 
 def test_json_writes_non_finite_numbers_as_null(capsys, schema):

@@ -140,6 +140,18 @@ def test_node_count_where_the_factors_leave_the_floats(mu, lam, l, n):
     assert pl.interior_node_count(pl.PowerLawFamily(mu=mu, lam=lam, l=l, n=n)) == n
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu", (-50, 50))
+def test_node_count_at_mu_50_needs_no_radius(mu):
+    # 24 of these 72 families have grid radii outside the floats; the count
+    # runs on w_grid alone
+    for l in (0, 2, 20, 60):
+        for n in (0, 5, 40):
+            for lam in (1e-3, 1.0, 30.0):
+                fam = pl.PowerLawFamily(mu=mu, lam=lam, l=l, n=n)
+                assert pl.interior_node_count(fam) == n, fam
+
+
 # --- residual identities ----------------------------------------------------
 
 @pytest.mark.parametrize("mu,l,n,lam", FAMILY_GRID)
