@@ -34,21 +34,27 @@ class ValidationError(Exception):
     pass
 
 
-def parse_rational(text: str):
-    """'3/2' parses exactly (Fraction); plain integers stay exact; anything
-    else falls back to float, which must be finite."""
-    text = text.strip()
+def finite_float(text: str) -> float:
+    """The type of every float option: inf and nan are refused."""
     try:
-        if "/" in text:
-            return Fraction(text)
-        if text.lstrip("+-").isdigit():
-            return Fraction(int(text))
         value = float(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ValidationError(f"cannot parse number {text!r}") from exc
     if not math.isfinite(value):
         raise ValidationError(f"{text!r} is not a finite number")
     return value
+
+
+def parse_rational(text: str):
+    """'3/2' parses exactly (Fraction); plain integers stay exact; anything
+    else is a finite_float."""
+    text = text.strip()
+    if "/" not in text and not text.lstrip("+-").isdigit():
+        return finite_float(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"cannot parse number {text!r}") from exc
 
 
 def _finite_or_null(obj):
@@ -192,8 +198,11 @@ def _cmd_dirac(args) -> int:
         "theta_max_rel": theta, "residual_33_max": res,
         "reduced_form_agreement": agree,
     }
-    if sol.normalized:
-        result["norm_quadrature"] = dirac.spinor_norm(fam).value
+    if sol.normalized:  # a quadrature miss is no norm: null, with its note
+        quad = dirac.spinor_norm(fam)
+        result["norm_quadrature"] = quad.value if quad.converged else None
+        if not quad.converged:
+            result["notes"].append(quad.note)
     row = {k: (json.dumps(v) if isinstance(v, list) else v) for k, v in result.items()}
     passed = theta < verify.THETA_TOL and res < args.tolerance and agree < verify.REDUCED_FORM_TOL
     _emit(_envelope("dirac", vars_of(args, "beta", "lam", "l", "alpha_fs"),
@@ -207,14 +216,10 @@ def _cmd_bender(args) -> int:
     if args.n_max < 0:
         raise ValidationError("--n-max must be at least 0")
     _check_tolerance(args)
-    rows = []
-    worst = 0.0
-    for n in range(args.n_max + 1):
-        energy = halfline.spectrum(args.N, n)
-        resid = halfline.residual_41(args.N, n).max_residual
-        worst = max(worst, resid)
-        rows.append({"n": n, "energy": energy, "residual_max": resid})
-    passed = worst < args.tolerance
+    rows = [{"n": n, "energy": halfline.spectrum(args.N, n),
+             "residual_max": halfline.residual_41(args.N, n).max_residual}
+            for n in range(args.n_max + 1)]
+    passed = max(r["residual_max"] for r in rows) < args.tolerance
     _emit(_envelope("bender", vars_of(args, "N", "n_max"), rows, passed=passed),
           rows, args)
     return EXIT_OK if passed else EXIT_VERIFICATION
@@ -350,17 +355,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", action="append", choices=verify.suite_names(),
                     help="run only this suite (repeatable); default: every suite")
     sp.add_argument("--all", action="store_true", help="run every suite (the default)")
-    sp.add_argument("--tolerance-scale", type=float, default=1.0,
+    sp.add_argument("--tolerance-scale", type=finite_float, default=1.0,
                     help="multiply every check tolerance by this factor")
     _add_common(sp)
     sp.set_defaults(run=_cmd_verify)
 
     sp = sub.add_parser("classify", help="boundedness/normalizability report")
     sp.add_argument("--mu", type=parse_rational, required=True)
-    sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    sp.add_argument("--lambda", dest="lam", type=finite_float, default=1.0)
     sp.add_argument("--l", type=int, default=0)
     sp.add_argument("--n", type=int, default=0)
-    sp.add_argument("--coupling-scale", type=float, default=1.0,
+    sp.add_argument("--coupling-scale", type=finite_float, default=1.0,
                     help="scale the attractive coefficient (sub-quantized shapes)")
     _add_common(sp)
     sp.set_defaults(run=_cmd_classify)
@@ -374,48 +379,48 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("potential", help="tabulate V and the effective potential")
     sp.add_argument("--mu", type=parse_rational, required=True)
-    sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    sp.add_argument("--lambda", dest="lam", type=finite_float, default=1.0)
     sp.add_argument("--l", type=int, default=0)
     sp.add_argument("--n", type=int, default=0)
-    sp.add_argument("--r-min", type=float, default=1e-2)
-    sp.add_argument("--r-max", type=float, default=1e2)
+    sp.add_argument("--r-min", type=finite_float, default=1e-2)
+    sp.add_argument("--r-max", type=finite_float, default=1e2)
     sp.add_argument("--points", type=int, default=200)
     _add_common(sp)
     sp.set_defaults(run=_cmd_potential)
 
     sp = sub.add_parser("dirac", help="rest-mass-energy spinor branch")
-    sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    sp.add_argument("--beta", type=finite_float, required=True)
+    sp.add_argument("--lambda", dest="lam", type=finite_float, default=1.0)
     sp.add_argument("--l", type=int, default=0)
-    sp.add_argument("--alpha-fs", type=float, default=dirac.FINE_STRUCTURE_DEFAULT)
-    sp.add_argument("--tolerance", type=float, default=verify.RESIDUAL_TOL)
+    sp.add_argument("--alpha-fs", type=finite_float, default=dirac.FINE_STRUCTURE_DEFAULT)
+    sp.add_argument("--tolerance", type=finite_float, default=verify.RESIDUAL_TOL)
     _add_common(sp)
     sp.set_defaults(run=_cmd_dirac)
 
     sp = sub.add_parser("bender", help="half-line monomial spectrum E_n = (2n+1)|N+2|+1")
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--n-max", type=int, default=3)
-    sp.add_argument("--tolerance", type=float, default=verify.RESIDUAL_TOL)
+    sp.add_argument("--tolerance", type=finite_float, default=verify.RESIDUAL_TOL)
     _add_common(sp)
     sp.set_defaults(run=_cmd_bender)
 
     sp = sub.add_parser("oracle", help="shooting recovery of couplings or energies")
     sp.add_argument("--mu", type=parse_rational, help="coupling mode")
     sp.add_argument("--N", type=int, help="energy mode")
-    sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    sp.add_argument("--lambda", dest="lam", type=finite_float, default=1.0)
     sp.add_argument("--l", type=int, default=0)
     sp.add_argument("--count", type=int, default=3)
-    sp.add_argument("--tolerance", type=float, default=verify.ORACLE_TOL)
+    sp.add_argument("--tolerance", type=finite_float, default=verify.ORACLE_TOL)
     _add_common(sp)
     sp.set_defaults(run=_cmd_oracle)
 
     sp = sub.add_parser("figures", help="curve data for the four summary figures")
     sp.add_argument("--which", type=int, required=True, choices=(1, 2, 3, 4))
     sp.add_argument("--mu", type=parse_rational)
-    sp.add_argument("--mu-negative", type=float, default=-0.25,
+    sp.add_argument("--mu-negative", type=finite_float, default=-0.25,
                     help="mu for figure 3 case (b), in (-1/2, 0)")
     sp.add_argument("--mu-range", default="-4:4:0.01", help="lo:hi:step for figure 1")
-    sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    sp.add_argument("--lambda", dest="lam", type=finite_float, default=1.0)
     sp.add_argument("--l", type=int, default=1)
     sp.add_argument("--n", type=int, default=0)
     sp.add_argument("--points", type=int, default=400)

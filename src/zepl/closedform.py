@@ -9,9 +9,11 @@ built by ``zero_energy_solution``: the power-law family at k = 1/(mu+1/2),
 the half line at k = N+2 and l = 0, the oscillator at k = 2 and
 l = 2 gamma + 1/2, and the Dirac upper spinor at k = beta and n = 0.  psi is
 formed in logs, as exp(log amplitude + power log r - w/2) times L(w), and
-its derivatives use the Laguerre derivative identity, so residual checks
-never touch finite differences.  The squared norm is a Laguerre-weight
-integral of a polynomial, which a Gauss rule computes exactly.
+its derivatives are stated once, in Euler form r^j d^j/dr^j, as functions of
+w through the Laguerre derivative identity.  Every equation a solution solves
+is, times r^2, a sum of powers c r^e, so the residual is checked in w and
+log r without finite differences or radii.  The squared norm is a
+Laguerre-weight integral of a polynomial, which a Gauss rule computes exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .specfn import laguerre, laguerre_deriv, laguerre_deriv2
+from .specfn import laguerre, laguerre_deriv
 
 __all__ = ["ClosedFormSolution", "ResidualReport", "zero_energy_solution", "positive_radii",
            "relative_residual", "count_sign_changes"]
@@ -54,50 +56,46 @@ class ClosedFormSolution:
         with np.errstate(over="ignore"):
             return float(np.exp(self.log_amplitude))
 
-    def _log_envelope(self, r):
-        """(r, w, log E) with E = amplitude r^power exp(-w/2), psi = E L(w)."""
+    def euler(self, w, derivs: bool):
+        """[L, r psi'/E, r^2 psi''/E] at w, psi = E L(w): functions of w alone.
+        With g = d log E/dr, r g = power - shape w/2 and
+        r^2 g' = -power - shape (shape-1) w/2; r L_r = shape w L' and
+        r^2 L_rr = shape^2 w^2 L'' + shape (shape-1) w L', L'' = L_(n-2)^(a+2)(w)."""
+        n, a, p, k = self.degree, self.order, self.power, self.shape
+        h = laguerre(n, a, w)
+        if not derivs:
+            return [h]
+        rg, d1 = p - 0.5 * k * w, k * w * laguerre_deriv(n, a, w)
+        d2 = (k - 1.0) * d1 + (k * k * w * w * laguerre(n - 2, a + 2.0, w) if n > 1 else 0.0)
+        return [h, rg * h + d1, (rg * rg - p - 0.5 * k * (k - 1.0) * w) * h + 2.0 * rg * d1 + d2]
+
+    def _terms(self, r, derivs: bool = True):
+        """[psi, psi', psi''] in one pass, or [psi] alone (floats at a scalar r):
+        euler(w) times E, E/r and E/r^2, E = amplitude r^power exp(-w/2).  A
+        point where E is 0 is exactly 0: L is evaluated at r = 1 in its place,
+        not at its own w, which may be infinite."""
         r = positive_radii(r)
         with np.errstate(over="ignore"):  # w = inf puts E at exactly 0
             w = self.rate * r ** self.shape
-        return r, w, self.log_amplitude + self.power * np.log(r) - 0.5 * w
-
-    def _terms(self, r, derivs: bool = True):
-        """[psi, psi', psi''] in one pass, or [psi] alone.  With
-        g = d log E/dr = power/r - w'/2, psi' = E (g L + L_r) and
-        psi'' = E ((g^2 + g') L + 2 g L_r + L_rr), L_r = dL(w)/dr.  A point
-        where E is 0 is exactly 0: L is evaluated at r = 1 in its place, not at
-        its own w, which may be infinite."""
-        r, w, log_env = self._log_envelope(r)
-        env = np.exp(log_env)
+        env = np.exp(self.log_amplitude + self.power * np.log(r) - 0.5 * w)
         if not env.all():
-            r, w = np.where(env > 0.0, r, 1.0), np.where(env > 0.0, w, self.rate)
-        n, a, p, m = self.degree, self.order, self.power, self.shape
-        h = laguerre(n, a, w)
-        if not derivs:
-            return [env * h]
-        dw = self.rate * m * r ** (m - 1.0)
-        g, hp = p / r - 0.5 * dw, laguerre_deriv(n, a, w)
-        dh = hp * dw
-        d2w = self.rate * m * (m - 1.0) * r ** (m - 2.0)
-        d2h = laguerre_deriv2(n, a, w) * dw**2 + hp * d2w
-        return [env * h, env * (g * h + dh),
-                env * ((g * g - p / r**2 - 0.5 * d2w) * h + 2.0 * g * dh + d2h)]
+            w = np.where(env > 0.0, w, self.rate)
+        scales = (env, env / r, env / r / r) if derivs else (env,)
+        out = [s * x for s, x in zip(scales, self.euler(w, derivs))]
+        return out if r.ndim else [float(v) for v in out]
 
     _derivs = _terms  # the name other modules call; value() goes to _terms directly
 
     def value(self, r):
-        out = self._terms(r, derivs=False)[0]
-        return out if out.ndim else float(out)
+        return self._terms(r, derivs=False)[0]
 
     __call__ = value
 
     def deriv(self, r):
-        out = self._derivs(r)[1]
-        return out if np.ndim(out) else float(out)
+        return self._derivs(r)[1]
 
     def deriv2(self, r):
-        out = self._derivs(r)[2]
-        return out if np.ndim(out) else float(out)
+        return self._derivs(r)[2]
 
     @property
     def norm_finite(self) -> bool:
@@ -145,10 +143,6 @@ class ClosedFormSolution:
             raise ValueError("the norm diverges: the solution cannot be normalized")
         return self.scaled(-0.5 * self.log_norm(), normalized=True)
 
-    def unit_peak(self, r) -> "ClosedFormSolution":
-        """This solution rescaled so its envelope peaks at 1 on the radii r."""
-        return self.scaled(-float(self._log_envelope(r)[2].max()))
-
     def w_grid(self, num: int) -> np.ndarray:
         """Geometric grid in w = rate r^shape; psi = w^c e^(-w/2) L_n^a(w) up to
         scale, c = power/shape.  w runs from 1e-2 to 30(n+1), widened past L's
@@ -169,12 +163,20 @@ class ClosedFormSolution:
             raise ValueError("the grid's radii lie outside the floats")
         return np.sort((w / self.rate) ** (1.0 / self.shape))
 
-    def residual(self, r, q_terms) -> "ResidualReport":
-        """Relative residual of psi'' = sum(q_terms) psi at the radii r, kept
-        where |psi| is above 1e-12 of its peak on r; checked on unit_peak(r)."""
-        val, _, d2 = self.unit_peak(r)._derivs(r)
-        mask = np.abs(val) > 1e-12 * np.abs(val).max()
-        return relative_residual([d2] + [-q * val for q in q_terms], mask=mask)
+    def residual(self, monomials) -> "ResidualReport":
+        """Relative residual of psi'' = q psi, r^2 q = sum of c r^e over the
+        (c, e) pairs, on w_grid(240) with log r = (log w - log rate)/shape, so
+        no radius is formed: points are weighted by E over its peak, r^e is
+        exp(e log r), and points where |psi| is below 1e-12 of its peak drop."""
+        w = self.w_grid(240)
+        log_r = (np.log(w) - math.log(self.rate)) / self.shape
+        log_env = self.power * log_r - 0.5 * w
+        weight = np.exp(log_env - log_env.max())
+        val, _, d2 = self.euler(w, derivs=True)
+        psi = weight * val
+        mask = np.abs(psi) > 1e-12 * np.abs(psi).max()
+        return relative_residual([weight * d2, *(-c * np.exp(e * log_r) * psi
+                                                 for c, e in monomials)], mask=mask)
 
 
 def zero_energy_solution(shape: float, lam: float, l: float, n: int) -> ClosedFormSolution:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -152,67 +153,72 @@ def upper_spinor(family: DiracFamily) -> SpinorSolution:
                           c_l=None if log_c is None else math.exp(log_c))
 
 
-def reduced_potential(family: DiracFamily, r):
-    """V(r) of the Schroedinger-like form of the reduced equation: the
-    power-law family's potential at (mu, lam, l, n) = (nu, lam, l, 0), which
-    holds 1/beta = nu + 1/2 only to 2^-54 |beta| relative: an error above 1e3."""
+def _reduced_family(family: DiracFamily) -> powerlaw.PowerLawFamily:
+    """The power-law family (nu, lam, l, 0) of the paper's map; nu + 1/2 keeps
+    1/beta only to 2^-54 |beta| relative, an error above |beta| = 1e3."""
     if abs(family.beta) > 1e3:
         raise ValueError(f"|beta| > 1e3: nu keeps 1/beta to {2.0**-54 * abs(family.beta):.0e} only")
-    return powerlaw.potential_eval(
-        powerlaw.PowerLawFamily(mu=family.nu, lam=family.lam, l=family.l), r)
+    return powerlaw.PowerLawFamily(mu=family.nu, lam=family.lam, l=family.l)
 
 
-def _bracket_pieces(family: DiracFamily, r):
-    """[W^2, -dW/dr, 2 kappa W / r], the pieces of the operator bracket."""
-    r = positive_radii(r)
-    w = odd_potential(family, r)
-    dw = family.coupling * (family.beta - 1.0) * r ** (family.beta - 2.0)
-    return [w**2, -dw, 2.0 * family.kappa * w / r]
+def reduced_potential(family: DiracFamily, r):
+    """V(r) of the reduced equation's Schroedinger form: the family (nu, lam, l, 0)'s."""
+    return powerlaw.potential_eval(_reduced_family(family), r)
+
+
+def bracket_monomials(family: DiracFamily) -> list[tuple[float, float]]:
+    """r^2 [W^2, -dW/dr, 2 kappa W / r] with W = A r^(beta-1), as the
+    (coefficient, exponent) pairs of A^2 r^(2 beta), -A(beta-1) r^beta, 2 kappa A r^beta."""
+    a, beta = family.coupling, family.beta
+    return [(a * a, 2.0 * beta), (-a * (beta - 1.0), beta), (2.0 * family.kappa * a, beta)]
 
 
 def operator_bracket(family: DiracFamily, r):
     """W^2 - dW/dr + 2 kappa W / r, the potential-like part of the reduced
-    operator; agrees with kappa(kappa+1)/r^2 + 2 V - kappa(kappa+1)/r^2."""
-    return sum(_bracket_pieces(family, r))
+    operator: the sum of bracket_monomials over r^2; it agrees with 2V."""
+    return sum(c * positive_radii(r) ** (e - 2.0) for c, e in bracket_monomials(family))
 
 
 def residual_33(family: DiracFamily) -> ResidualReport:
     """Relative residual of the reduced second-order equation applied to the
-    upper spinor, on its grid."""
-    phi = upper_spinor(family).phi
-    r = phi.grid()
+    upper spinor, stated as r^2 q = kappa(kappa+1) plus the bracket's pieces."""
     k = family.kappa
-    return phi.residual(r, [k * (k + 1.0) / r**2, operator_bracket(family, r)])
+    return upper_spinor(family).phi.residual([(k * (k + 1.0), 0.0), *bracket_monomials(family)])
 
 
 def reduced_form_agreement(family: DiracFamily) -> float:
-    """Max relative discrepancy between the operator bracket and twice the
-    power-law family's potential at mu = nu, n = 0 (the paper's map) on phi's
-    grid.  The bracket is a cancelling sum, so the scale is its pieces' sum."""
-    r = zero_energy_solution(family.beta, family.lam, family.l, 0).grid()
-    terms = _bracket_pieces(family, r) + [-2.0 * reduced_potential(family, r)]
-    return relative_residual(terms).max_residual
-
-
-def _lower_pieces(family: DiracFamily, phi: ClosedFormSolution, r):
-    """[W phi, kappa phi / r, phi'], the pieces of (W + kappa/r + d/dr) phi."""
-    r = positive_radii(r)
-    val, d1, _ = phi._derivs(r)
-    return [odd_potential(family, r) * val, family.kappa / r * val, d1]
+    """Max relative discrepancy between the reduced equation and the family's
+    at (nu, lam, l, 0).  Times r^2 both are polynomials in w = lam^2 r^beta
+    once M(p1+2) = 4 and M(p2+2) = 2 at M = 2 nu + 1 = 2/beta: the check is
+    those exponent identities and the w^0, w and w^2 coefficient identities,
+    each a row of pieces summing to zero; cancelling sums keep their parts apart."""
+    (a2, e_a), (b1, e_b), (c1, _) = bracket_monomials(family)
+    t = powerlaw.map_parameters(_reduced_family(family)).terms
+    k, l, lam2 = family.kappa, family.l, family.lam**2
+    rows = [[k * (k + 1.0), -l * (l + 1.0)],
+            [b1 / lam2, c1 / lam2, 2.0 * t.attractive_coeff / lam2],
+            [a2 / lam2**2, -2.0 * t.repulsive_coeff / lam2**2],
+            [t.repulsive_exponent, 2.0, -e_a],
+            [t.attractive_exponent, 2.0, -e_b]]
+    return relative_residual(list(zip_longest(*rows, fillvalue=0.0))).max_residual
 
 
 def lower_component(family: DiracFamily, solution: SpinorSolution, r):
     """theta(r) = (alpha/2)(W + kappa/r + d/dr) phi(r); identically zero for
     the exact upper component."""
-    out = 0.5 * family.alpha_fs * sum(_lower_pieces(family, solution.phi, r))
-    return out if np.ndim(out) else float(out)
+    r = positive_radii(r)
+    val, d1, _ = solution.phi._derivs(r)
+    return 0.5 * family.alpha_fs * ((odd_potential(family, r) + family.kappa / r) * val + d1)
 
 
 def lower_component_relative(family: DiracFamily) -> float:
-    """sup |theta| on the upper spinor's grid, normalized by the size of the
-    individual operator pieces, so 'vanishes' is meaningful across scales."""
+    """sup |theta| normalized by the size of its pieces, on w_grid(240).  Times
+    r/E, phi = E L(w), they are [A r^beta L, kappa L, r phi'/E], A r^beta = A w/lam^2."""
     phi = upper_spinor(family).phi
-    return relative_residual(_lower_pieces(family, phi, phi.grid())).max_residual
+    w = phi.w_grid(240)
+    val, d1, _ = phi.euler(w, derivs=True)
+    return relative_residual([family.coupling / phi.rate * w * val, family.kappa * val,
+                              d1]).max_residual
 
 
 def spinor_norm(family: DiracFamily) -> oracle.QuadResult:

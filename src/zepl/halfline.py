@@ -80,7 +80,5 @@ def eigenfunction(N: int, n: int) -> ClosedFormSolution:
 
 
 def residual_41(N: int, n: int) -> ResidualReport:
-    """Relative residual of [-d2/dx2 + x^(2N+2) - E_n x^N] psi = 0 on psi's grid."""
-    sol = eigenfunction(N, n)
-    x = sol.grid()
-    return sol.residual(x, [x ** (2 * N + 2), -spectrum(N, n) * x ** float(N)])
+    """Residual of [-d2/dx2 + x^(2N+2) - E_n x^N] psi = 0 as x^2 q = x^(2N+4) - E_n x^(N+2)."""
+    return eigenfunction(N, n).residual([(1.0, 2.0 * N + 4.0), (-spectrum(N, n), N + 2.0)])

@@ -80,10 +80,9 @@ def phi_eval(state: OscillatorState, x):
 
 
 def residual_a5(state: OscillatorState) -> ResidualReport:
-    """Relative residual of the oscillator wave equation on Phi's grid."""
-    sol = phi(state)
-    x = sol.grid()
-    return sol.residual(x, [-state.eta / x**2, state.lam**4 * x**2, -eigenvalue_term(state)])
+    """Residual of the oscillator equation as x^2 q = -eta + lam^4 x^4 - 4 lam^2 (g+n+1) x^2."""
+    return phi(state).residual([(-state.eta, 0.0), (state.lam**4, 4.0),
+                                (-eigenvalue_term(state), 2.0)])
 
 
 def _apply_l3(state: OscillatorState, x):

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import zip_longest
 from numbers import Rational
 
 import numpy as np
@@ -115,6 +116,11 @@ class PotentialTerms:
         r = positive_radii(r)
         return (self.repulsive_coeff * r**self.repulsive_exponent
                 - self.attractive_coeff * r**self.attractive_exponent)
+
+    def monomials(self) -> list[tuple[float, float]]:
+        """r^2 2V(r) as (coefficient, exponent) pairs."""
+        return [(2.0 * self.repulsive_coeff, self.repulsive_exponent + 2.0),
+                (-2.0 * self.attractive_coeff, self.attractive_exponent + 2.0)]
 
     def scaled(self, coupling_scale: float) -> "PotentialTerms":
         return replace(self, attractive_coeff=self.attractive_coeff * coupling_scale)
@@ -220,39 +226,36 @@ def norm(family: PowerLawFamily) -> NormResult:
 # ---------------------------------------------------------------------------
 
 def schrodinger_residual(family: PowerLawFamily) -> ResidualReport:
-    """Relative residual of psi'' = [l(l+1)/r^2 + 2V] psi on the solution's
-    grid; scale-free, so the unit-amplitude solution is checked."""
-    sol = _unit_solution(family)
-    r = sol.grid()
+    """Relative residual of psi'' = [l(l+1)/r^2 + 2V] psi, stated as
+    r^2 q = l(l+1) + 2A r^(p1+2) - 2B r^(p2+2); scale-free, so the
+    unit-amplitude solution is checked."""
     l = family.l
-    return sol.residual(r, [l * (l + 1) / r**2, 2.0 * potential_eval(family, r)])
+    return _unit_solution(family).residual(
+        [(l * (l + 1.0), 0.0), *map_parameters(family).terms.monomials()])
 
 
 def pct_identity_check(family: PowerLawFamily) -> ResidualReport:
-    """Check that the coordinate map r = x^(2 mu + 1) applied to the
+    """Check that the coordinate map r = x^M, M = 2 mu + 1, applied to the
     oscillator equation reproduces -l(l+1)/r^2 - 2V(r).
 
     The mapped side is
         (g')^-2 [ -(4 g(g+1)+3/4)/x^2 - lam^4 x^2 + 4 lam^2 (g+n+1)
                   - g'''/(2 g') + 3 (g''/g')^2 / 4 ]
-    with g(x) = x^(2 mu + 1); for a monomial map the last two terms collapse
-    to ((2 mu+1)^2 - 1)/(4 x^2).
+    with g(x) = x^M; for a monomial map the last two terms collapse to
+    (M^2 - 1)/(4 x^2).  Times r^2 = x^(2M) both sides are polynomials in
+    w = lam^2 x^2 once M(p1+2) = 4 and M(p2+2) = 2: the check is those exponent
+    identities and the w^0, w and w^2 coefficient identities, each a row of
+    pieces summing to zero; p + 2 cancels at large |mu|, so p and 2 stay apart.
     """
-    lam, l, n = family.lam, family.l, family.n
+    lam, l, n, g = family.lam, family.l, family.n, family.gamma
     M = 2.0 * family.mu_f + 1.0
-    g = family.gamma
-    x = zero_energy_solution(2.0, lam, 2.0 * g + 0.5, n).grid()  # the oscillator state's grid
-    dg = M * x ** (M - 1.0)
-    d2g_over = (M - 1.0) / x          # g''/g'
-    d3g_over = (M - 1.0) * (M - 2.0) / x**2  # g'''/g'
-    bracket = (-(4.0 * g * (g + 1.0) + 0.75) / x**2
-               - lam**4 * x**2
-               + 4.0 * lam**2 * (g + n + 1.0)
-               - 0.5 * d3g_over + 0.75 * d2g_over**2)
-    mapped = bracket / dg**2
-    r = x**M
-    direct = -family.l * (family.l + 1) / r**2 - 2.0 * potential_eval(family, r)
-    return relative_residual([mapped, -direct])
+    t = map_parameters(family).terms
+    rows = [[-(4.0 * g * (g + 1.0) + 0.75) / M**2, (M * M - 1.0) / (4.0 * M**2), l * (l + 1.0)],
+            [4.0 * (g + n + 1.0) / M**2, -2.0 * t.attractive_coeff / lam**2],
+            [-1.0 / M**2, 2.0 * t.repulsive_coeff / lam**4],
+            [M * t.repulsive_exponent, 2.0 * M, -4.0],
+            [M * t.attractive_exponent, 2.0 * M, -2.0]]
+    return relative_residual(list(zip_longest(*rows, fillvalue=0.0)))
 
 
 # ---------------------------------------------------------------------------

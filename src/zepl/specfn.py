@@ -46,12 +46,3 @@ def laguerre_deriv(n, alpha, x):
         return z if z.ndim else 0.0
     return -laguerre(n - 1, alpha + 1.0, x)
 
-
-def laguerre_deriv2(n, alpha, x):
-    """Second derivative, L_{n-2}^{alpha+2}(x) for n >= 2, else zero."""
-    n = _check_degree(n)
-    x = np.asarray(x, dtype=float)
-    if n < 2:
-        z = np.zeros_like(x)
-        return z if z.ndim else 0.0
-    return laguerre(n - 2, alpha + 2.0, x)

@@ -204,10 +204,8 @@ def suite_dirac() -> list[CheckResult]:
 
 
 def suite_halfline() -> list[CheckResult]:
-    worst = 0.0
-    for N in (-3, -1, 0, 1, 3):
-        for n in range(4):
-            worst = max(worst, halfline.residual_41(N, n).max_residual)
+    worst = max(halfline.residual_41(N, n).max_residual
+                for N in (-3, -1, 0, 1, 3) for n in range(4))
     checks = [CheckResult.from_max("halfline.residual[matrix]", worst, RESIDUAL_TOL)]
     for N in (0, -1):
         res = oracle.shoot_energy_bender(N, count=2)
@@ -230,10 +228,8 @@ def suite_oscillator() -> list[CheckResult]:
                     lambda r, a=fns[m], b=fns[n]: a(r) * b(r), 1e-11, atol=1e-12).value
                 target = 1.0 if m == n else 0.0
                 worst_ortho = max(worst_ortho, abs(val - target))
-    worst_res = 0.0
-    for gamma, n, lam in ((0.5, 0, 1.0), (0.5, 3, 1.0), (2.25, 4, 0.7), (1.75, 2, 0.6)):
-        worst_res = max(worst_res, oscillator.residual_a5(
-            oscillator.OscillatorState(gamma, n, lam)).max_residual)
+    worst_res = max(oscillator.residual_a5(oscillator.OscillatorState(*s)).max_residual
+                    for s in ((0.5, 0, 1.0), (0.5, 3, 1.0), (2.25, 4, 0.7), (1.75, 2, 0.6)))
     worst_ladder = 0.0
     sigmas = set()
     for gamma, n in ((0.5, 0), (0.5, 2), (1.75, 1), (2.25, 3)):

@@ -179,28 +179,50 @@ def test_oracle_csv_header(capsys):
     ["bender", "--N", "0", "--tolerance", "-1e-8"],
     ["verify", "--suite", "specfn", "--tolerance-scale", "-1e-3"],
     ["verify", "--all", "--suite", "specfn"],
-    ["dirac", "--beta", "1e-3"],
     ["dirac", "--beta", "1e6"],
     ["dirac", "--beta", "1e17"],
-    ["dirac", "--beta", "0.01", "--lambda", "1000"],
     ["classify", "--mu", "abc"],
     ["classify", "--mu", "1/0"],
     ["classify", "--mu", "3/2", "--coupling-scale", "-1"],
     ["oracle", "--mu", "3/2", "--lambda", "1e300", "--count", "1"],
     ["degeneracy", "--mu", "3/2", "--omega", "1e400"],
+    ["classify", "--mu", "3/2", "--lambda", "inf"],
+    ["classify", "--mu", "3/2", "--coupling-scale", "inf"],
+    ["potential", "--mu", "3/2", "--r-max", "1e400"],
+    ["dirac", "--beta", "0.5", "--l", "1", "--alpha-fs", "inf"],
+    ["bender", "--N", "1", "--tolerance", "inf"],
+    ["verify", "--suite", "specfn", "--tolerance-scale", "inf"],
 ], ids=["oracle-count-7", "oracle-energy-count-5", "oracle-negative-l",
         "bender-negative-n-max", "potential-zero-points", "figures-zero-points",
         "oracle-negative-tolerance", "bender-zero-tolerance", "dirac-negative-tolerance",
         "oracle-exponent-tolerance", "dirac-exponent-tolerance",
         "bender-exponent-tolerance", "verify-exponent-tolerance-scale",
-        "verify-all-with-suite", "dirac-beta-1e-3", "dirac-beta-1e6", "dirac-beta-1e17",
-        "dirac-lambda-1000", "classify-mu-not-a-number", "classify-mu-1-over-0",
-        "classify-negative-coupling-scale", "oracle-lambda-1e300", "degeneracy-omega-1e400"])
+        "verify-all-with-suite", "dirac-beta-1e6", "dirac-beta-1e17",
+        "classify-mu-not-a-number", "classify-mu-1-over-0",
+        "classify-negative-coupling-scale", "oracle-lambda-1e300", "degeneracy-omega-1e400",
+        "classify-lambda-inf", "classify-coupling-scale-inf", "potential-r-max-1e400",
+        "dirac-alpha-fs-inf", "bender-tolerance-inf", "verify-tolerance-scale-inf"])
 def test_bad_input_is_a_one_line_validation_error(capsys, argv):
     code = cli.main(argv)
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [["dirac", "--beta", "1e-3"],
+                                  ["dirac", "--beta", "0.01", "--lambda", "1000"]],
+                         ids=["beta-1e-3", "beta-0.01-lambda-1000"])
+def test_dirac_checks_where_the_grid_radii_leave_the_floats(capsys, schema, argv):
+    # no check forms a radius, so these pass; the norm quadrature cannot reach
+    # phi's mass (no nonzero sample, or a window cut at the floats' end), so
+    # its value is null and its note is kept
+    code, doc = run_json(capsys, argv)
+    res = doc["results"]
+    assert code == 0 and doc["passed"] is True
+    assert res["residual_33_max"] < 1e-12 and res["norm_quadrature"] is None
+    assert any(("nonzero sample" in note or "truncated" in note) for note in res["notes"])
+    jsonschema.validate(doc, schema)
 
 
 def test_an_infinite_number_is_refused_by_name(capsys):

@@ -99,12 +99,13 @@ def test_relative_residual_mask():
 def test_residual_fails_when_no_point_is_left():
     terms = [np.array([1.0, 2.0]), np.array([-1.0, -2.0])]
     assert relative_residual(terms, mask=[False, False]).max_residual == math.inf
-    # psi = exp(-r/2) underflows at both radii, but the residual is checked at
-    # the scale where its envelope peaks at 1 there, so both points are kept
+    # psi = exp(-r/2) solves psi'' = psi/4, r^2 q = r^2/4; at amplitude e^-1000
+    # it underflows at every point, but the residual is checked at the scale
+    # where its envelope peaks at 1, so every point is kept
     sol = ClosedFormSolution(log_amplitude=0.0, power=0.0, rate=1.0, shape=1.0)
-    assert sol.residual(np.array([1.0, 2.0]), [0.25]).max_residual < 1e-15
-    rep = sol.residual(np.array([1e4, 1e4 + 10.0]), [0.25])
-    assert rep.max_residual < 1e-15 and rep.residuals.size == 2
+    assert sol.residual([(0.25, 2.0)]).max_residual < 1e-15
+    rep = sol.scaled(-1000.0).residual([(0.25, 2.0)])
+    assert rep.max_residual < 1e-15 and rep.residuals.size == 240
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -140,6 +141,19 @@ def test_relative_residual_is_called_only_by_the_closed_form_and_pct_check():
     assert callers == {("closedform.py", "residual"), ("powerlaw.py", "pct_identity_check"),
                        ("dirac.py", "reduced_form_agreement"),
                        ("dirac.py", "lower_component_relative")}
+
+
+def test_only_the_ladder_check_forms_grid_radii():
+    # every other check runs in w and log r
+    callers = set()
+    for path in Path(closedform.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                callers.update((path.name, fn.name) for node in ast.walk(fn)
+                               if isinstance(node, ast.Call)
+                               and getattr(node.func, "attr", None) == "grid")
+    assert callers == {("oscillator.py", "ladder_check")}
 
 
 def test_log_norm_diverges_exactly_when_s_is_at_most_minus_one():
@@ -241,7 +255,8 @@ def test_grid_covers_psi_beyond_the_laguerre_range():
     # and ends past it, 1e-9 down its tail
     sol = zero_energy_solution(0.5, 1.0, 60, 3)
     r = sol.grid()
-    w, psi = sol.rate * r**sol.shape, np.abs(sol.unit_peak(r).value(r))
+    w = sol.rate * r**sol.shape
+    psi = np.abs(sol.scaled(-float(np.max(sol.power * np.log(r) - 0.5 * w))).value(r))
     assert w[0] > 30.0 and w[-1] > 400.0
     assert psi[0] < 1e-12 * psi.max() and psi[-1] < 1e-9 * psi.max()
     assert np.sum(psi > 1e-12 * psi.max()) >= 120

@@ -5,6 +5,7 @@ import pytest
 
 from zepl import dirac
 from zepl import powerlaw as pl
+from zepl.verify import REDUCED_FORM_TOL, RESIDUAL_TOL, THETA_TOL
 
 
 def test_family_validation():
@@ -85,12 +86,24 @@ def test_reduced_equation_residual(beta, lam, l):
     assert dirac.residual_33(fam).max_residual < 1e-8
 
 
-@pytest.mark.parametrize("beta,kept", [(-0.5, 228), (-3.0, 240)])
-def test_residual_is_exactly_zero_at_kappa_zero(beta, kept):
-    # l = 0, beta < 0 (kappa = 0): the residual vanishes on every kept point
+@pytest.mark.parametrize("beta", [-0.5, -3.0])
+def test_residual_vanishes_to_rounding_at_kappa_zero(beta):
+    # l = 0, beta < 0 (kappa = 0): phi = exp(-w/2), and r^2 q is formed from
+    # r^beta = exp(beta log r), so the residual is rounding on all 240 points
     with pytest.warns(UserWarning, match="kappa = 0"):
         rep = dirac.residual_33(dirac.DiracFamily(beta=beta, lam=1.0, l=0))
-    assert rep.max_residual == 0.0 and rep.residuals.size == kept
+    assert rep.max_residual < 1e-15 and rep.residuals.size == 240
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam,l", [*((lam, l) for lam in (0.01, 1.0) for l in (0, 1, 2, 5, 20, 90)),
+                                   (30.0, 0)])
+def test_checks_at_beta_0_01_form_no_radius(lam, l):
+    # r = (w/lam^2)^100 leaves the floats: on grid radii 13 of these raised or warned
+    fam = dirac.DiracFamily(beta=0.01, lam=lam, l=l)
+    assert dirac.residual_33(fam).max_residual < RESIDUAL_TOL
+    assert dirac.lower_component_relative(fam) < THETA_TOL
+    assert dirac.reduced_form_agreement(fam) < REDUCED_FORM_TOL
 
 
 @pytest.mark.parametrize("beta", [1e6, -2e3])
@@ -106,10 +119,9 @@ def test_residual_detector_fires():
     fam = dirac.DiracFamily(beta=0.5, lam=1.0, l=1)
     shifted = dirac.DiracFamily(beta=0.5, lam=1.0, l=0)
     phi = dirac.upper_spinor(fam).phi
-    r = phi.grid()
     k = shifted.kappa
-    assert phi.residual(r, [k * (k + 1.0) / r**2,
-                            dirac.operator_bracket(shifted, r)]).max_residual > 1e-2
+    assert phi.residual([(k * (k + 1.0), 0.0),
+                         *dirac.bracket_monomials(shifted)]).max_residual > 1e-2
 
 
 def test_operator_and_reduced_potential_agree():

@@ -58,11 +58,10 @@ def test_phi_where_its_constant_overflows():
 def test_residual_detector_fires():
     # the same check with lam^2 scaled by 1.01 in the equation fails
     state = OscillatorState(gamma=0.5, n=0, lam=1.0)
-    x = phi(state).grid()
     g, lam_sq = state.gamma, 1.01
-    q = [(4.0 * g * (g + 1.0) + 0.75) / x**2, lam_sq**2 * x**2,
-         -4.0 * lam_sq * (g + state.n + 1.0)]
-    assert phi(state).residual(x, q).max_residual > 1e-3
+    q = [(4.0 * g * (g + 1.0) + 0.75, 0.0), (lam_sq**2, 4.0),
+         (-4.0 * lam_sq * (g + state.n + 1.0), 2.0)]
+    assert phi(state).residual(q).max_residual > 1e-3
 
 
 def test_phi_eval_returns_derivatives():

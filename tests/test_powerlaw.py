@@ -6,6 +6,7 @@ import pytest
 
 from zepl import powerlaw as pl
 from zepl.specfn import laguerre
+from zepl.verify import PCT_TOL, RESIDUAL_TOL
 
 FAMILY_GRID = [
     (-2.5, 2, 4, 2.0), (-1.5, 1, 0, 0.7), (-0.75, 0, 2, 1.0), (-0.75, 2, 3, 1.0),
@@ -152,6 +153,20 @@ def test_node_count_at_mu_50_needs_no_radius(mu):
                 assert pl.interior_node_count(fam) == n, fam
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu", (-50, 50))
+def test_residual_and_pct_identity_at_mu_50_need_no_radius(mu):
+    # l(l+1)/r^2 and V(r) on grid radii warned or raised on 43 of these 72
+    # families, and the identity on its oscillator grid warned on 40; both
+    # now run in w and log r
+    for l in (0, 2, 20, 60):
+        for n in (0, 5, 40):
+            for lam in (1e-3, 1.0, 30.0):
+                fam = pl.PowerLawFamily(mu=mu, lam=lam, l=l, n=n)
+                assert pl.schrodinger_residual(fam).max_residual < RESIDUAL_TOL, fam
+                assert pl.pct_identity_check(fam).max_residual < PCT_TOL, fam
+
+
 # --- residual identities ----------------------------------------------------
 
 @pytest.mark.parametrize("mu,l,n,lam", FAMILY_GRID)
@@ -164,10 +179,9 @@ def test_residual_detector_fires():
     # l = 0: the same check with the attractive coefficient scaled by 1.001 fails
     fam = pl.PowerLawFamily(mu=1.5, lam=1.0, l=0, n=0)
     sol = pl.wavefunction(fam)
-    r = sol.grid()
-    v = pl.map_parameters(fam).terms.scaled(1.001).value(r)
-    assert sol.residual(r, [2.0 * pl.potential_eval(fam, r)]).max_residual < 1e-8
-    assert sol.residual(r, [2.0 * v]).max_residual > 1e-4
+    terms = pl.map_parameters(fam).terms
+    assert sol.residual(terms.monomials()).max_residual < 1e-8
+    assert sol.residual(terms.scaled(1.001).monomials()).max_residual > 1e-4
 
 
 @pytest.mark.filterwarnings("error")
@@ -208,6 +222,15 @@ def test_pct_detector_fires(monkeypatch):
     monkeypatch.setattr(pl.PowerLawFamily, "gamma",
                         property(lambda self: gamma.fget(self) + 0.01))
     assert pl.pct_identity_check(fam).max_residual > 1e-3
+
+
+def test_pct_exponent_detector_fires(monkeypatch):
+    # p1 off by one part in 1e6 breaks M(p1+2) = 4
+    fam = pl.PowerLawFamily(mu=1.5, lam=1.0, l=1, n=0)
+    exponent_pair = pl.exponent_pair
+    monkeypatch.setattr(pl, "exponent_pair",
+                        lambda mu: (exponent_pair(mu)[0] * (1 + 1e-6), exponent_pair(mu)[1]))
+    assert pl.pct_identity_check(fam).max_residual > 1e-7
 
 
 # --- bound-state condition ---------------------------------------------------
@@ -545,3 +568,4 @@ def test_closed_form_stays_inside_the_floats_across_the_domain(mu):
                 if sol.normalized:
                     assert abs(sol.log_norm()) < 1e-10, fam
                 assert pl.schrodinger_residual(fam).max_residual < 1e-8, fam
+                assert pl.pct_identity_check(fam).max_residual < PCT_TOL, fam
