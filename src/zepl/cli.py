@@ -34,6 +34,11 @@ class ValidationError(Exception):
     pass
 
 
+# the options that state a problem's numbers, named when one leaves the floats
+_PROBLEM_OPTIONS = (("mu", "--mu"), ("lam", "--lambda"), ("beta", "--beta"),
+                    ("coupling_scale", "--coupling-scale"))
+
+
 def finite_float(text: str) -> float:
     """The type of every float option: inf and nan are refused."""
     try:
@@ -450,16 +455,22 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     """Run one command.  Bad input, whether refused by the parser's types,
     by this module or by the library's own domain checks (ValueError, or
-    OverflowError where a value leaves the floats), is one error line and
-    exit 2."""
+    OverflowError where a value leaves the floats, which names the options
+    that state the problem), is one error line and exit 2."""
     argv = _merge_negative_values(list(sys.argv[1:] if argv is None else argv))
+    args = None
     try:
         args = build_parser().parse_args(argv)
         return args.run(args)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
-    except (ValidationError, ValueError, OverflowError) as exc:
+    except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OverflowError:
+        given = " ".join(f"{option} {getattr(args, dest)}" for dest, option in _PROBLEM_OPTIONS
+                         if getattr(args, dest, None) is not None)
+        print(f"error: {given}: the problem's numbers leave the float range", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

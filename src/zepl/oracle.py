@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import heapq
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ODEintWarning, odeint
+# not called here: perfbench/tracing.py wraps oracle.solve_ivp by name
+from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.optimize import brentq
 
 __all__ = [
@@ -61,6 +64,11 @@ _SCAN = np.linspace(-_T_CAP, _T_CAP, 2817)  # step 0.5 in t = log r
 _PANEL = 3.5  # widest starting panel
 _MAX_PANELS = 2000
 _LOG3 = math.log(3.0)
+# lsoda's step budget for one sweep.  The longest sweep of the tests,
+# `zepl verify --all` and perfbench's oracle_sweep takes 7447 steps (odeint's
+# default budget is 500); a sweep that needs more than this has lost the
+# problem, say to a huge r^2 q, and raises instead of running on.
+_MAX_STEPS = 20_000
 
 
 @dataclass(frozen=True)
@@ -195,15 +203,19 @@ def _wkb_slope(r2q, sign: float):
 
 
 def integrate_radial(ode: RadialODE, coupling: float, direction: str = "outward") -> Trajectory:
-    """One LSODA sweep toward the matching radius in the Euler-scaled Pruefer
-    variables u = rho sin(theta), r u' = rho cos(theta) with t = log r:
+    """One ``odeint`` (lsoda) call toward the matching radius in the
+    Euler-scaled Pruefer variables u = rho sin(theta), r u' = rho cos(theta)
+    with t = log r:
 
         theta'    = cos^2 - sin cos - r^2 q sin^2
         (log rho)' = cos^2 + (1 + r^2 q) sin cos
 
     The angle carries the node count and the log-amplitude cannot overflow,
-    so one call covers the whole side with no renormalisation.  The matching
-    point is kept at least log 3 inside both ends."""
+    so one call covers the whole side with no renormalisation; lsoda's step
+    loop runs in Fortran and calls back only for the right-hand side.  The
+    matching point is kept at least log 3 inside both ends.  A sweep that
+    stops early (more than 20 000 steps, or any other lsoda failure) or ends
+    on a non-finite angle raises ``RuntimeError``."""
     if direction not in ("outward", "inward"):
         raise ValueError("direction must be 'outward' or 'inward'")
     t_inner, t_match, t_outer = ode.ends(coupling)
@@ -222,16 +234,19 @@ def integrate_radial(ode: RadialODE, coupling: float, direction: str = "outward"
     # the angle's global error grows with each oscillation; rtol 1e-12 keeps
     # the sixth level within about 1e-10 of its value.  log rho only scales u
     # and du; its loose absolute tolerance keeps it out of the step-size control
-    sol = solve_ivp(rhs, (t_from, t_match), [theta0, 0.0],
-                    method="LSODA", rtol=1e-12, atol=(1e-12, 1e-6))
-    if not sol.success:
-        raise RuntimeError(f"radial integration failed on log r in "
-                           f"[{t_from:g}, {t_match:g}]: {sol.message}")
-    end_theta = float(sol.y[0, -1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ODEintWarning)  # reported below instead
+        y, info = odeint(rhs, (theta0, 0.0), (t_from, t_match), rtol=1e-12,
+                         atol=(1e-12, 1e-6), mxstep=_MAX_STEPS, full_output=True,
+                         tfirst=True)
+    end_theta = float(y[-1, 0])
+    if info["message"] != "Integration successful." or not math.isfinite(end_theta):
+        raise RuntimeError(f"radial integration failed on log r in [{t_from:g}, {t_match:g}]: "
+                           f"lsoda: {info['message']} End angle {end_theta:g}.")
     r_du = math.cos(end_theta)
     # where r itself underflows, du = (r du)/r is beyond the floats
     end_du = r_du * math.exp(-t_match) if t_match > -709.0 else math.copysign(math.inf, r_du)
-    return Trajectory(math.sin(end_theta), end_du, end_theta, int(sol.nfev))
+    return Trajectory(math.sin(end_theta), end_du, end_theta, int(info["nfe"][-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +315,10 @@ def build_powerlaw_ode(mu: float, lam: float, l: int) -> RadialODE:
     if mu in (0.0, 0.5, -0.5):
         raise ValueError("mu in {0, +1/2, -1/2} is outside the family")
     k = 1.0 / (mu + 0.5)
-    return _two_term_ode(k, (lam * k / 2.0) ** 2 * lam**2, 2.0, l)
+    a = (lam * k / 2.0) ** 2 * lam**2
+    if not a > 0.0:
+        raise OverflowError(f"the repulsive coefficient underflows at mu = {mu:g}, lam = {lam:g}")
+    return _two_term_ode(k, a, 2.0, l)
 
 
 def coupling_mismatch(ode: RadialODE, coupling: float):

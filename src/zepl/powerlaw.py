@@ -117,11 +117,6 @@ class PotentialTerms:
         return (self.repulsive_coeff * r**self.repulsive_exponent
                 - self.attractive_coeff * r**self.attractive_exponent)
 
-    def monomials(self) -> list[tuple[float, float]]:
-        """r^2 2V(r) as (coefficient, exponent) pairs."""
-        return [(2.0 * self.repulsive_coeff, self.repulsive_exponent + 2.0),
-                (-2.0 * self.attractive_coeff, self.attractive_exponent + 2.0)]
-
     def scaled(self, coupling_scale: float) -> "PotentialTerms":
         return replace(self, attractive_coeff=self.attractive_coeff * coupling_scale)
 
@@ -152,10 +147,12 @@ def map_parameters(family: PowerLawFamily) -> MappedParameters:
     mu, lam = family.mu_f, family.lam
     p1, p2 = exponent_pair(mu)
     unit = (lam / (2.0 * mu + 1.0)) ** 2
-    terms = PotentialTerms(repulsive_coeff=unit * lam**2 / 2.0,
-                           repulsive_exponent=p1,
-                           attractive_coeff=unit * family.omega,
-                           attractive_exponent=p2)
+    a, b = unit * lam**2 / 2.0, unit * family.omega
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise OverflowError(f"the potential's coefficients leave the floats at mu = {mu:g}, "
+                            f"lam = {lam:g}")
+    terms = PotentialTerms(repulsive_coeff=a, repulsive_exponent=p1,
+                           attractive_coeff=b, attractive_exponent=p2)
     return MappedParameters(energy=0.0, gamma=family.gamma, terms=terms)
 
 
@@ -227,11 +224,13 @@ def norm(family: PowerLawFamily) -> NormResult:
 
 def schrodinger_residual(family: PowerLawFamily) -> ResidualReport:
     """Relative residual of psi'' = [l(l+1)/r^2 + 2V] psi, stated as
-    r^2 q = l(l+1) + 2A r^(p1+2) - 2B r^(p2+2); scale-free, so the
-    unit-amplitude solution is checked."""
-    l = family.l
+    r^2 q = l(l+1) + 2A r^(2k) - 2B r^k with k = 1/(mu + 1/2): the exponents
+    p1 + 2 and p2 + 2 stated exactly, since p + 2 cancels at large |mu|.
+    Scale-free, so the unit-amplitude solution is checked."""
+    l, k = family.l, 1.0 / (family.mu_f + 0.5)
+    t = map_parameters(family).terms
     return _unit_solution(family).residual(
-        [(l * (l + 1.0), 0.0), *map_parameters(family).terms.monomials()])
+        [(l * (l + 1.0), 0.0), (2.0 * t.repulsive_coeff, 2.0 * k), (-2.0 * t.attractive_coeff, k)])
 
 
 def pct_identity_check(family: PowerLawFamily) -> ResidualReport:

@@ -230,6 +230,24 @@ def test_an_infinite_number_is_refused_by_name(capsys):
     assert "not a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["oracle", "--mu", "3/2", "--lambda", "1e300", "--count", "1"], "--lambda 1e+300"),
+    (["potential", "--mu", "3/2", "--lambda", "1e200"], "--lambda 1e+200"),
+    (["figures", "--which", "2", "--lambda", "1e300"], "--lambda 1e+300"),
+    (["dirac", "--beta", "0.5", "--lambda", "1e300"], "--lambda 1e+300"),
+    (["classify", "--mu", "1e300"], "--mu 1e+300"),
+    (["oracle", "--mu", "1e300", "--count", "1"], "--mu 1e+300"),
+], ids=["oracle-lambda", "potential-lambda", "figures-lambda", "dirac-lambda",
+        "classify-mu", "oracle-mu"])
+def test_a_value_beyond_the_floats_is_refused_by_name(capsys, argv, named):
+    # these printed Python's bare "(34, 'Numerical result out of range')", blamed
+    # the term coefficients, or (oracle --mu 1e300) ended in a ZeroDivisionError
+    code = cli.main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1
+    assert err[0].startswith("error: ") and named in err[0] and "float range" in err[0]
+
+
 def test_json_writes_non_finite_numbers_as_null(capsys, schema):
     row = {"name": "suite.residual", "value": float("inf"), "tolerance": 1e-8,
            "passed": False, "detail": ""}

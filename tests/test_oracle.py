@@ -66,11 +66,15 @@ def test_quad_error_estimate_is_scale_free():
 
 # --- radial integration ---------------------------------------------------------
 
+def _constant_ode(r2q):
+    return oracle.RadialODE(r2q=lambda t, c: r2q,
+                            ends=lambda c: (math.log(1e-3), 0.0, math.log(10.0)),
+                            inner_slope=lambda t, c: 1.0, outer_slope=lambda t, c: 0.0)
+
+
 def test_free_particle_log_derivative():
     # u'' = 0 from the regular start u ~ r: log-derivative 1/r, 1 at r = 1
-    ode = oracle.RadialODE(r2q=lambda t, c: 0.0,
-                           ends=lambda c: (math.log(1e-3), 0.0, math.log(10.0)),
-                           inner_slope=lambda t, c: 1.0, outer_slope=lambda t, c: 0.0)
+    ode = _constant_ode(0.0)
     traj = oracle.integrate_radial(ode, 0.0, "outward")
     assert traj.end_du / traj.end_u == pytest.approx(1.0, abs=1e-8)
     assert math.floor(traj.end_theta / math.pi) == 0  # no zero on the way
@@ -89,11 +93,19 @@ def test_inward_direction_and_renormalization():
 
 
 def test_direction_validated():
-    ode = oracle.RadialODE(r2q=lambda t, c: 0.0,
-                           ends=lambda c: (math.log(1e-3), 0.0, math.log(10.0)),
-                           inner_slope=lambda t, c: 1.0, outer_slope=lambda t, c: 0.0)
+    ode = _constant_ode(0.0)
     with pytest.raises(ValueError):
         oracle.integrate_radial(ode, 0.0, "sideways")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r2q, reason", [(math.nan, "End angle nan"), (-1e12, "Excess work")])
+def test_a_sweep_that_cannot_finish_raises(r2q, reason):
+    # a nan r^2 q used to end on a nan angle silently; -1e12 turns the angle
+    # about 1e6 times per unit of log r and used to run for minutes with no
+    # step budget.  lsoda's warning is not let out: the error says it
+    with pytest.raises(RuntimeError, match=rf"log r in \[-6.90776, 0\]: .*{reason}"):
+        oracle.integrate_radial(_constant_ode(r2q), 0.0, "outward")
 
 
 # --- coupling shooting -----------------------------------------------------------

@@ -180,8 +180,11 @@ def test_residual_detector_fires():
     fam = pl.PowerLawFamily(mu=1.5, lam=1.0, l=0, n=0)
     sol = pl.wavefunction(fam)
     terms = pl.map_parameters(fam).terms
-    assert sol.residual(terms.monomials()).max_residual < 1e-8
-    assert sol.residual(terms.scaled(1.001).monomials()).max_residual > 1e-4
+    k = 1.0 / (fam.mu_f + 0.5)
+    for scale, ok in ((1.0, True), (1.001, False)):
+        t = terms.scaled(scale)
+        rep = sol.residual([(2.0 * t.repulsive_coeff, 2.0 * k), (-2.0 * t.attractive_coeff, k)])
+        assert (rep.max_residual < 1e-8) if ok else (rep.max_residual > 1e-4)
 
 
 @pytest.mark.filterwarnings("error")
@@ -191,6 +194,15 @@ def test_residual_where_the_factors_leave_the_floats(mu, lam, l, n):
     # and the residual is checked at the scale where psi's envelope peaks at 1
     rep = pl.schrodinger_residual(pl.PowerLawFamily(mu=mu, lam=lam, l=l, n=n))
     assert rep.max_residual < 1e-8 and rep.residuals.size >= 40
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu", [1e4, -1e6, -1e7])
+def test_residual_exponents_do_not_cancel_at_large_mu(mu):
+    # p + 2 formed from p = -2 + 2/(mu + 1/2) keeps only |mu| eps of it: the
+    # residual read 7.3e-13, 1.6e-9 and 1.85e-8 here, the last above RESIDUAL_TOL
+    rep = pl.schrodinger_residual(pl.PowerLawFamily(mu=mu, lam=1.0, l=2, n=3))
+    assert rep.max_residual < 1e-13
 
 
 @pytest.mark.filterwarnings("error")
