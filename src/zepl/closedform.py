@@ -13,7 +13,8 @@ its derivatives are stated once, in Euler form r^j d^j/dr^j, as functions of
 w through the Laguerre derivative identity.  Every equation a solution solves
 is, times r^2, a sum of powers c r^e, so the residual is checked in w and
 log r without finite differences or radii.  The squared norm is a
-Laguerre-weight integral of a polynomial, which a Gauss rule computes exactly.
+Laguerre-weight integral of a polynomial, which a Gauss rule computes exactly;
+any other integral of psi is stated in u = log w by ``integrand``.
 """
 
 from __future__ import annotations
@@ -156,12 +157,15 @@ class ClosedFormSolution:
         w_hi = max(30.0 * (n + 1), m + h + 20.0, 2.0 * (c + n) + math.sqrt(320.0 * (c + n)))
         return np.geomspace(w_lo, w_hi, num)
 
-    def grid(self) -> np.ndarray:
-        """Radii of w_grid(240), ascending; ValueError where they leave the floats."""
-        w = self.w_grid(240)
-        if max(abs(math.log(v / self.rate)) for v in (w[0], w[-1])) >= 709.0 * abs(self.shape):
-            raise ValueError("the grid's radii lie outside the floats")
-        return np.sort((w / self.rate) ** (1.0 / self.shape))
+    def integrand(self, h=None):
+        """int E(r)^2 h(w) dr, E = amplitude r^power exp(-w/2), per unit u = log w
+        for ``oracle.quad_seminfinite``, with no radius formed:
+        exp(2 log_amplitude + (2 power + 1)(u - log rate)/shape - e^u) h(e^u)/|shape|.
+        h defaults to L(w)^2, the squared norm of psi."""
+        h = h or (lambda w: laguerre(self.degree, self.order, w) ** 2)
+        s, log_rate = (2.0 * self.power + 1.0) / self.shape, math.log(self.rate)
+        log_c = 2.0 * self.log_amplitude - math.log(abs(self.shape))
+        return lambda u: np.exp(log_c + s * (u - log_rate) - np.exp(u)) * h(np.exp(u))
 
     def residual(self, monomials) -> "ResidualReport":
         """Relative residual of psi'' = q psi, r^2 q = sum of c r^e over the

@@ -173,12 +173,6 @@ def bracket_monomials(family: DiracFamily) -> list[tuple[float, float]]:
     return [(a * a, 2.0 * beta), (-a * (beta - 1.0), beta), (2.0 * family.kappa * a, beta)]
 
 
-def operator_bracket(family: DiracFamily, r):
-    """W^2 - dW/dr + 2 kappa W / r, the potential-like part of the reduced
-    operator: the sum of bracket_monomials over r^2; it agrees with 2V."""
-    return sum(c * positive_radii(r) ** (e - 2.0) for c, e in bracket_monomials(family))
-
-
 def residual_33(family: DiracFamily) -> ResidualReport:
     """Relative residual of the reduced second-order equation applied to the
     upper spinor, stated as r^2 q = kappa(kappa+1) plus the bracket's pieces."""
@@ -222,5 +216,4 @@ def lower_component_relative(family: DiracFamily) -> float:
 
 
 def spinor_norm(family: DiracFamily) -> oracle.QuadResult:
-    sol = upper_spinor(family)
-    return oracle.quad_seminfinite(lambda r: sol.phi.value(r) ** 2, 1e-11)
+    return oracle.quad_seminfinite(upper_spinor(family).phi.integrand(), 1e-11)

@@ -60,7 +60,7 @@ _GAUSS_WEIGHTS = np.array([
 ])
 
 _T_CAP = 704.0  # exp() stays finite
-_SCAN = np.linspace(-_T_CAP, _T_CAP, 2817)  # step 0.5 in t = log r
+_SCAN = np.linspace(-_T_CAP, _T_CAP, 2817)  # step 0.5 in sigma
 _PANEL = 3.5  # widest starting panel
 _MAX_PANELS = 2000
 _LOG3 = math.log(3.0)
@@ -94,28 +94,27 @@ def _gk_panel(g, a, b):
     return ik, max(err, 50.0 * np.finfo(float).eps * half * float(_KRONROD_WEIGHTS @ np.abs(v)))
 
 
-def quad_seminfinite(f, tol: float = 1e-10, *, atol: float = 0.0) -> QuadResult:
-    """Integrate f over (0, inf) with the substitution r = exp(t).
-
-    g(t) = f(e^t) e^t is sampled once on every t whose exp() is a float,
-    |t| <= 704 in steps of 0.5.  The window is the span of samples above
-    1e-3 tol max|g| / 1408, padded by one step: below that level the whole
-    1408-wide scan holds less than 1e-3 tol max|g|.  It is cut into panels
-    at most 3.5 wide, which are bisected adaptively (Gauss-Kronrod 7/15 with
-    QUADPACK's error estimate) until the summed estimate drops below ``tol``
-    relative (or ``atol`` absolute).  The result is ``converged=False`` with
-    a note when the live span reaches an end of the scan (the tail is
-    truncated, as for 1/r), when no sample is nonzero (any mass lies beyond
-    the floats) or when 2000 panels do not reach the tolerance.  ``f`` must
-    accept ndarrays.
-    """
+def quad_seminfinite(h, tol: float = 1e-10, *, atol: float = 0.0) -> QuadResult:
+    """Integrate f over (0, inf), given per unit log variable as h(u) = x f(x)
+    at u = log x.  u = sigma - exp(-sigma) makes a tail e^(a u), u -> -inf,
+    double-exponential however small a > 0 is: g(sigma) = h(u) (1 + exp(-sigma))
+    is sampled once on |sigma| <= 704 (exp(-sigma) a float) in steps of 0.5.
+    The window is the span of samples above 1e-3 tol max|g| / 1408, padded by
+    one step: below that level the whole scan holds less than 1e-3 tol
+    max|g|.  It is cut into panels at most 3.5 wide, which are bisected
+    adaptively (Gauss-Kronrod 7/15 with QUADPACK's error estimate) until the
+    summed estimate drops below ``tol`` relative (or ``atol`` absolute).  The
+    result is ``converged=False`` with a note when the live span reaches an
+    end of the scan (the tail is truncated, as for f = 1/x), when no sample is
+    nonzero (any mass lies beyond the floats) or when 2000 panels do not reach
+    the tolerance.  ``h`` must accept ndarrays."""
     if not (1e-13 <= tol <= 1e-6):
         raise ValueError(f"tol must lie in [1e-13, 1e-6], got {tol}")
 
-    def g(t):
-        r = np.exp(t)
+    def g(sigma):
+        e = np.exp(-sigma)
         with np.errstate(all="ignore"):
-            v = np.asarray(f(r), dtype=float) * r
+            v = np.asarray(h(sigma - e), dtype=float) * (1.0 + e)
         return np.where(np.isfinite(v), v, 0.0)
 
     scan = np.abs(g(_SCAN))

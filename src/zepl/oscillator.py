@@ -29,8 +29,8 @@ import numpy as np
 from . import oracle
 from .closedform import ClosedFormSolution, ResidualReport, zero_energy_solution
 
-__all__ = ["OscillatorState", "phi", "phi_eval", "residual_a5", "ladder_check",
-           "eigenvalue_term", "LadderReport"]
+__all__ = ["OscillatorState", "phi", "residual_a5", "ladder_check", "eigenvalue_term",
+           "LadderReport"]
 
 _LADDER_LAMBDA_SQ = 0.25  # untilted frame: lam^4 = 1/16 matches the x^2/16 realization
 
@@ -74,27 +74,18 @@ def phi(state: OscillatorState) -> ClosedFormSolution:
     return unit.scaled(log_c + unit.power * math.log(lam), normalized=True)
 
 
-def phi_eval(state: OscillatorState, x):
-    """Value, first and second derivative of Phi at x > 0."""
-    return phi(state)._derivs(x)
-
-
 def residual_a5(state: OscillatorState) -> ResidualReport:
     """Residual of the oscillator equation as x^2 q = -eta + lam^4 x^4 - 4 lam^2 (g+n+1) x^2."""
     return phi(state).residual([(-state.eta, 0.0), (state.lam**4, 4.0),
                                 (-eigenvalue_term(state), 2.0)])
 
 
-def _apply_l3(state: OscillatorState, x):
-    val, _, d2 = phi_eval(state, x)
-    return d2 + state.eta / x**2 * val - x**2 / 16.0 * val, val
-
-
-def _apply_ladder(state: OscillatorState, x, pm: float):
-    """(1/sqrt2)[d2/dx2 + eta/x^2 + x^2/16 +- (x d/dx + 1/2)/2] Phi."""
-    val, d1, d2 = phi_eval(state, x)
-    core = d2 + state.eta / x**2 * val + x**2 / 16.0 * val
-    return (core + pm * 0.5 * (x * d1 + 0.5 * val)) / math.sqrt(2.0)
+def _generator(sol: ClosedFormSolution, eta: float, w, quartic: float, pm: float):
+    """x^2/E [Phi'' + eta Phi/x^2 + quartic x^2 Phi/16 + pm (x Phi' + Phi/2)/2] and L
+    at w = x^2/4 (lam^2 = 1/4), Phi = E L(w): d2 + eta L + quartic w^2 L + pm 2w (d1 + L/2).
+    quartic = -1, pm = 0 gives L3; quartic = 1, pm = +-1 the ladder combinations times sqrt2."""
+    val, d1, d2 = sol.euler(w, derivs=True)
+    return d2 + (eta + quartic * w * w) * val + pm * 2.0 * w * (d1 + 0.5 * val), val
 
 
 @dataclass(frozen=True)
@@ -111,15 +102,17 @@ class LadderReport:
 def ladder_check(gamma: float, n: int) -> LadderReport:
     """Apply the differential realization of the generators to Phi_n^gamma in
     the frame lam^2 = 1/4 and compare against the representation
-    coefficients on Phi's grid.  All comparisons hold up to the sign sigma of
-    the median L3 ratio, which is measured here for this state."""
+    coefficients on Phi's w_grid(240), in w.  All comparisons hold up to the
+    sign sigma of the median L3 ratio, which is measured here for this state."""
     lam = math.sqrt(_LADDER_LAMBDA_SQ)
     state = OscillatorState(gamma=gamma, n=n, lam=lam)
-    x = phi(state).grid()
+    sol, eta = phi(state), state.eta
+    w = sol.w_grid(240)
 
-    l3_val, val = _apply_l3(state, x)
-    mask = np.abs(val) > 1e-9 * np.abs(val).max()
-    ratio = l3_val[mask] / val[mask]
+    l3_val, val = _generator(sol, eta, w, -1.0, 0.0)
+    psi = np.exp(0.5 * sol.power * np.log(w) - 0.5 * w) * val  # Phi up to scale
+    mask = np.abs(psi) > 1e-9 * np.abs(psi).max()
+    ratio = l3_val[mask] / (4.0 * w[mask] * val[mask])
     expected = gamma + n + 1.0
     median = float(np.median(ratio))
     sigma = 1 if median > 0 else -1
@@ -127,18 +120,21 @@ def ladder_check(gamma: float, n: int) -> LadderReport:
     l3_dev = float(np.max(np.abs(ratio * sigma - expected))) / expected
 
     # effective raising operator is the nominal "-" combination when sigma=-1;
-    # the quadrature of the raised state is the independent check of the L+
-    # coefficient, the phi norms are exact Gauss-Laguerre sums
-    raised = lambda xs: _apply_ladder(state, xs, float(sigma))
-    norm_raised = math.sqrt(oracle.quad_seminfinite(lambda r: raised(r) ** 2, 1e-11).value)
+    # the quadrature of the raised state, E^2 bracket^2/(32 w^2), checks the L+
+    # coefficient independently; the phi norms are exact Gauss-Laguerre sums
+    h = lambda w: _generator(sol, eta, w, 1.0, sigma)[0] ** 2 / (32.0 * w * w)
+    norm_raised = math.sqrt(oracle.quad_seminfinite(sol.integrand(h), 1e-11).value)
     upper = phi(OscillatorState(gamma=gamma, n=n + 1, lam=lam))
     lplus_ratio = norm_raised / math.exp(0.5 * upper.log_norm())
     lplus_expected = math.sqrt((n + 1.0) * (n + 2.0 * gamma + 2.0) / 2.0)
 
-    ground = OscillatorState(gamma=gamma, n=0, lam=lam)
-    ground_phi = phi(ground)
-    lowered_ground = _apply_ladder(ground, ground_phi.grid(), -float(sigma))
-    lminus = float(np.max(np.abs(lowered_ground))) / math.exp(0.5 * ground_phi.log_norm())
+    # the lowered ground state, (E/x^2) bracket/sqrt2 with E/x^2 =
+    # amplitude (4w)^(power/2 - 1) e^(-w/2), against its norm
+    ground = phi(OscillatorState(gamma=gamma, n=0, lam=lam))
+    w = ground.w_grid(240)
+    log_c = ground.log_amplitude - 0.5 * (ground.log_norm() + math.log(2.0))
+    lowered = np.exp(log_c + (0.5 * ground.power - 1.0) * np.log(4.0 * w) - 0.5 * w)
+    lminus = float(np.max(np.abs(lowered * _generator(ground, eta, w, 1.0, -sigma)[0])))
 
     return LadderReport(sigma=sigma, l3_ratio=l3_ratio, l3_expected=expected,
                         l3_max_rel_dev=l3_dev, lplus_norm_ratio=lplus_ratio,

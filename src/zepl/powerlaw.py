@@ -113,9 +113,15 @@ class PotentialTerms:
             raise ValueError("both term coefficients must be positive")
 
     def value(self, r):
-        r = positive_radii(r)
-        return (self.repulsive_coeff * r**self.repulsive_exponent
-                - self.attractive_coeff * r**self.attractive_exponent)
+        """c1 r^p1 - c2 r^p2, or inf signed by the larger log c + p log r where both overflow."""
+        r, c1, c2 = positive_radii(r), self.repulsive_coeff, self.attractive_coeff
+        p1, p2 = self.repulsive_exponent, self.attractive_exponent
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = c1 * r**p1 - c2 * r**p2
+        nan = np.isnan(v)  # inf - inf
+        if nan.any():
+            v = np.where(nan, np.copysign(np.inf, math.log(c1 / c2) + (p1 - p2) * np.log(r)), v)[()]
+        return v
 
     def scaled(self, coupling_scale: float) -> "PotentialTerms":
         return replace(self, attractive_coeff=self.attractive_coeff * coupling_scale)
@@ -214,7 +220,7 @@ def norm(family: PowerLawFamily) -> NormResult:
     sol = wavefunction(family)
     if not sol.normalized:
         return NormResult(False, None, None)
-    q = oracle.quad_seminfinite(lambda r: sol.value(r) ** 2, 1e-10)
+    q = oracle.quad_seminfinite(sol.integrand(), 1e-10)
     return NormResult(True, q.value, q)
 
 

@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from zepl import cli, verify
+from zepl import cli, dirac, oracle, verify
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +139,16 @@ def test_potential_csv(capsys):
     assert len(rows) == 10
 
 
+@pytest.mark.filterwarnings("error")
+def test_potential_takes_the_dominant_term_where_both_leave_the_floats(capsys):
+    # p1 = -20002 and p2 = -10002: below r = 1 both terms overflow, and
+    # c1 r^p1 - c2 r^p2 read inf - inf = nan with four RuntimeWarnings
+    code, rows = run_csv(capsys, ["potential", "--mu", "-0.5001", "--format", "csv"])
+    r, v, v_eff = (np.array([float(row[k]) for row in rows]) for k in ("r", "v", "v_eff"))
+    assert code == 0 and not np.isnan(v).any() and not np.isnan(v_eff).any()
+    assert np.all(v[r < 0.9] == np.inf) and np.all(np.isfinite(v[r > 1.1]))
+
+
 def test_output_file_and_env_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ZEPL_OUTPUT_DIR", str(tmp_path))
     code = cli.main(["degeneracy", "--mu", "3/2", "--omega", "11",
@@ -214,14 +224,22 @@ def test_bad_input_is_a_one_line_validation_error(capsys, argv):
                                   ["dirac", "--beta", "0.01", "--lambda", "1000"]],
                          ids=["beta-1e-3", "beta-0.01-lambda-1000"])
 def test_dirac_checks_where_the_grid_radii_leave_the_floats(capsys, schema, argv):
-    # no check forms a radius, so these pass; the norm quadrature cannot reach
-    # phi's mass (no nonzero sample, or a window cut at the floats' end), so
-    # its value is null and its note is kept
+    # phi's mass lies beyond |log r| = 704, where the quadrature in r found no
+    # nonzero sample or a truncated window and wrote null; in log w it converges
     code, doc = run_json(capsys, argv)
     res = doc["results"]
     assert code == 0 and doc["passed"] is True
-    assert res["residual_33_max"] < 1e-12 and res["norm_quadrature"] is None
-    assert any(("nonzero sample" in note or "truncated" in note) for note in res["notes"])
+    assert res["residual_33_max"] < 1e-12 and abs(res["norm_quadrature"] - 1.0) < 1e-9
+    jsonschema.validate(doc, schema)
+
+
+def test_dirac_writes_null_with_the_note_for_an_unconverged_norm(capsys, schema, monkeypatch):
+    miss = oracle.QuadResult(0.5, 0.1, False, 2000, "panel budget exhausted")
+    monkeypatch.setattr(dirac, "spinor_norm", lambda family: miss)
+    code, doc = run_json(capsys, ["dirac", "--beta", "0.5", "--l", "1"])
+    res = doc["results"]
+    assert code == 0 and doc["passed"] is True
+    assert res["norm_quadrature"] is None and "panel budget exhausted" in res["notes"]
     jsonschema.validate(doc, schema)
 
 

@@ -119,9 +119,8 @@ def test_relative_residual_fails_on_non_finite_kept_terms(bad):
 @pytest.mark.parametrize("shape", [2.0, -1.5])
 def test_grid_is_geometric_in_the_laguerre_argument(shape):
     sol = ClosedFormSolution(log_amplitude=0.0, power=1.0, rate=0.7, shape=shape, degree=3)
-    r = sol.grid()
-    w = np.sort(sol.rate * r**sol.shape)
-    assert r.size == 240 and np.all(np.diff(r) > 0)
+    w = sol.w_grid(240)
+    assert w.size == 240 and np.all(np.diff(w) > 0)
     assert w[0] == pytest.approx(1e-2) and w[-1] == pytest.approx(120.0)
     assert np.allclose(w, np.geomspace(1e-2, 120.0, 240))
 
@@ -143,17 +142,33 @@ def test_relative_residual_is_called_only_by_the_closed_form_and_pct_check():
                        ("dirac.py", "lower_component_relative")}
 
 
-def test_only_the_ladder_check_forms_grid_radii():
-    # every other check runs in w and log r
-    callers = set()
+def test_every_closed_form_integral_is_stated_in_log_w():
+    # quad_seminfinite integrates a closed form's integrand() and, in the
+    # specfn suite, the Gaussian moment; no radius grid is left to call
+    bare = set()
     for path in Path(closedform.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for fn in ast.walk(tree):
-            if isinstance(fn, ast.FunctionDef):
-                callers.update((path.name, fn.name) for node in ast.walk(fn)
-                               if isinstance(node, ast.Call)
-                               and getattr(node.func, "attr", None) == "grid")
-    assert callers == {("oscillator.py", "ladder_check")}
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            assert name != "grid", path.name
+            arg = node.args[0] if name == "quad_seminfinite" else None
+            if arg is not None and getattr(getattr(arg, "func", None), "attr", None) != "integrand":
+                bare.add((path.name, ast.unparse(arg)))
+    assert bare == {("verify.py", "lambda t: np.exp(3.0 * t - np.exp(2.0 * t))")}
+    assert not hasattr(ClosedFormSolution, "grid")
+
+
+@pytest.mark.parametrize("shape", [2.0, -1.5, 0.1])
+def test_integrand_is_psi_squared_per_unit_log_w(shape):
+    # dr = r du/|shape| at u = log w: the integrand is r psi(r)^2/|shape|
+    sol = zero_energy_solution(shape, 1.3, 2, 3).scaled(0.4)
+    r = np.array([0.3, 0.9, 1.7])
+    u = np.log(sol.rate * r**shape)
+    assert np.allclose(sol.integrand()(u), r * sol.value(r) ** 2 / abs(shape), rtol=1e-12)
+    h = lambda w: np.sin(w)
+    assert np.allclose(sol.integrand(h)(u), sol.integrand()(u) * h(np.exp(u))
+                       / sol.euler(np.exp(u), False)[0] ** 2, rtol=1e-12)
 
 
 def test_log_norm_diverges_exactly_when_s_is_at_most_minus_one():
@@ -239,14 +254,6 @@ def test_no_caller_scales_by_an_exponential():
                                 and getattr(inner.func, "attr", None) == "exp"), path.name
 
 
-@pytest.mark.parametrize("shape,rate", [(1e-3, 1.0), (0.01, 1e6)])
-def test_grid_refuses_radii_outside_the_floats(shape, rate):
-    # r = (w/rate)^(1/shape): w = 30 at shape 1e-3 is r = 30^1000
-    sol = zero_energy_solution(shape, math.sqrt(rate), 1, 0)
-    with pytest.raises(ValueError, match="outside the floats"):
-        sol.grid()
-
-
 @pytest.mark.filterwarnings("error")
 def test_grid_covers_psi_beyond_the_laguerre_range():
     # the power-law family (3/2, 1, 60, 3): psi ~ w^122 e^(-w/2) L_3(w) peaks
@@ -254,9 +261,9 @@ def test_grid_covers_psi_beyond_the_laguerre_range():
     # rising flank; the grid now starts where psi is below 1e-12 of its peak
     # and ends past it, 1e-9 down its tail
     sol = zero_energy_solution(0.5, 1.0, 60, 3)
-    r = sol.grid()
-    w = sol.rate * r**sol.shape
-    psi = np.abs(sol.scaled(-float(np.max(sol.power * np.log(r) - 0.5 * w))).value(r))
+    w = sol.w_grid(240)
+    log_env = sol.power * (np.log(w) - math.log(sol.rate)) / sol.shape - 0.5 * w
+    psi = np.abs(np.exp(log_env - log_env.max()) * sol.euler(w, False)[0])
     assert w[0] > 30.0 and w[-1] > 400.0
     assert psi[0] < 1e-12 * psi.max() and psi[-1] < 1e-9 * psi.max()
     assert np.sum(psi > 1e-12 * psi.max()) >= 120

@@ -9,21 +9,22 @@ from zepl import oracle
 
 
 # --- quadrature ---------------------------------------------------------------
+# quad_seminfinite takes x f(x) at t = log x: these are integrals of f over x > 0
 
 def test_quad_exponential():
-    q = oracle.quad_seminfinite(lambda r: np.exp(-r), 1e-10)
+    q = oracle.quad_seminfinite(lambda t: np.exp(t - np.exp(t)), 1e-10)
     assert q.converged
     assert q.value == pytest.approx(1.0, rel=1e-10)
 
 
 def test_quad_gaussian_moment():
-    q = oracle.quad_seminfinite(lambda r: r**2 * np.exp(-(r**2)), 1e-12)
+    q = oracle.quad_seminfinite(lambda t: np.exp(3.0 * t - np.exp(2.0 * t)), 1e-12)
     assert q.converged
     assert q.value == pytest.approx(math.sqrt(math.pi) / 4.0, rel=1e-11)
 
 
 def test_quad_divergent_flags():
-    q = oracle.quad_seminfinite(lambda r: 1.0 / r, 1e-8)
+    q = oracle.quad_seminfinite(lambda t: np.ones_like(t), 1e-8)
     assert not q.converged
     assert "truncated" in q.note or "budget" in q.note
 
@@ -31,11 +32,11 @@ def test_quad_divergent_flags():
 def test_quad_tol_validated():
     for bad in (1e-14, 1e-5, 0.0):
         with pytest.raises(ValueError):
-            oracle.quad_seminfinite(lambda r: np.exp(-r), bad)
+            oracle.quad_seminfinite(lambda t: np.exp(t - np.exp(t)), bad)
 
 
 def test_quad_self_consistency_on_tol_halving():
-    f = lambda r: r**3 * np.exp(-1.7 * r)
+    f = lambda t: np.exp(4.0 * t - 1.7 * np.exp(t))
     coarse = oracle.quad_seminfinite(f, 1e-8)
     fine = oracle.quad_seminfinite(f, 5e-9)
     assert abs(coarse.value - fine.value) <= coarse.error + fine.error
@@ -43,23 +44,32 @@ def test_quad_self_consistency_on_tol_halving():
 
 def test_quad_shifted_scale():
     # mass far from r ~ 1 must still be found by the window expansion
-    q = oracle.quad_seminfinite(lambda r: np.exp(-((np.log(r) - 15.0) ** 2)), 1e-9)
+    q = oracle.quad_seminfinite(lambda t: np.exp(t - (t - 15.0) ** 2), 1e-9)
     assert q.converged
     assert q.value == pytest.approx(math.sqrt(math.pi) * math.exp(15.0 + 0.25), rel=1e-8)
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [3e-4, 1e-6])
+def test_quad_reaches_a_slow_tail_at_the_origin(a):
+    # x^(a-1) e^-x decays like e^(a t) as t -> -inf: in t alone the window
+    # reaches the end of the scan, read 0.19 and 7e-4 of Gamma(a), unconverged
+    q = oracle.quad_seminfinite(lambda t: np.exp(a * t - np.exp(t)), 1e-10)
+    assert q.converged and q.value == pytest.approx(math.gamma(a), rel=1e-10)
+
+
+@pytest.mark.filterwarnings("error")
 def test_quad_all_zero_integrand_is_unconverged():
     # no sample is nonzero: whatever mass there is lies beyond the floats
-    q = oracle.quad_seminfinite(lambda r: np.zeros_like(r), 1e-10)
+    q = oracle.quad_seminfinite(lambda t: np.zeros_like(t), 1e-10)
     assert not q.converged and q.value == 0.0
     assert "beyond the floats" in q.note
 
 
 @pytest.mark.filterwarnings("error")
 def test_quad_error_estimate_is_scale_free():
-    f = lambda r: r**3 * np.exp(-1.7 * r)
-    q, tiny = (oracle.quad_seminfinite(lambda r, s=s: s * f(r), 1e-10) for s in (1.0, 1e-20))
+    f = lambda t: np.exp(4.0 * t - 1.7 * np.exp(t))
+    q, tiny = (oracle.quad_seminfinite(lambda t, s=s: s * f(t), 1e-10) for s in (1.0, 1e-20))
     assert q.converged and tiny.converged and q.panels == tiny.panels
     assert tiny.error / q.error == pytest.approx(1e-20, rel=1e-6)
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from zepl import oracle, oscillator, verify
-from zepl.oscillator import (OscillatorState, eigenvalue_term, ladder_check, phi, phi_eval,
-                             residual_a5)
+from zepl.oscillator import OscillatorState, eigenvalue_term, ladder_check, phi, residual_a5
+from zepl.specfn import laguerre
 
 
 def test_state_validation():
@@ -26,7 +26,7 @@ def test_ground_state_value():
 @pytest.mark.parametrize("n", range(4))
 def test_unit_norm(n):
     f = phi(OscillatorState(gamma=0.5, n=n, lam=1.0))
-    q = oracle.quad_seminfinite(lambda r: f(r) ** 2, 1e-11)
+    q = oracle.quad_seminfinite(f.integrand(), 1e-11)
     assert q.converged
     assert q.value == pytest.approx(1.0, abs=1e-9)
 
@@ -35,7 +35,9 @@ def test_unit_norm(n):
 def test_orthogonality(gamma, lam):
     f0 = phi(OscillatorState(gamma=gamma, n=0, lam=lam))
     f1 = phi(OscillatorState(gamma=gamma, n=1, lam=lam))
-    val = oracle.quad_seminfinite(lambda r: f0(r) * f1(r), 1e-11, atol=1e-12).value
+    # phi_0 phi_1 = E_0^2 L_0 L_1 A_1/A_0: both share power, rate and shape
+    h = lambda w: laguerre(1, f1.order, w) * math.exp(f1.log_amplitude - f0.log_amplitude)
+    val = oracle.quad_seminfinite(f0.integrand(h), 1e-11, atol=1e-12).value
     assert abs(val) < 1e-9
 
 
@@ -64,14 +66,13 @@ def test_residual_detector_fires():
     assert phi(state).residual(q).max_residual > 1e-3
 
 
-def test_phi_eval_returns_derivatives():
-    state = OscillatorState(gamma=1.0, n=2, lam=0.8)
+def test_phi_returns_derivatives():
+    f = phi(OscillatorState(gamma=1.0, n=2, lam=0.8))
     x = np.linspace(0.4, 2.0, 5)
-    val, d1, d2 = phi_eval(state, x)
     h = 1e-6
-    fd = (phi(state)(x + h) - phi(state)(x - h)) / (2 * h)
-    assert np.allclose(d1, fd, rtol=1e-7, atol=1e-9)
-    assert val.shape == d2.shape == x.shape
+    fd = (f(x + h) - f(x - h)) / (2 * h)
+    assert np.allclose(f.deriv(x), fd, rtol=1e-7, atol=1e-9)
+    assert f(x).shape == f.deriv2(x).shape == x.shape
 
 
 def test_lowering_annihilates_ground_state():
@@ -99,13 +100,13 @@ def test_single_global_sign():
 
 def test_sign_row_fails_when_one_state_breaks_the_convention(monkeypatch):
     # the sign is measured per state, so one flipped L3 must show in the suite
-    apply_l3 = oscillator._apply_l3
+    generator = oscillator._generator
 
-    def flipped_at_n3(state, x):
-        l3_val, val = apply_l3(state, x)
-        return (-l3_val if state.n == 3 else l3_val), val
+    def l3_flipped_at_n3(sol, eta, w, quartic, pm):
+        out, val = generator(sol, eta, w, quartic, pm)
+        return (-out if sol.degree == 3 and quartic < 0 else out), val
 
-    monkeypatch.setattr(oscillator, "_apply_l3", flipped_at_n3)
+    monkeypatch.setattr(oscillator, "_generator", l3_flipped_at_n3)
     row = next(c for c in verify.suite_oscillator()
                if c.name == "oscillator.ladder[single global sign]")
     assert not row.passed and row.detail == "sigma=[-1, 1]"

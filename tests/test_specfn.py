@@ -92,7 +92,8 @@ def test_weighted_orthogonality(alpha):
     for m in range(4):
         for n in range(m + 1, 5):
             fm, fn = normalized(m), normalized(n)
+            # x f(x) at t = log x, f = x^alpha e^-x L_m L_n
             val = quad_seminfinite(
-                lambda x: x**alpha * np.exp(-x) * fm(x) * fn(x),
+                lambda t: np.exp((alpha + 1.0) * t - np.exp(t)) * fm(np.exp(t)) * fn(np.exp(t)),
                 1e-11, atol=1e-12).value
             assert abs(val) < 1e-9
