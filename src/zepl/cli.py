@@ -178,6 +178,10 @@ def _cmd_potential(args) -> int:
             for a, b, c in zip(r, v, veff)]
     result = {"gamma": mapped.gamma, "energy": mapped.energy,
               "terms": asdict(mapped.terms), "samples": rows}
+    beyond = int(np.count_nonzero(~(np.isfinite(v) & np.isfinite(veff))))
+    if beyond:  # written as null in JSON
+        result["note"] = (f"v or v_eff is null on {beyond} of {len(rows)} samples: there it is "
+                          "+inf or -inf, a term of the potential being beyond the floats")
     _emit(_envelope("potential", vars_of(args, "mu", "lam", "l", "n",
                                          "r_min", "r_max", "points"), result),
           rows, args)

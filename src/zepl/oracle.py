@@ -4,7 +4,9 @@ Nothing in this module evaluates a closed-form solution from the rest of the
 package: quantized couplings and energies are rediscovered from the bare
 differential equations by double-sided shooting, and norms/orthogonality are
 checked by adaptive quadrature.  The only shared knowledge is the problem
-statement itself (potential coefficients and exponents).
+statement itself (potential coefficients and exponents).  Each level's
+search starts at the problem's own Bohr-Sommerfeld estimate, a quadrature of
+the stated r^2 q; the level reported is always the shooting root.
 """
 
 from __future__ import annotations
@@ -65,10 +67,13 @@ _PANEL = 3.5  # widest starting panel
 _MAX_PANELS = 2000
 _LOG3 = math.log(3.0)
 # lsoda's step budget for one sweep.  The longest sweep of the tests,
-# `zepl verify --all` and perfbench's oracle_sweep takes 7447 steps (odeint's
+# `zepl verify --all` and perfbench's oracle_sweep takes 7463 steps (odeint's
 # default budget is 500); a sweep that needs more than this has lost the
 # problem, say to a huge r^2 q, and raises instead of running on.
 _MAX_STEPS = 20_000
+# midpoint nodes in phi on (0, pi) for the Bohr-Sommerfeld action
+_PHI = (np.arange(64) + 0.5) * (math.pi / 64)
+_PHI_COS, _PHI_SIN = np.cos(_PHI), np.sin(_PHI)
 
 
 @dataclass(frozen=True)
@@ -165,13 +170,15 @@ class RadialODE:
     value).  ``ends(c)`` gives (t_inner, t_match, t_outer).  ``inner_slope``
     and ``outer_slope`` give r u'/u at the start of each sweep.  A start must
     have no zero of u beyond it (on its side of the domain): the sweep counts
-    zeros from there.
+    zeros from there.  ``guess(n)`` estimates the n-th level; shooting only
+    starts its search there.
     """
 
     r2q: Callable[[float, float], float]
     ends: Callable[[float], tuple[float, float, float]]
     inner_slope: Callable[[float, float], float]
     outer_slope: Callable[[float, float], float]
+    guess: Callable[[int], float]
 
 
 @dataclass(frozen=True)
@@ -270,7 +277,8 @@ def _two_term_ode(k: float, a: float, b: float, l: int) -> RadialODE:
     solution has no zero beyond the start.  The other end starts on WKB decay at
     x = max(36|k|/sqrt(a), 6 b c/a), which gives both a ~36 decay budget and
     clear dominance of the repulsive term.  The sides match at the bottom of
-    q's negative well."""
+    q's negative well.  The guess is the Bohr-Sommerfeld estimate with
+    Langer's l(l+1) -> (l+1/2)^2."""
     ll = l * (l + 1.0)
 
     def r2q(t, c):
@@ -299,9 +307,31 @@ def _two_term_ode(k: float, a: float, b: float, l: int) -> RadialODE:
         # essential decay into the origin, algebraic r^(-l) branch at infinity
         return t_wkb, t_match, max(t_regular, t_match + math.log(9.5))
 
+    c_meet = 2.0 * math.sqrt(a) * (l + 0.5) / b  # where the turning points meet
+
+    def action(c):
+        # int sqrt(-(r^2 q + 1/4)) dt between the turning points, the roots of
+        # a x^2 - b c x + (l+1/2)^2 = 0; log x spans m -+ h, h = acosh(c/c_meet).
+        # At log x = m - h cos(phi) the integrand is (l+1/2)/|k| h sin(phi)
+        # sqrt((e^(h (1 - cos phi)) - 1) (1 - e^(-h (1 + cos phi)))), smooth and
+        # periodic in phi, so the midpoint rule converges fast
+        if not c > c_meet:
+            return 0.0
+        h = math.acosh(c / c_meet)
+        v = _PHI_SIN * np.sqrt(np.expm1(h * (1.0 - _PHI_COS)) * -np.expm1(-h * (1.0 + _PHI_COS)))
+        return (l + 0.5) * h * float(v.sum()) * (math.pi / _PHI.size) / abs(k)
+
+    def guess(n):
+        # the smallest c whose action, rising from 0 at c_meet, is (n + 1/2) pi
+        target = (n + 0.5) * math.pi
+        lo, hi = c_meet, 2.0 * c_meet
+        while action(hi) < target:
+            lo, hi = hi, 2.0 * hi
+        return brentq(lambda c: action(c) - target, lo, hi, xtol=1e-15 * hi, rtol=1e-14)
+
     if k > 0:
-        return RadialODE(r2q, ends, lambda t, c: l + 1.0, _wkb_slope(r2q, -1.0))
-    return RadialODE(r2q, ends, _wkb_slope(r2q, +1.0), lambda t, c: -float(l))
+        return RadialODE(r2q, ends, lambda t, c: l + 1.0, _wkb_slope(r2q, -1.0), guess)
+    return RadialODE(r2q, ends, _wkb_slope(r2q, +1.0), lambda t, c: -float(l), guess)
 
 
 def build_powerlaw_ode(mu: float, lam: float, l: int) -> RadialODE:
@@ -329,13 +359,18 @@ def coupling_mismatch(ode: RadialODE, coupling: float):
     return math.sin(inn.end_theta - out.end_theta), out, inn
 
 
-def _shoot(ode: RadialODE, unit: float, count: int) -> ShootingResult:
+def _shoot(ode: RadialODE, count: int) -> ShootingResult:
     """The k-th level is the root of the phase (theta_out - theta_in)/pi - k.
 
     Off the spectrum the two angles never differ by a multiple of pi, so the
     phase passes k only at the k-th level, whatever the matching radius, and
-    it rises with c (Sturm).  Each level is bracketed by doubling out from
-    ``unit`` or from the couplings already swept, then solved by brentq."""
+    it rises with c (Sturm).  Each level is first swept at g/(1 + 1e-8) and
+    g (1 + 1e-8) around its estimate g = ``ode.guess(k)``, skipping a probe
+    that lies outside the bracket the earlier sweeps already make.  Where the
+    probes leave the level unbracketed, the bracket doubles up from the
+    highest coupling below it or halves down from the lowest one above it.
+    brentq then finds the root between two swept ends; the estimate only
+    places the bracket."""
     sweeps: dict[float, tuple[float, int]] = {}  # c -> (phase, nodes)
     rhs_evals = 0
 
@@ -348,35 +383,46 @@ def _shoot(ode: RadialODE, unit: float, count: int) -> ShootingResult:
             sweeps[c] = ((out.end_theta - inn.end_theta) / math.pi, nodes)
         return sweeps[c][0]
 
-    values, nodes = [], []
-    for k in range(count):
+    def bracket(k):
         lo = max((c for c, s in sweeps.items() if s[0] < k), default=None)
         hi = min((c for c, s in sweeps.items() if s[0] >= k), default=None)
+        return lo, hi
+
+    values, nodes, fallback = [], [], 0
+    for k in range(count):
+        g = ode.guess(k)
+        for c in (g / (1.0 + 1e-8), g * (1.0 + 1e-8)):
+            lo, hi = bracket(k)
+            if (lo is None or c > lo) and (hi is None or c < hi):
+                phase(c)
+        lo, hi = bracket(k)  # a probe was swept or lay outside: one end is known
         while hi is None:
-            c = unit if lo is None else 2.0 * lo
+            fallback += 1
+            c = 2.0 * lo
             lo, hi = (c, None) if phase(c) < k else (lo, c)
         while lo is None:
+            fallback += 1
             c = 0.5 * hi
             lo, hi = (c, hi) if phase(c) < k else (None, c)
-        root = brentq(lambda c: phase(c) - k, lo, hi, xtol=1e-12 * unit, rtol=1e-10)
+        root = brentq(lambda c: phase(c) - k, lo, hi, xtol=1e-12 * g, rtol=1e-10)
         phase(root)
         values.append(float(root))
         nodes.append(sweeps[root][1])
     diagnostics = {"mismatch_evals": len(sweeps), "ode_sweeps": 2 * len(sweeps),
-                   "rhs_evals": rhs_evals}
+                   "rhs_evals": rhs_evals, "fallback_sweeps": fallback}
     return ShootingResult(values, nodes, diagnostics)
 
 
 def shoot_coupling(mu, lam: float, l: int, count: int = 3) -> ShootingResult:
     """Recover the first ``count`` quantized attractive couplings of the
     two-term power-law problem at zero energy, holding the repulsive
-    coefficient fixed at (lam/(2 mu + 1))^2 lam^2 / 2.  Node counts come from
-    the Pruefer angles of the matched double-sided solution."""
+    coefficient fixed at (lam k/2)^2 lam^2 / 2, k = 1/(mu + 1/2).  Node counts
+    come from the Pruefer angles of the matched double-sided solution."""
     if not 1 <= count <= 6:
         raise ValueError(f"count must lie in 1..6, got {count}")
     mu, lam = float(mu), float(lam)
     ode = build_powerlaw_ode(mu, lam, l)
-    return _shoot(ode, (lam / (2.0 * mu + 1.0)) ** 2, count)
+    return _shoot(ode, count)
 
 
 def build_halfline_ode(n_power: int) -> RadialODE:
@@ -395,4 +441,4 @@ def shoot_energy_bender(n_power: int, count: int = 2) -> ShootingResult:
         raise ValueError(f"count must lie in 1..4, got {count}")
     if n_power not in (-1, 0, 1, 3):
         raise ValueError("supported N values: -1, 0, 1, 3")
-    return _shoot(build_halfline_ode(n_power), 0.25, count)
+    return _shoot(build_halfline_ode(n_power), count)

@@ -149,6 +149,23 @@ def test_potential_takes_the_dominant_term_where_both_leave_the_floats(capsys):
     assert np.all(v[r < 0.9] == np.inf) and np.all(np.isfinite(v[r > 1.1]))
 
 
+def test_potential_json_notes_the_samples_it_writes_as_null(capsys, schema):
+    # V is +inf below r = 1 at mu = -0.5001; null alone cannot tell that from
+    # a failed evaluation, so the schema asks for the note
+    code, doc = run_json(capsys, ["potential", "--mu", "-0.5001"])
+    samples = doc["results"]["samples"]
+    nulls = sum(s["v"] is None or s["v_eff"] is None for s in samples)
+    assert code == 0 and nulls == 99
+    assert doc["results"]["note"].startswith(f"v or v_eff is null on 99 of {len(samples)} samples")
+    jsonschema.validate(doc, schema)
+    del doc["results"]["note"]
+    with pytest.raises(jsonschema.ValidationError, match="'note' is a required property"):
+        jsonschema.validate(doc, schema)
+    code, doc = run_json(capsys, ["potential", "--mu", "3/2"])
+    assert "note" not in doc["results"]
+    jsonschema.validate(doc, schema)
+
+
 def test_output_file_and_env_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ZEPL_OUTPUT_DIR", str(tmp_path))
     code = cli.main(["degeneracy", "--mu", "3/2", "--omega", "11",

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -79,7 +80,8 @@ def test_quad_error_estimate_is_scale_free():
 def _constant_ode(r2q):
     return oracle.RadialODE(r2q=lambda t, c: r2q,
                             ends=lambda c: (math.log(1e-3), 0.0, math.log(10.0)),
-                            inner_slope=lambda t, c: 1.0, outer_slope=lambda t, c: 0.0)
+                            inner_slope=lambda t, c: 1.0, outer_slope=lambda t, c: 0.0,
+                            guess=lambda n: 1.0)
 
 
 def test_free_particle_log_derivative():
@@ -96,7 +98,7 @@ def test_inward_direction_and_renormalization():
     r2q = lambda t, c: math.exp(2.0 * t)
     ode = oracle.RadialODE(r2q=r2q, ends=lambda c: (math.log(0.1), 0.0, math.log(60.0)),
                            inner_slope=lambda t, c: 1.0,
-                           outer_slope=oracle._wkb_slope(r2q, -1.0))
+                           outer_slope=oracle._wkb_slope(r2q, -1.0), guess=lambda n: 1.0)
     traj = oracle.integrate_radial(ode, 0.0, "inward")
     assert traj.end_du / traj.end_u == pytest.approx(-1.0, rel=1e-6)
     assert math.isfinite(traj.end_u) and math.isfinite(traj.end_du)
@@ -220,10 +222,39 @@ def test_mismatch_is_the_scaled_wronskian(mu, l, coupling):
 def test_shooting_diagnostics_count_the_work():
     res = oracle.shoot_energy_bender(0, count=2)
     diag = res.diagnostics
-    assert set(diag) == {"mismatch_evals", "ode_sweeps", "rhs_evals"}
-    assert all(isinstance(v, int) and v > 0 for v in diag.values())
+    assert set(diag) == {"mismatch_evals", "ode_sweeps", "rhs_evals", "fallback_sweeps"}
+    assert all(isinstance(v, int) for v in diag.values())
+    assert diag["mismatch_evals"] > 0 and diag["fallback_sweeps"] == 0
     assert diag["ode_sweeps"] == 2 * diag["mismatch_evals"]
     assert diag["rhs_evals"] > diag["ode_sweeps"]
+
+
+@pytest.mark.parametrize("shoot, args, count", [
+    (oracle.shoot_coupling, (-0.75, 1.0, 1), 3), (oracle.shoot_coupling, (-1.5, 1.0, 1), 3),
+    (oracle.shoot_coupling, (-2.5, 1.0, 2), 3), (oracle.shoot_coupling, (0.25, 1.0, 0), 3),
+    (oracle.shoot_coupling, (1.5, 1.0, 1), 3), (oracle.shoot_energy_bender, (1,), 2),
+    (oracle.shoot_energy_bender, (-1,), 2), (oracle.shoot_energy_bender, (0,), 2)])
+def test_the_estimate_brackets_each_level(shoot, args, count):
+    # the two probes around the Bohr-Sommerfeld estimate bracket every level:
+    # no doubling or halving, and brentq needs about two more sweeps
+    diag = shoot(*args, count=count).diagnostics
+    assert diag["fallback_sweeps"] == 0
+    assert diag["mismatch_evals"] <= 5 * count
+
+
+@pytest.mark.parametrize("mu, lam, l, factors", [
+    (1.5, 1.0, 1, (0.1, 0.7, 1.3, 3.0)), (-2.5, 1.0, 2, (0.1, 0.7, 1.3, 3.0)),
+    (0.25, 1.0, 0, (0.1, 0.7, 1.3, 3.0)), (-50.0, 1.0, 2, (0.7, 1.3))])
+def test_the_estimate_only_places_the_bracket(mu, lam, l, factors):
+    # a guess off by a factor costs fallback sweeps, never a different level
+    ode = oracle.build_powerlaw_ode(mu, lam, l)
+    want = oracle._shoot(ode, 3)
+    for f in factors:
+        res = oracle._shoot(dataclasses.replace(ode, guess=lambda n: f * ode.guess(n)), 3)
+        assert res.diagnostics["fallback_sweeps"] > 0
+        for got, ref in zip(res.values, want.values, strict=True):
+            assert got == pytest.approx(ref, rel=1e-10)
+        assert res.node_counts == [0, 1, 2]
 
 
 def test_oracle_imports_nothing_from_the_package():
