@@ -240,10 +240,13 @@ def _cmd_oracle(args) -> int:
         raise ValidationError("give either --mu (coupling mode) or --N (energy mode)")
     _check_tolerance(args)
     if coupling_mode:
-        res = oracle.shoot_coupling(args.mu, args.lam, args.l, count=args.count)
         predicted = [powerlaw.map_parameters(powerlaw.PowerLawFamily(
             mu=args.mu, lam=args.lam, l=args.l, n=n)).terms.attractive_coeff
             for n in range(args.count)]
+        if abs(args.mu) > oracle.MU_REACH:  # after the family's own refusals
+            raise ValidationError(f"--mu {float(args.mu):g}: shooting reaches |mu| <= "
+                                  f"{oracle.MU_REACH:g}, beyond which a sweep outruns its steps")
+        res = oracle.shoot_coupling(args.mu, args.lam, args.l, count=args.count)
         params = vars_of(args, "mu", "lam", "l", "count")
     else:
         res = oracle.shoot_energy_bender(args.N, count=args.count)
@@ -306,14 +309,15 @@ def _cmd_figures(args) -> int:
               rows, args)
         return EXIT_OK
 
-    l_pos = args.l if args.l and args.l > 0 else 1
+    if args.l < 1:
+        raise ValidationError(f"figures 2-4 draw their l > 0 cases at --l >= 1, got {args.l}")
     if which in (2, 4):
         default, regime = (1.5, "mu > 1/2") if which == 2 else (-1.5, "mu < -1/2")
         mu = float(args.mu) if args.mu is not None else default
         if not (mu > 0.5 if which == 2 else mu < -0.5):
             raise ValidationError(f"figure {which} requires {regime}")
         fam_a = powerlaw.PowerLawFamily(mu=mu, lam=lam, l=0, n=n)
-        fam_bc = powerlaw.PowerLawFamily(mu=mu, lam=lam, l=l_pos, n=n)
+        fam_bc = powerlaw.PowerLawFamily(mu=mu, lam=lam, l=args.l, n=n)
         rows = (_veff_rows("a", fam_a, 1.0, points)
                 + _veff_rows("b", fam_bc, 1.0, points)
                 + _veff_rows("c", fam_bc, _subcritical_scale(fam_bc), points))
@@ -326,11 +330,11 @@ def _cmd_figures(args) -> int:
             raise ValidationError("--mu-negative must lie in (-1/2, 0) for case (b)")
         rows = (_veff_rows("a", powerlaw.PowerLawFamily(mu=mu, lam=lam, l=0, n=n), 1.0, points)
                 + _veff_rows("b", powerlaw.PowerLawFamily(mu=mu_neg, lam=lam, l=0, n=n), 1.0, points)
-                + _veff_rows("c", powerlaw.PowerLawFamily(mu=mu, lam=lam, l=l_pos, n=n), 1.0, points))
+                + _veff_rows("c", powerlaw.PowerLawFamily(mu=mu, lam=lam, l=args.l, n=n), 1.0, points))
     else:
         raise ValidationError("--which must be 1, 2, 3 or 4")
     params = {"which": which, "mu": _num(args.mu) if args.mu is not None else None,
-              "lambda": lam, "l": l_pos, "n": n}
+              "lambda": lam, "l": args.l, "n": n}
     _emit(_envelope("figures", params, rows), rows, args)
     return EXIT_OK
 

@@ -61,6 +61,9 @@ class DiracFamily:
             raise ValueError("l must be a non-negative integer")
         if not self.alpha_fs > 0:
             raise ValueError("fine-structure constant must be positive")
+        if not 0.0 < abs(self.coupling) < math.inf:  # also wherever lam^2 is 0 or inf
+            raise OverflowError(f"the coupling lam^2 beta/2 leaves the floats at "
+                                f"beta = {self.beta:g}, lam = {self.lam:g}")
 
     @property
     def nu(self) -> float:
@@ -76,7 +79,7 @@ class DiracFamily:
     @property
     def coupling(self) -> float:
         """Amplitude A = lam^2/(2 nu + 1) = lam^2 beta / 2 of the odd term."""
-        return self.lam**2 * self.beta / 2.0
+        return self.lam * self.lam * self.beta / 2.0
 
     @property
     def normalizable(self) -> bool:

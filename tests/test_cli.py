@@ -219,6 +219,10 @@ def test_oracle_csv_header(capsys):
     ["dirac", "--beta", "0.5", "--l", "1", "--alpha-fs", "inf"],
     ["bender", "--N", "1", "--tolerance", "inf"],
     ["verify", "--suite", "specfn", "--tolerance-scale", "inf"],
+    ["oracle", "--mu", "1e10", "--count", "1"],
+    ["oracle", "--mu", "-1e10", "--l", "1", "--count", "1"],
+    ["figures", "--which", "2", "--l", "-3"],
+    ["figures", "--which", "3", "--l", "0"],
 ], ids=["oracle-count-7", "oracle-energy-count-5", "oracle-negative-l",
         "bender-negative-n-max", "potential-zero-points", "figures-zero-points",
         "oracle-negative-tolerance", "bender-zero-tolerance", "dirac-negative-tolerance",
@@ -228,7 +232,8 @@ def test_oracle_csv_header(capsys):
         "classify-mu-not-a-number", "classify-mu-1-over-0",
         "classify-negative-coupling-scale", "oracle-lambda-1e300", "degeneracy-omega-1e400",
         "classify-lambda-inf", "classify-coupling-scale-inf", "potential-r-max-1e400",
-        "dirac-alpha-fs-inf", "bender-tolerance-inf", "verify-tolerance-scale-inf"])
+        "dirac-alpha-fs-inf", "bender-tolerance-inf", "verify-tolerance-scale-inf",
+        "oracle-mu-1e10", "oracle-mu-minus-1e10", "figures-negative-l", "figures-zero-l"])
 def test_bad_input_is_a_one_line_validation_error(capsys, argv):
     code = cli.main(argv)
     err = capsys.readouterr().err.splitlines()
@@ -251,13 +256,20 @@ def test_dirac_checks_where_the_grid_radii_leave_the_floats(capsys, schema, argv
 
 
 def test_dirac_writes_null_with_the_note_for_an_unconverged_norm(capsys, schema, monkeypatch):
-    miss = oracle.QuadResult(0.5, 0.1, False, 2000, "panel budget exhausted")
+    miss = oracle.QuadResult(0.5, 0.1, False, 30_000, "sample budget exhausted")
     monkeypatch.setattr(dirac, "spinor_norm", lambda family: miss)
     code, doc = run_json(capsys, ["dirac", "--beta", "0.5", "--l", "1"])
     res = doc["results"]
     assert code == 0 and doc["passed"] is True
-    assert res["norm_quadrature"] is None and "panel budget exhausted" in res["notes"]
+    assert res["norm_quadrature"] is None and "sample budget exhausted" in res["notes"]
     jsonschema.validate(doc, schema)
+
+
+@pytest.mark.parametrize("mu", ["1e10", "-1e10"])
+def test_oracle_refuses_mu_beyond_the_reach_of_shooting_by_name(capsys, mu):
+    # lsoda ran out of steps here: a RuntimeError traceback with exit 1
+    assert cli.main(["oracle", "--mu", mu, "--l", "1", "--count", "1"]) == 2
+    assert f"--mu {float(mu):g}" in capsys.readouterr().err
 
 
 def test_an_infinite_number_is_refused_by_name(capsys):
@@ -272,8 +284,11 @@ def test_an_infinite_number_is_refused_by_name(capsys):
     (["dirac", "--beta", "0.5", "--lambda", "1e300"], "--lambda 1e+300"),
     (["classify", "--mu", "1e300"], "--mu 1e+300"),
     (["oracle", "--mu", "1e300", "--count", "1"], "--mu 1e+300"),
+    (["dirac", "--beta", "0.5", "--l", "1", "--lambda", "1e-170"], "--lambda 1e-170"),
+    (["dirac", "--beta", "-3", "--l", "1", "--lambda", "1e-300"], "--lambda 1e-300"),
 ], ids=["oracle-lambda", "potential-lambda", "figures-lambda", "dirac-lambda",
-        "classify-mu", "oracle-mu"])
+        "classify-mu", "oracle-mu", "dirac-lambda-1e-170",
+        "dirac-negative-beta-lambda-1e-300"])
 def test_a_value_beyond_the_floats_is_refused_by_name(capsys, argv, named):
     # these printed Python's bare "(34, 'Numerical result out of range')", blamed
     # the term coefficients, or (oracle --mu 1e300) ended in a ZeroDivisionError

@@ -1,12 +1,13 @@
 import ast
 import dataclasses
 import math
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zepl import oracle
+from zepl import oracle, powerlaw
 
 
 # --- quadrature ---------------------------------------------------------------
@@ -73,6 +74,38 @@ def test_quad_error_estimate_is_scale_free():
     q, tiny = (oracle.quad_seminfinite(lambda t, s=s: s * f(t), 1e-10) for s in (1.0, 1e-20))
     assert q.converged and tiny.converged and q.panels == tiny.panels
     assert tiny.error / q.error == pytest.approx(1e-20, rel=1e-6)
+
+
+@pytest.mark.parametrize("mu, lam, l, n, scan_sum",
+                         [(1.5, 1.0, 0, 40, 0.17), (1.5, 1.0, 2, 5, 1.10)])
+def test_quad_refines_the_scan_step(mu, lam, l, n, scan_sum):
+    # the trapezoid sum at the scan's step 0.5 misses these unit norms by far;
+    # halving the step must reach them
+    h = powerlaw.wavefunction(powerlaw.PowerLawFamily(mu=mu, lam=lam, l=l, n=n)).integrand()
+    sigma = np.linspace(-704.0, 704.0, 2817)
+    with np.errstate(all="ignore"):
+        g = np.asarray(h(sigma - np.exp(-sigma))) * (1.0 + np.exp(-sigma))
+    assert 0.5 * np.sum(g[np.isfinite(g)]) == pytest.approx(scan_sum, abs=0.01)
+    q = oracle.quad_seminfinite(h, 1e-10)
+    assert q.converged and q.panels > 0 and abs(q.value - 1.0) <= 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+def test_quad_budget_that_cannot_be_met_is_unconverged():
+    # a kink: the trapezoidal rule converges only like step^2, so the sample
+    # budget runs out long before 1e-10
+    start = time.perf_counter()
+    q = oracle.quad_seminfinite(lambda t: np.exp(t - np.exp(t)) * np.abs(t - 0.3), 1e-10)
+    assert time.perf_counter() - start < 0.5
+    assert not q.converged and "budget" in q.note
+    assert 0 < q.panels <= 30_000 and q.error > 1e-10 * abs(q.value)
+
+
+def test_quad_result_holds_python_scalars():
+    # the JSON envelope and perfbench's counters serialize these fields
+    for q in (oracle.quad_seminfinite(lambda t: np.exp(t - np.exp(t)), 1e-10),
+              oracle.quad_seminfinite(lambda t: np.ones_like(t), 1e-8)):
+        assert type(q.panels) is int and type(q.value) is float and type(q.error) is float
 
 
 # --- radial integration ---------------------------------------------------------
