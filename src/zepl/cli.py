@@ -246,7 +246,11 @@ def _cmd_oracle(args) -> int:
         if abs(args.mu) > oracle.MU_REACH:  # after the family's own refusals
             raise ValidationError(f"--mu {float(args.mu):g}: shooting reaches |mu| <= "
                                   f"{oracle.MU_REACH:g}, beyond which a sweep outruns its steps")
-        res = oracle.shoot_coupling(args.mu, args.lam, args.l, count=args.count)
+        try:
+            res = oracle.shoot_coupling(args.mu, args.lam, args.l, count=args.count)
+        except RuntimeError as exc:  # l, as well as |mu|, lengthens a sweep
+            raise ValidationError(f"--mu {float(args.mu):g} --l {args.l}: a shooting sweep "
+                                  f"outran its step budget ({exc})") from exc
         params = vars_of(args, "mu", "lam", "l", "count")
     else:
         res = oracle.shoot_energy_bender(args.N, count=args.count)

@@ -2,12 +2,14 @@
 
 Nothing in this module evaluates a closed-form solution from the rest of the
 package: quantized couplings and energies are rediscovered from the bare
-differential equations by double-sided shooting, and norms/orthogonality are
-checked by the trapezoidal rule after a double-exponential map.  The only
-shared knowledge is the problem statement itself (potential coefficients and
-exponents).  Each level's search starts at the problem's own Bohr-Sommerfeld
-estimate, a quadrature of the stated r^2 q; the level reported is always the
-shooting root.
+differential equations by double-sided shooting on the Pruefer angle, and
+norms/orthogonality are checked by the trapezoidal rule after a
+double-exponential map.  The only shared knowledge is the problem statement
+itself (potential coefficients and exponents).  Each level's search starts at
+the problem's own Bohr-Sommerfeld estimate, a quadrature of the stated r^2 q;
+the level reported is always the shooting root, the secant root of the phase
+across a bracket of swept couplings, read to lsoda's noise floor (about 1e-10
+relative) and not certified below it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ _SCAN = np.linspace(-_T_CAP, _T_CAP, 2817)  # step 0.5 in sigma
 _MAX_SAMPLES = 30_000  # samples beyond the scan
 _LOG3 = math.log(3.0)
 # lsoda's step budget for one sweep.  The longest sweep of the tests,
-# `zepl verify --all` and perfbench's oracle_sweep takes 7463 steps (odeint's
+# `zepl verify --all` and perfbench's oracle_sweep takes 7462 steps (odeint's
 # default budget is 500); a sweep that needs more than this has lost the
 # problem, say to a huge r^2 q, and raises instead of running on.
 _MAX_STEPS = 20_000
@@ -161,19 +163,18 @@ def _wkb_slope(r2q, sign: float):
 
 
 def integrate_radial(ode: RadialODE, coupling: float, direction: str = "outward") -> Trajectory:
-    """One ``odeint`` (lsoda) call toward the matching radius in the
-    Euler-scaled Pruefer variables u = rho sin(theta), r u' = rho cos(theta)
+    """One ``odeint`` (lsoda) call toward the matching radius of the
+    Euler-scaled Pruefer angle theta, u = rho sin(theta), r u' = rho cos(theta)
     with t = log r:
 
-        theta'    = cos^2 - sin cos - r^2 q sin^2
-        (log rho)' = cos^2 + (1 + r^2 q) sin cos
+        theta' = cos^2 - sin cos - r^2 q sin^2
 
-    The angle carries the node count and the log-amplitude cannot overflow,
-    so one call covers the whole side with no renormalisation; lsoda's step
-    loop runs in Fortran and calls back only for the right-hand side.  The
-    matching point is kept at least log 3 inside both ends.  A sweep that
-    stops early (more than 20 000 steps, or any other lsoda failure) or ends
-    on a non-finite angle raises ``RuntimeError``."""
+    The angle alone carries the node count and the match: its equation does
+    not involve rho, so one call covers the whole side with no
+    renormalisation; lsoda's step loop runs in Fortran and calls back only for
+    the right-hand side.  The matching point is kept at least log 3 inside
+    both ends.  A sweep that stops early (more than 20 000 steps, or any other
+    lsoda failure) or ends on a non-finite angle raises ``RuntimeError``."""
     if direction not in ("outward", "inward"):
         raise ValueError("direction must be 'outward' or 'inward'")
     t_inner, t_match, t_outer = ode.ends(coupling)
@@ -187,16 +188,14 @@ def integrate_radial(ode: RadialODE, coupling: float, direction: str = "outward"
     def rhs(t, y):
         r2q = ode.r2q(t, coupling)
         s, c = math.sin(y[0]), math.cos(y[0])
-        return (c * c - s * c - r2q * s * s, c * c + (1.0 + r2q) * s * c)
+        return c * c - s * c - r2q * s * s
 
     # the angle's global error grows with each oscillation; rtol 1e-12 keeps
-    # the sixth level within about 1e-10 of its value.  log rho only scales u
-    # and du; its loose absolute tolerance keeps it out of the step-size control
+    # the sixth level within about 1e-10 of its value
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ODEintWarning)  # reported below instead
-        y, info = odeint(rhs, (theta0, 0.0), (t_from, t_match), rtol=1e-12,
-                         atol=(1e-12, 1e-6), mxstep=_MAX_STEPS, full_output=True,
-                         tfirst=True)
+        y, info = odeint(rhs, theta0, (t_from, t_match), rtol=1e-12, atol=1e-12,
+                         mxstep=_MAX_STEPS, full_output=True, tfirst=True)
     end_theta = float(y[-1, 0])
     if info["message"] != "Integration successful." or not math.isfinite(end_theta):
         raise RuntimeError(f"radial integration failed on log r in [{t_from:g}, {t_match:g}]: "
@@ -321,9 +320,15 @@ def _shoot(ode: RadialODE, count: int) -> ShootingResult:
     that lies outside the bracket the earlier sweeps already make.  Where the
     probes leave the level unbracketed, the bracket doubles up from the
     highest coupling below it or halves down from the lowest one above it.
-    brentq then finds the root between two swept ends; the estimate only
-    places the bracket."""
-    sweeps: dict[float, tuple[float, int]] = {}  # c -> (phase, nodes)
+    The level is the secant root of the tightest bracket the sweeps make, and
+    its node count is the floor difference of the two angles interpolated
+    there; the estimate only places the bracket.  brentq only narrows: a
+    bracket across which the secant could be off by more than 1e-10, one from
+    the fallback or one over which the phase steps.  Across the probes' 2e-8
+    a smooth phase is linear to within lsoda's noise, so a level is read to
+    that noise floor, about 1e-10 relative, and is not certified below it."""
+    # c -> (phase, theta_out, theta_in)
+    sweeps: dict[float, tuple[float, float, float]] = {}
     rhs_evals = 0
 
     def phase(c):
@@ -331,8 +336,7 @@ def _shoot(ode: RadialODE, count: int) -> ShootingResult:
         if c not in sweeps:
             _, out, inn = coupling_mismatch(ode, c)
             rhs_evals += out.nfev + inn.nfev
-            nodes = math.floor(out.end_theta / math.pi) - math.floor(inn.end_theta / math.pi)
-            sweeps[c] = ((out.end_theta - inn.end_theta) / math.pi, nodes)
+            sweeps[c] = ((out.end_theta - inn.end_theta) / math.pi, out.end_theta, inn.end_theta)
         return sweeps[c][0]
 
     def bracket(k):
@@ -340,7 +344,7 @@ def _shoot(ode: RadialODE, count: int) -> ShootingResult:
         hi = min((c for c, s in sweeps.items() if s[0] >= k), default=None)
         return lo, hi
 
-    values, nodes, fallback = [], [], 0
+    values, nodes, fallback, widest = [], [], 0, 0.0
     for k in range(count):
         g = ode.guess(k)
         for c in (g / (1.0 + 1e-8), g * (1.0 + 1e-8)):
@@ -356,12 +360,22 @@ def _shoot(ode: RadialODE, count: int) -> ShootingResult:
             fallback += 1
             c = 0.5 * hi
             lo, hi = (c, hi) if phase(c) < k else (None, c)
-        root = brentq(lambda c: phase(c) - k, lo, hi, xtol=1e-12 * g, rtol=1e-10)
-        phase(root)
-        values.append(float(root))
-        nodes.append(sweeps[root][1])
+        # the secant root is off by about the bracket's relative width times
+        # the phase change across it: below 1e-11 over the probes' 2e-8 where
+        # the phase is smooth, but the whole width where it steps by 1, as it
+        # does where the sweeps never oscillate (|mu| >= 100, say)
+        if (hi / lo - 1.0) * min(1.0, sweeps[hi][0] - sweeps[lo][0]) > 1e-10:
+            brentq(lambda c: phase(c) - k, lo, hi, xtol=1e-12 * g, rtol=1e-10)
+            lo, hi = bracket(k)
+        (p_lo, out_lo, in_lo), (p_hi, out_hi, in_hi) = sweeps[lo], sweeps[hi]
+        w = (k - p_lo) / (p_hi - p_lo)
+        values.append(lo + w * (hi - lo))
+        nodes.append(math.floor((out_lo + w * (out_hi - out_lo)) / math.pi)
+                     - math.floor((in_lo + w * (in_hi - in_lo)) / math.pi))
+        widest = max(widest, hi / lo - 1.0)
     diagnostics = {"mismatch_evals": len(sweeps), "ode_sweeps": 2 * len(sweeps),
-                   "rhs_evals": rhs_evals, "fallback_sweeps": fallback}
+                   "rhs_evals": rhs_evals, "fallback_sweeps": fallback,
+                   "widest_bracket": widest}
     return ShootingResult(values, nodes, diagnostics)
 
 

@@ -272,6 +272,15 @@ def test_oracle_refuses_mu_beyond_the_reach_of_shooting_by_name(capsys, mu):
     assert f"--mu {float(mu):g}" in capsys.readouterr().err
 
 
+def test_a_sweep_that_outruns_its_steps_is_refused_by_name(capsys):
+    # inside the reach of |mu|, l = 10000 still takes the inward sweep past
+    # its step budget: a RuntimeError traceback with exit 1
+    assert cli.main(["oracle", "--mu", "-1e5", "--l", "10000", "--count", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --mu -100000 --l 10000: ")
+    assert "outran its step budget" in err[0]
+
+
 def test_an_infinite_number_is_refused_by_name(capsys):
     assert cli.main(["degeneracy", "--mu", "3/2", "--omega", "1e400"]) == 2
     assert "not a finite number" in capsys.readouterr().err

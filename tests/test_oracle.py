@@ -255,7 +255,10 @@ def test_mismatch_is_the_scaled_wronskian(mu, l, coupling):
 def test_shooting_diagnostics_count_the_work():
     res = oracle.shoot_energy_bender(0, count=2)
     diag = res.diagnostics
-    assert set(diag) == {"mismatch_evals", "ode_sweeps", "rhs_evals", "fallback_sweeps"}
+    assert set(diag) == {"mismatch_evals", "ode_sweeps", "rhs_evals", "fallback_sweeps",
+                         "widest_bracket"}
+    widest = diag.pop("widest_bracket")
+    assert isinstance(widest, float) and 0.0 < widest <= 3e-8
     assert all(isinstance(v, int) for v in diag.values())
     assert diag["mismatch_evals"] > 0 and diag["fallback_sweeps"] == 0
     assert diag["ode_sweeps"] == 2 * diag["mismatch_evals"]
@@ -269,22 +272,25 @@ def test_shooting_diagnostics_count_the_work():
     (oracle.shoot_energy_bender, (-1,), 2), (oracle.shoot_energy_bender, (0,), 2)])
 def test_the_estimate_brackets_each_level(shoot, args, count):
     # the two probes around the Bohr-Sommerfeld estimate bracket every level:
-    # no doubling or halving, and brentq needs about two more sweeps
+    # no doubling or halving, and no sweep beyond the probes
     diag = shoot(*args, count=count).diagnostics
     assert diag["fallback_sweeps"] == 0
-    assert diag["mismatch_evals"] <= 5 * count
+    assert diag["mismatch_evals"] == 2 * count
+    assert diag["widest_bracket"] <= 3e-8
 
 
 @pytest.mark.parametrize("mu, lam, l, factors", [
     (1.5, 1.0, 1, (0.1, 0.7, 1.3, 3.0)), (-2.5, 1.0, 2, (0.1, 0.7, 1.3, 3.0)),
     (0.25, 1.0, 0, (0.1, 0.7, 1.3, 3.0)), (-50.0, 1.0, 2, (0.7, 1.3))])
 def test_the_estimate_only_places_the_bracket(mu, lam, l, factors):
-    # a guess off by a factor costs fallback sweeps, never a different level
+    # a guess off by a factor costs fallback sweeps, never a different level:
+    # brentq narrows the fallback's bracket at least as tight as the probes'
     ode = oracle.build_powerlaw_ode(mu, lam, l)
     want = oracle._shoot(ode, 3)
     for f in factors:
         res = oracle._shoot(dataclasses.replace(ode, guess=lambda n: f * ode.guess(n)), 3)
         assert res.diagnostics["fallback_sweeps"] > 0
+        assert res.diagnostics["widest_bracket"] <= 3e-8
         for got, ref in zip(res.values, want.values, strict=True):
             assert got == pytest.approx(ref, rel=1e-10)
         assert res.node_counts == [0, 1, 2]
@@ -317,11 +323,14 @@ def test_one_builder_states_every_shooting_problem():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mu, lam, l, count", [
     (-20.0, 1.0, 2, 3), (50.0, 1.0, 1, 2), (50.0, 1.0, 2, 2), (-50.0, 1.0, 1, 2),
-    (-50.0, 1.0, 2, 2), (-50.0, 1e-3, 1, 1)])
+    (-50.0, 1.0, 2, 2), (-50.0, 1e-3, 1, 1), (100.0, 1.0, 0, 2), (-0.55, 1.0, 20, 3)])
 def test_shoot_coupling_where_r_is_extreme(mu, lam, l, count):
     # the well of (-20, 1, 2) sits at r ~ 3e-41, and a match point far from it
     # can miscount nodes; at |mu| = 50 the regular start r = x^(1/k) lies
-    # outside the float range, and at (-50, 1e-3) so does the match point
+    # outside the float range, and at (-50, 1e-3) so does the match point.  At
+    # (100, 1, 0) and (-0.55, 1, 20) the phase steps by 1 across the probes'
+    # bracket: its secant root alone is 5e-9 off, and the node count read at
+    # a brentq root past the step was one too high at (-0.55, 1, 20)
     res = oracle.shoot_coupling(mu, lam, l, count=count)
     for got, want in zip(res.values, _coupling_levels(mu, lam, l, count), strict=True):
         assert got == pytest.approx(want, rel=1e-9)
