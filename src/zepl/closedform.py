@@ -10,7 +10,9 @@ the half line at k = N+2 and l = 0, the oscillator at k = 2 and
 l = 2 gamma + 1/2, and the Dirac upper spinor at k = beta and n = 0.  psi is
 formed in logs, as exp(log amplitude + power log r - w/2) times L(w), and
 its derivatives are stated once, in Euler form r^j d^j/dr^j, as functions of
-w through the Laguerre derivative identity.  Every equation a solution solves
+w.  One recurrence gives L = L_n^a(w) and L_(n-1)^a(w), and Laguerre's own
+identities give the rest: w L' = n L_n - (n+a) L_(n-1), and Laguerre's
+equation w L'' = -(a+1-w) L' - n L.  Every equation a solution solves
 is, times r^2, a sum of powers c r^e, so the residual is checked in w and
 log r without finite differences or radii.  The squared norm is a
 Laguerre-weight integral of a polynomial, which a Gauss rule computes exactly;
@@ -25,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .specfn import laguerre, laguerre_deriv
+from .specfn import laguerre, laguerre_pair
 
 __all__ = ["ClosedFormSolution", "ResidualReport", "zero_energy_solution", "positive_radii",
            "relative_residual", "count_sign_changes"]
@@ -61,13 +63,15 @@ class ClosedFormSolution:
         """[L, r psi'/E, r^2 psi''/E] at w, psi = E L(w): functions of w alone.
         With g = d log E/dr, r g = power - shape w/2 and
         r^2 g' = -power - shape (shape-1) w/2; r L_r = shape w L' and
-        r^2 L_rr = shape^2 w^2 L'' + shape (shape-1) w L', L'' = L_(n-2)^(a+2)(w)."""
+        r^2 L_rr = shape^2 w^2 L'' + shape (shape-1) w L'.  From one
+        recurrence's L_n and L_(n-1): w L' = n L_n - (n+a) L_(n-1), and
+        Laguerre's equation w L'' = -(a+1-w) L' - n L_n."""
         n, a, p, k = self.degree, self.order, self.power, self.shape
-        h = laguerre(n, a, w)
         if not derivs:
-            return [h]
-        rg, d1 = p - 0.5 * k * w, k * w * laguerre_deriv(n, a, w)
-        d2 = (k - 1.0) * d1 + (k * k * w * w * laguerre(n - 2, a + 2.0, w) if n > 1 else 0.0)
+            return [laguerre(n, a, w)]
+        h, h1 = laguerre_pair(n, a, w)
+        rg, d1 = p - 0.5 * k * w, k * (n * h - (n + a) * h1)
+        d2 = (k - 1.0) * d1 - k * ((a + 1.0 - w) * d1 + k * n * w * h)
         return [h, rg * h + d1, (rg * rg - p - 0.5 * k * (k - 1.0) * w) * h + 2.0 * rg * d1 + d2]
 
     def _terms(self, r, derivs: bool = True):

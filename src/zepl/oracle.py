@@ -8,8 +8,12 @@ double-exponential map.  The only shared knowledge is the problem statement
 itself (potential coefficients and exponents).  Each level's search starts at
 the problem's own Bohr-Sommerfeld estimate, a quadrature of the stated r^2 q;
 the level reported is always the shooting root, the secant root of the phase
-across a bracket of swept couplings, read to lsoda's noise floor (about 1e-10
-relative) and not certified below it.
+across a bracket of swept couplings, read to lsoda's noise floor and not
+certified below it.  That floor is about 1e-10 relative where mu is not near
+-1/2: at most 8e-11 at lam = 1, l <= 1 and two levels, at mu = -1e4, -50,
+-5/2, -0.6, 1/4, 3/2, 50 and 1e4.  Toward -1/2 it grows, fastest from
+above: at l = 0 and two levels, 4.5e-10 at -0.51, 4.6e-10 at -0.4, 3.5e-9
+at -0.49 and 1.0e-6 at -0.49999.
 """
 
 from __future__ import annotations
@@ -326,7 +330,8 @@ def _shoot(ode: RadialODE, count: int) -> ShootingResult:
     bracket across which the secant could be off by more than 1e-10, one from
     the fallback or one over which the phase steps.  Across the probes' 2e-8
     a smooth phase is linear to within lsoda's noise, so a level is read to
-    that noise floor, about 1e-10 relative, and is not certified below it."""
+    that noise floor, which the module docstring states, and is not
+    certified below it."""
     # c -> (phase, theta_out, theta_in)
     sweeps: dict[float, tuple[float, float, float]] = {}
     rhs_evals = 0

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import scipy.special
 from zepl import closedform, halfline
 from zepl.closedform import (ClosedFormSolution, count_sign_changes, relative_residual,
                              zero_energy_solution)
+from zepl.specfn import laguerre, laguerre_deriv
 
 
 @pytest.mark.parametrize("params", [
@@ -28,6 +30,29 @@ def test_derivatives_match_finite_differences(params):
     scale = np.abs(sol.value(r)).max()
     assert np.allclose(sol.deriv(r), d1_fd, rtol=1e-7, atol=1e-7 * scale)
     assert np.allclose(sol.deriv2(r), d2_fd, rtol=1e-3, atol=1e-3 * scale)
+
+
+def test_derivatives_from_one_recurrence_match_the_three_recurrence_forms():
+    # euler takes psi' and psi'' from L_n and L_(n-1) through w L' = n L_n -
+    # (n+a) L_(n-1) and Laguerre's equation; the reference takes them from
+    # L' = -L_(n-1)^(a+1) and L'' = L_(n-2)^(a+2), two more recurrences.  Each
+    # term is weighted by E over its peak, as residual() weights it.
+    worst = 0.0
+    for mu, l, n, lam in itertools.product([-1e5, 1e5, -0.5001, -0.49999, -2.5, 1.5],
+                                           [0, 60], [0, 1, 2, 40], [1e-3, 30.0]):
+        sol = zero_energy_solution(1.0 / (mu + 0.5), lam, l, n)
+        a, p, k = sol.order, sol.power, sol.shape
+        w = sol.w_grid(400)
+        log_env = p * (np.log(w) - math.log(sol.rate)) / k - 0.5 * w
+        weight = np.exp(log_env - log_env.max())
+        h = laguerre(n, a, w)
+        rg, d1 = p - 0.5 * k * w, k * w * laguerre_deriv(n, a, w)
+        d2 = (k - 1.0) * d1 + (k * k * w * w * laguerre(n - 2, a + 2.0, w) if n > 1 else 0.0)
+        ref = [rg * h + d1, (rg * rg - p - 0.5 * k * (k - 1.0) * w) * h + 2.0 * rg * d1 + d2]
+        for got, want in zip(sol.euler(w, derivs=True)[1:], ref):
+            err = np.abs(weight * (got - want)).max() / np.abs(weight * want).max()
+            worst = max(worst, err)
+    assert worst < 1e-12  # 1.0e-13 measured, at (-2.5, 0, 40)
 
 
 def test_positive_domain_enforced():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from zepl.specfn import laguerre, laguerre_deriv
+from zepl.specfn import laguerre, laguerre_deriv, laguerre_pair
 
 
 def series_laguerre(n, alpha, x):
@@ -60,6 +60,33 @@ def test_invalid_degree_rejected():
         laguerre(2.5, 0.0, 1.0)
     with pytest.raises(ValueError):
         laguerre(2, 0.0, math.inf)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 4.5])
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_pair_is_the_last_two_degrees(n, alpha):
+    x = np.linspace(0.0, 50.0, 41)
+    top, below = laguerre_pair(n, alpha, x)
+    assert np.array_equal(top, laguerre(n, alpha, x))
+    assert np.array_equal(below, laguerre(n - 1, alpha, x))
+    for xi in (x[7], np.float64(x[7]), np.array(x[7])):  # a float and 0-d input
+        got = laguerre_pair(n, alpha, xi)
+        assert all(type(v) is float for v in got)
+        assert got == (laguerre(n, alpha, xi), laguerre(n - 1, alpha, xi))
+
+
+def test_pair_at_degree_zero_is_one_and_zero():
+    assert laguerre_pair(0, 7.3, 4.2) == (1.0, 0.0)
+    top, below = laguerre_pair(0, 7.3, np.array([0.5, 4.2]))
+    assert np.array_equal(top, [1.0, 1.0]) and np.array_equal(below, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("n,x", [(-1, 1.0), (2.5, 1.0), (True, 1.0), (2, math.inf),
+                                 (2, math.nan), (0, np.array([1.0, -math.inf]))])
+def test_pair_refuses_what_laguerre_refuses(n, x):
+    for f in (laguerre, laguerre_pair):
+        with pytest.raises(ValueError):
+            f(n, 0.0, x)
 
 
 def test_deriv_trivial_cases():
