@@ -43,7 +43,9 @@ def positive_radii(r) -> np.ndarray:
 @dataclass(frozen=True)
 class ClosedFormSolution:
     """Radial function with analytic derivatives; its amplitude is a log, so
-    psi leaves the floats only where its own value does."""
+    psi leaves the floats only where its own value does.  Its fields other
+    than degree may also be (m, 1) columns, a stack of m solutions of one
+    degree, which euler, w_grid and residual take in one array pass."""
 
     log_amplitude: float
     power: float
@@ -65,7 +67,8 @@ class ClosedFormSolution:
         r^2 g' = -power - shape (shape-1) w/2; r L_r = shape w L' and
         r^2 L_rr = shape^2 w^2 L'' + shape (shape-1) w L'.  From one
         recurrence's L_n and L_(n-1): w L' = n L_n - (n+a) L_(n-1), and
-        Laguerre's equation w L'' = -(a+1-w) L' - n L_n."""
+        Laguerre's equation w L'' = -(a+1-w) L' - n L_n.  On a stack, w is
+        (m, num) against the (m, 1) fields."""
         n, a, p, k = self.degree, self.order, self.power, self.shape
         if not derivs:
             return [laguerre(n, a, w)]
@@ -149,17 +152,23 @@ class ClosedFormSolution:
         return self.scaled(-0.5 * self.log_norm(), normalized=True)
 
     def w_grid(self, num: int) -> np.ndarray:
-        """Geometric grid in w = rate r^shape; psi = w^c e^(-w/2) L_n^a(w) up to
-        scale, c = power/shape.  w runs from 1e-2 to 30(n+1), widened past L's
-        zeros (below m + h, m = 2n + a + 1, h = 2 sqrt(n(n + a + 1))) and past
-        the peak 2(c+n) of w^(c+n) e^(-w/2) by sqrt(80) of its widths
-        2 sqrt(c+n), and raised to min((m - h)/4, 2c e^(-1 - 40/c)), where
-        w^c e^(-w/2) is e^-40 below its peak."""
-        n, a, c = self.degree, self.order, max(self.power / self.shape, 0.0)
-        m, h = 2.0 * n + a + 1.0, 2.0 * math.sqrt(n * (n + a + 1.0))
-        w_lo = max(1e-2, min(0.25 * (m - h), 2.0 * c * math.exp(-1.0 - 40.0 / c) if c else 0.0))
-        w_hi = max(30.0 * (n + 1), m + h + 20.0, 2.0 * (c + n) + math.sqrt(320.0 * (c + n)))
-        return np.geomspace(w_lo, w_hi, num)
+        """Geometric grid in w = rate r^shape: exp of one shared linspace in
+        log w, so a stack of solutions gets one (m, num) grid in one pass.
+        psi = w^c e^(-w/2) L_n^a(w) up to scale, c = power/shape.  w runs
+        from 1e-2 to 30(n+1), widened past L's zeros (below m + h,
+        m = 2n + a + 1, h = 2 sqrt(n(n + a + 1))) and past the peak 2(c+n) of
+        w^(c+n) e^(-w/2) by sqrt(80) of its widths 2 sqrt(c+n), and raised to
+        min((m - h)/4, 2c e^(-1 - 40/c)), where w^c e^(-w/2) is e^-40 below
+        its peak."""
+        n, a, c = self.degree, self.order, self.power / self.shape
+        c = np.where(c > 0.0, c, 0.0)  # +0.0, so that 40/c is +inf and the tail is 0
+        m, h = 2.0 * n + a + 1.0, 2.0 * np.sqrt(n * (n + a + 1.0))
+        with np.errstate(divide="ignore"):
+            tail = 2.0 * c * np.exp(-1.0 - 40.0 / c)
+        lo = np.log(np.maximum(1e-2, np.minimum(0.25 * (m - h), tail)))
+        hi = np.log(np.maximum(np.maximum(30.0 * (n + 1), m + h + 20.0),
+                               2.0 * (c + n) + np.sqrt(320.0 * (c + n))))
+        return np.exp(lo + (hi - lo) * (np.arange(num) / (num - 1.0)))
 
     def integrand(self, h=None):
         """int E(r)^2 h(w) dr, E = amplitude r^power exp(-w/2), per unit u = log w
@@ -175,14 +184,16 @@ class ClosedFormSolution:
         """Relative residual of psi'' = q psi, r^2 q = sum of c r^e over the
         (c, e) pairs, on w_grid(240) with log r = (log w - log rate)/shape, so
         no radius is formed: points are weighted by E over its peak, r^e is
-        exp(e log r), and points where |psi| is below 1e-12 of its peak drop."""
+        exp(e log r), and points where |psi| is below 1e-12 of its peak drop.
+        On a stack, c and e may be (m, 1) columns too; every peak is taken
+        per solution, along the last axis."""
         w = self.w_grid(240)
-        log_r = (np.log(w) - math.log(self.rate)) / self.shape
+        log_r = (np.log(w) - np.log(self.rate)) / self.shape
         log_env = self.power * log_r - 0.5 * w
-        weight = np.exp(log_env - log_env.max())
+        weight = np.exp(log_env - log_env.max(axis=-1, keepdims=True))
         val, _, d2 = self.euler(w, derivs=True)
         psi = weight * val
-        mask = np.abs(psi) > 1e-12 * np.abs(psi).max()
+        mask = np.abs(psi) > 1e-12 * np.abs(psi).max(axis=-1, keepdims=True)
         return relative_residual([weight * d2, *(-c * np.exp(e * log_r) * psi
                                                  for c, e in monomials)], mask=mask)
 
@@ -190,15 +201,18 @@ class ClosedFormSolution:
 def zero_energy_solution(shape: float, lam: float, l: float, n: int) -> ClosedFormSolution:
     """The paper's solution at unit amplitude: r^(l+1) for shape > 0, r^-l for
     shape < 0, times exp(-w/2) L_n^((2l+1)/|shape|)(w), w = lam^2 r^shape.
-    l need not be an integer (the oscillator's is 2 gamma + 1/2)."""
-    return ClosedFormSolution(log_amplitude=0.0, power=l + 1.0 if shape > 0 else -float(l),
-                              rate=lam**2, shape=float(shape), degree=n,
+    l need not be an integer (the oscillator's is 2 gamma + 1/2).  shape,
+    lam and l may be (m, 1) columns: a stack of m solutions of degree n."""
+    return ClosedFormSolution(log_amplitude=0.0, power=(l + 1.0) * (shape > 0) - l * (shape < 0),
+                              rate=lam**2, shape=1.0 * shape, degree=n,
                               order=(2.0 * l + 1.0) / abs(shape))
 
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Pointwise relative residuals of an identity on a grid."""
+    """Pointwise relative residuals of an identity on a grid.  For a stack of
+    identities max_residual and masked_points are arrays over the stack and
+    residuals holds the kept points of all of them."""
 
     residuals: np.ndarray
     max_residual: float
@@ -208,23 +222,28 @@ class ResidualReport:
 def relative_residual(terms, mask=None) -> ResidualReport:
     """Residual of sum(terms) == 0, normalized by sum of |term_i| per point.
 
-    ``terms`` is a sequence of equal-length arrays; ``mask`` marks points to
-    keep (True).  Points whose normalization is vanishingly small relative to
-    the grid maximum are dropped: the identity is 0 == 0 there.  The check
-    fails (max_residual = inf) when a term is not finite at a point the mask
-    keeps, or when no point is left to check.
+    ``terms`` is a sequence of equal-shape arrays whose last axis is the
+    points of one identity; leading axes, if any, index a stack of
+    identities, each reduced along the last axis on its own.  ``mask`` marks
+    points to keep (True).  Points whose normalization is vanishingly small
+    relative to their identity's maximum are dropped: the identity is 0 == 0
+    there.  An identity fails (max_residual = inf) when a term is not finite
+    at a point the mask keeps, or when no point is left to check.
     """
     terms = np.asarray(terms, dtype=float)
     total, scale = terms.sum(axis=0), np.abs(terms).sum(axis=0)
-    wanted = np.ones(total.shape, bool) if mask is None else np.asarray(mask, dtype=bool)
-    finite = np.isfinite(scale)
-    peak = scale[finite & wanted].max(initial=0.0)
-    keep = wanted & finite & (scale > 1e-12 * peak)
-    rel = np.abs(total[keep]) / (scale[keep] + 1e-300)
-    checked = rel.size > 0 and finite[wanted].all()
-    max_rel = float(rel.max()) if checked else math.inf
-    return ResidualReport(residuals=rel, max_residual=max_rel,
-                          masked_points=int(total.size - keep.sum()))
+    if mask is not None:  # a scale of 0 drops a point
+        scale = np.where(mask, scale, 0.0)
+    # inf or nan where a kept term is not finite, which then keeps no point
+    peak = scale.max(axis=-1, keepdims=True)
+    keep = scale > 1e-12 * peak
+    rel = np.abs(np.where(keep, total, 0.0)) / (scale + 1e-300)
+    checked = keep.sum(axis=-1)
+    max_rel = np.where(checked > 0, rel.max(axis=-1), np.inf)
+    masked = total.shape[-1] - checked
+    if max_rel.ndim == 0:  # one identity: plain numbers
+        max_rel, masked = float(max_rel), int(masked)
+    return ResidualReport(residuals=rel[keep], max_residual=max_rel, masked_points=masked)
 
 
 def count_sign_changes(values) -> int:

@@ -37,10 +37,11 @@ from .closedform import (ClosedFormSolution, ResidualReport, count_sign_changes,
 
 __all__ = [
     "PowerLawFamily", "PotentialTerms", "MappedParameters", "BoundCondition",
-    "WellScan", "ClassificationReport", "NormResult",
+    "Well", "ClassificationReport", "NormResult",
     "map_parameters", "potential_eval", "effective_potential_eval",
     "effective_potential_beta_form", "exponent_pair", "wavefunction",
-    "schrodinger_residual", "pct_identity_check", "bound_condition",
+    "schrodinger_residual", "pct_identity_check", "schrodinger_residual_maxima",
+    "pct_identity_maxima", "bound_condition",
     "classify", "degenerate_pairs", "norm",
 ]
 
@@ -228,15 +229,26 @@ def norm(family: PowerLawFamily) -> NormResult:
 # Residual checks
 # ---------------------------------------------------------------------------
 
+def _residual_inputs(family: PowerLawFamily) -> tuple:
+    """(k, lam, l, 2A, -2B) of r^2 q = l(l+1) + 2A r^(2k) - 2B r^k, k = 1/(mu + 1/2)."""
+    t = map_parameters(family).terms
+    return (1.0 / (family.mu_f + 0.5), family.lam, family.l,
+            2.0 * t.repulsive_coeff, -2.0 * t.attractive_coeff)
+
+
+def _residual(n: int, k, lam, l, a2, b2) -> ResidualReport:
+    """The residual of ``schrodinger_residual``; k, lam, l, a2 and b2 may be
+    (m, 1) columns over families of degree n."""
+    return zero_energy_solution(k, lam, l, n).residual(
+        [(l * (l + 1.0), 0.0), (a2, 2.0 * k), (b2, k)])
+
+
 def schrodinger_residual(family: PowerLawFamily) -> ResidualReport:
     """Relative residual of psi'' = [l(l+1)/r^2 + 2V] psi, stated as
     r^2 q = l(l+1) + 2A r^(2k) - 2B r^k with k = 1/(mu + 1/2): the exponents
     p1 + 2 and p2 + 2 stated exactly, since p + 2 cancels at large |mu|.
     Scale-free, so the unit-amplitude solution is checked."""
-    l, k = family.l, 1.0 / (family.mu_f + 0.5)
-    t = map_parameters(family).terms
-    return _unit_solution(family).residual(
-        [(l * (l + 1.0), 0.0), (2.0 * t.repulsive_coeff, 2.0 * k), (-2.0 * t.attractive_coeff, k)])
+    return _residual(family.n, *_residual_inputs(family))
 
 
 def pct_identity_check(family: PowerLawFamily) -> ResidualReport:
@@ -252,15 +264,51 @@ def pct_identity_check(family: PowerLawFamily) -> ResidualReport:
     identities and the w^0, w and w^2 coefficient identities, each a row of
     pieces summing to zero; p + 2 cancels at large |mu|, so p and 2 stay apart.
     """
-    lam, l, n, g = family.lam, family.l, family.n, family.gamma
-    M = 2.0 * family.mu_f + 1.0
-    t = map_parameters(family).terms
+    return _pct_identity(*_pct_inputs(family))
+
+
+def _pct_inputs(family: PowerLawFamily) -> tuple:
+    mapped = map_parameters(family)
+    t = mapped.terms
+    return (family.lam, family.l, family.n, mapped.gamma, 2.0 * family.mu_f + 1.0,
+            t.repulsive_coeff, t.attractive_coeff, t.repulsive_exponent, t.attractive_exponent)
+
+
+def _pct_identity(lam, l, n, g, M, a, b, p1, p2) -> ResidualReport:
+    """The rows of ``pct_identity_check``; every input may be an array over
+    families, whose rows are then the points of one identity each."""
+    one = 0.0 * M + 1.0  # 1 in the families' shape, for the constant pieces
     rows = [[-(4.0 * g * (g + 1.0) + 0.75) / M**2, (M * M - 1.0) / (4.0 * M**2), l * (l + 1.0)],
-            [4.0 * (g + n + 1.0) / M**2, -2.0 * t.attractive_coeff / lam**2],
-            [-1.0 / M**2, 2.0 * t.repulsive_coeff / lam**4],
-            [M * t.repulsive_exponent, 2.0 * M, -4.0],
-            [M * t.attractive_exponent, 2.0 * M, -2.0]]
-    return relative_residual(list(zip_longest(*rows, fillvalue=0.0)))
+            [4.0 * (g + n + 1.0) / M**2, -2.0 * b / lam**2],
+            [-1.0 / M**2, 2.0 * a / (lam * lam) ** 2],
+            [M * p1, 2.0 * M, -4.0 * one],
+            [M * p2, 2.0 * M, -2.0 * one]]
+    terms = np.array(list(zip_longest(*rows, fillvalue=0.0 * one)))  # pieces, rows, families
+    return relative_residual(terms.swapaxes(1, -1))
+
+
+def _columns(inputs, families) -> np.ndarray:
+    """inputs(family) of every family, one row per input."""
+    return np.array([inputs(f) for f in families], dtype=float).T
+
+
+def schrodinger_residual_maxima(families) -> np.ndarray:
+    """schrodinger_residual(family).max_residual of every family, in order,
+    from one array pass per degree: the Laguerre recurrence runs to one
+    degree, so each pass is a stack of that degree's families."""
+    out = np.empty(len(families))
+    degrees = np.array([f.n for f in families])
+    for n in np.unique(degrees):
+        at = np.flatnonzero(degrees == n)
+        cols = _columns(_residual_inputs, [families[i] for i in at])
+        out[at] = _residual(int(n), *cols[..., None]).max_residual
+    return out
+
+
+def pct_identity_maxima(families) -> np.ndarray:
+    """pct_identity_check(family).max_residual of every family, in order,
+    from one array pass."""
+    return _pct_identity(*_columns(_pct_inputs, families)).max_residual
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +345,7 @@ def bound_condition(family: PowerLawFamily, coupling_scale: float = 1.0) -> Boun
 
 
 @dataclass(frozen=True)
-class WellScan:
+class Well:
     found_negative_minimum: bool
     r_min: float | None
     v_min: float | None
@@ -322,7 +370,7 @@ def _effective_limits(terms: PotentialTerms, l: int) -> tuple[str, str]:
             _limit_label(*atinf, at_infinity=True))
 
 
-def _well(terms: PotentialTerms, l: int) -> WellScan:
+def _well(terms: PotentialTerms, l: int) -> Well:
     """Closed-form well of V_eff for l > 0, |mu| > 1/2.
 
     With t = r^k, k = p2 + 2 = (p1 + 2)/2, r^2 V_eff = l(l+1) + 2A t^2 - 2B t.
@@ -337,14 +385,14 @@ def _well(terms: PotentialTerms, l: int) -> WellScan:
     b, p2 = terms.attractive_coeff, terms.attractive_exponent
     c = l * (l + 1)
     if not b * b > 2.0 * a * c:
-        return WellScan(False, None, None, None)
+        return Well(False, None, None, None)
     # p1, p2 < 0 here, so both roots are positive; stable quadratic formula
     q = 0.5 * (-b * p2 + math.sqrt((b * p2) ** 2 + 4.0 * a * p1 * c))
     r2v, t = min((c + 2.0 * a * t * t - 2.0 * b * t, t) for t in (-q / (a * p1), c / q))
     log_r = math.log(t) / (p2 + 2.0)
     log_v = math.log(-r2v) - 2.0 * log_r
-    return WellScan(True, math.exp(log_r) if abs(log_r) < 709.0 else None,
-                    -math.exp(log_v) if log_v < 709.0 else -math.inf, True)
+    return Well(True, math.exp(log_r) if abs(log_r) < 709.0 else None,
+                -math.exp(log_v) if log_v < 709.0 else -math.inf, True)
 
 
 @dataclass(frozen=True)
@@ -354,7 +402,7 @@ class ClassificationReport:
     bounded: bool
     normalizable: bool
     condition: BoundCondition
-    well: WellScan | None
+    well: Well | None
     coupling_scale: float = 1.0
 
 

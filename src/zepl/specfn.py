@@ -48,11 +48,7 @@ def laguerre(n, alpha, x):
 
 
 def laguerre_deriv(n, alpha, x):
-    """d/dx L_n^alpha(x) = -L_{n-1}^{alpha+1}(x); zero for the constant L_0."""
+    """d/dx L_n^alpha(x) = -L_{n-1}^{alpha+1}(x); zero for the constant L_0,
+    formed as 0 L_0(x) so that x is checked and shaped as at every degree."""
     n = _check_degree(n)
-    x = np.asarray(x, dtype=float)
-    if n == 0:
-        z = np.zeros_like(x)
-        return z if z.ndim else 0.0
-    return -laguerre(n - 1, alpha + 1.0, x)
-
+    return -laguerre(n - 1, alpha + 1.0, x) if n else 0.0 * laguerre(0, alpha, x)

@@ -162,7 +162,8 @@ def test_relative_residual_is_called_only_by_the_closed_form_and_pct_check():
                         and getattr(node.func, "id", getattr(node.func, "attr", None))
                         == "relative_residual"):
                     callers.add((path.name, fn.name))
-    assert callers == {("closedform.py", "residual"), ("powerlaw.py", "pct_identity_check"),
+    # _pct_identity holds pct_identity_check's rows, for one family or a stack
+    assert callers == {("closedform.py", "residual"), ("powerlaw.py", "_pct_identity"),
                        ("dirac.py", "reduced_form_agreement"),
                        ("dirac.py", "lower_component_relative")}
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -248,6 +249,46 @@ def test_pct_exponent_detector_fires(monkeypatch):
     monkeypatch.setattr(pl, "exponent_pair",
                         lambda mu: (exponent_pair(mu)[0] * (1 + 1e-6), exponent_pair(mu)[1]))
     assert pl.pct_identity_check(fam).max_residual > 1e-7
+
+
+# --- the matrix as stacks of families ----------------------------------------
+
+# suite: (one-family check, stacked maxima, the suite's tolerance)
+STACKED = {"zero_energy": (pl.schrodinger_residual, pl.schrodinger_residual_maxima, RESIDUAL_TOL),
+           "pct_identity": (pl.pct_identity_check, pl.pct_identity_maxima, PCT_TOL)}
+
+
+@pytest.mark.parametrize("check,maxima", [s[:2] for s in STACKED.values()])
+def test_stacked_pass_is_the_one_family_check_bit_for_bit(check, maxima):
+    # every one of the 315 families, in the matrix's order and reversed
+    from zepl.verify import _families
+
+    fams = list(_families())
+    one_by_one = [check(fam).max_residual for fam in fams]
+    assert maxima(fams).tolist() == one_by_one
+    assert maxima(fams[::-1]).tolist() == one_by_one[::-1]
+
+
+@pytest.mark.parametrize("suite", ["zero_energy", "pct_identity"])
+@pytest.mark.parametrize("index", [0, 137, 314])
+def test_stacked_pass_fails_at_exactly_the_perturbed_family(monkeypatch, suite, index):
+    # the attractive coefficient of one family, scaled by 1.001, breaks both
+    # identities there and nowhere else in its stack
+    from zepl import verify
+
+    fams = list(verify._families())
+    target, map_parameters = fams[index], pl.map_parameters
+
+    def perturbed(fam):
+        mapped = map_parameters(fam)
+        return replace(mapped, terms=mapped.terms.scaled(1.001)) if fam == target else mapped
+
+    monkeypatch.setattr(pl, "map_parameters", perturbed)
+    check, maxima, tol = STACKED[suite]
+    assert np.flatnonzero(maxima(fams) >= tol).tolist() == [index]
+    [row] = verify.run_suite(suite)
+    assert not row.passed and row.detail == f"worst at {target}"
+    assert row.value == check(target).max_residual > 1e-4
 
 
 # --- bound-state condition ---------------------------------------------------

@@ -94,6 +94,14 @@ def test_deriv_trivial_cases():
     assert laguerre_deriv(1, 2.0, 3.0) == -1.0
 
 
+@pytest.mark.parametrize("n", [0, 2])
+@pytest.mark.parametrize("x", [math.inf, math.nan, np.array([1.0, math.inf])])
+def test_deriv_refuses_a_non_finite_argument_at_every_degree(n, x):
+    # the constant L_0 as well: its derivative is 0 only where x is a number
+    with pytest.raises(ValueError, match="finite"):
+        laguerre_deriv(n, 0.5, x)
+
+
 def test_deriv_matches_finite_difference():
     n, alpha, x = 3, 0.5, 1.7
     h = 1e-5
