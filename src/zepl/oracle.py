@@ -7,18 +7,20 @@ norms/orthogonality are checked by the trapezoidal rule after a
 double-exponential map.  The only shared knowledge is the problem statement
 itself (potential coefficients and exponents).  Each level's search starts at
 the problem's own Bohr-Sommerfeld estimate, a quadrature of the stated r^2 q;
-the level reported is always the shooting root, the secant root of the phase
-across a bracket of swept couplings, read to lsoda's noise floor and not
-certified below it.  That floor is about 1e-10 relative where mu is not near
--1/2: at most 8e-11 at lam = 1, l <= 1 and two levels, at mu = -1e4, -50,
--5/2, -0.6, 1/4, 3/2, 50 and 1e4.  Toward -1/2 it grows, fastest from
-above: at l = 0 and two levels, 4.5e-10 at -0.51, 4.6e-10 at -0.4, 3.5e-9
-at -0.49 and 1.0e-6 at -0.49999.
+the two probes around it are swept together, one lsoda call per side with
+both Pruefer angles in its state.  The level reported is always the shooting
+root, the secant root of the phase across a bracket of swept couplings, read
+to lsoda's noise floor and not certified below it.  That floor is about 1e-10
+relative where mu is not near -1/2: at most 8e-11 at lam = 1, l <= 1 and two
+levels, at mu = -1e4, -50, -5/2, -0.6, 1/4, 3/2, 50 and 1e4.  Toward -1/2 it
+grows, fastest from above: at l = 0 and two levels, 4.5e-10 at -0.51,
+4.6e-10 at -0.4, 3.5e-9 at -0.49 and 6.6e-7 at -0.49999.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -47,10 +49,11 @@ _T_CAP = 704.0  # exp() stays finite
 _SCAN = np.linspace(-_T_CAP, _T_CAP, 2817)  # step 0.5 in sigma
 _MAX_SAMPLES = 30_000  # samples beyond the scan
 _LOG3 = math.log(3.0)
-# lsoda's step budget for one sweep.  The longest sweep of the tests,
-# `zepl verify --all` and perfbench's oracle_sweep takes 7462 steps (odeint's
-# default budget is 500); a sweep that needs more than this has lost the
-# problem, say to a huge r^2 q, and raises instead of running on.
+# lsoda's step budget for one sweep, paired or not.  The longest sweep of the
+# tests, `zepl verify --all` and perfbench's oracle_sweep takes 7462 steps, a
+# single one; the longest pair takes 5661 (odeint's default budget is 500).  A
+# sweep that needs more than this has lost the problem, say to a huge r^2 q,
+# and raises instead of running on.
 _MAX_STEPS = 20_000
 # the largest |mu| shot: a sweep spans about 60 |mu| in log r.  At 1e5 every
 # l <= 3000 fits the step budget; at 1e6, l = 1000 does not
@@ -144,8 +147,8 @@ class Trajectory:
     """One sweep's end at the matching radius: u and du up to one positive
     factor, unit amplitude there.  ``end_theta`` is the Pruefer angle: it
     starts in [0, pi) and, as r grows, rises through a multiple of pi at each
-    zero of u, so an inward sweep falls through them.  ``nfev`` counts
-    right-hand-side evaluations."""
+    zero of u, so an inward sweep falls through them.  ``nfev`` counts the
+    call's right-hand-side evaluations, which the two sweeps of a pair share."""
 
     end_u: float
     end_du: float
@@ -166,7 +169,8 @@ def _wkb_slope(r2q, sign: float):
     return slope
 
 
-def integrate_radial(ode: RadialODE, coupling: float, direction: str = "outward") -> Trajectory:
+def integrate_radial(ode: RadialODE, coupling: float | tuple[float, ...],
+                     direction: str = "outward") -> Trajectory | tuple[Trajectory, ...]:
     """One ``odeint`` (lsoda) call toward the matching radius of the
     Euler-scaled Pruefer angle theta, u = rho sin(theta), r u' = rho cos(theta)
     with t = log r:
@@ -176,23 +180,43 @@ def integrate_radial(ode: RadialODE, coupling: float, direction: str = "outward"
     The angle alone carries the node count and the match: its equation does
     not involve rho, so one call covers the whole side with no
     renormalisation; lsoda's step loop runs in Fortran and calls back only for
-    the right-hand side.  The matching point is kept at least log 3 inside
-    both ends.  A sweep that stops early (more than 20 000 steps, or any other
-    lsoda failure) or ends on a non-finite angle raises ``RuntimeError``."""
+    the right-hand side.  ``coupling`` is a float, which gives one
+    ``Trajectory``, or a tuple of one or two couplings, which gives a tuple of
+    them in the same order: a pair is swept in the same call, its two angles
+    one state that lsoda steps together, each callback evaluating both.  A
+    pair takes its ends from ``ode.ends`` at its first coupling, so it should
+    be two close couplings, such as the probes around a level.  The matching
+    point is kept at least log 3 inside both ends.  A sweep that stops early
+    (more than 20 000 steps, or any other lsoda failure) or ends on a
+    non-finite angle raises ``RuntimeError``."""
     if direction not in ("outward", "inward"):
         raise ValueError("direction must be 'outward' or 'inward'")
-    t_inner, t_match, t_outer = ode.ends(coupling)
+    couplings = coupling if isinstance(coupling, tuple) else (coupling,)
+    if len(couplings) not in (1, 2):
+        raise ValueError(f"a sweep takes one coupling or a pair, got {len(couplings)}")
+    t_inner, t_match, t_outer = ode.ends(couplings[0])
     t_match = min(max(t_match, t_inner + _LOG3), t_outer - _LOG3)
     if direction == "outward":
-        t_from, slope = t_inner, ode.inner_slope(t_inner, coupling)
+        t_from, start_slope = t_inner, ode.inner_slope
     else:
-        t_from, slope = t_outer, ode.outer_slope(t_outer, coupling)
-    theta0 = math.atan2(1.0, slope) % math.pi
+        t_from, start_slope = t_outer, ode.outer_slope
+    theta0 = [math.atan2(1.0, start_slope(t_from, c)) % math.pi for c in couplings]
 
-    def rhs(t, y):
-        r2q = ode.r2q(t, coupling)
-        s, c = math.sin(y[0]), math.cos(y[0])
-        return c * c - s * c - r2q * s * s
+    r2q, sin, cos = ode.r2q, math.sin, math.cos
+    if len(couplings) == 1:
+        (c1,) = couplings
+
+        def rhs(t, y):
+            s, c = sin(y[0]), cos(y[0])
+            return c * c - s * c - r2q(t, c1) * s * s
+    else:
+        c1, c2 = couplings
+
+        def rhs(t, y):
+            a, b = y.tolist()
+            sa, ca, sb, cb = sin(a), cos(a), sin(b), cos(b)
+            return (ca * ca - sa * ca - r2q(t, c1) * sa * sa,
+                    cb * cb - sb * cb - r2q(t, c2) * sb * sb)
 
     # the angle's global error grows with each oscillation; rtol 1e-12 keeps
     # the sixth level within about 1e-10 of its value
@@ -200,14 +224,19 @@ def integrate_radial(ode: RadialODE, coupling: float, direction: str = "outward"
         warnings.simplefilter("ignore", ODEintWarning)  # reported below instead
         y, info = odeint(rhs, theta0, (t_from, t_match), rtol=1e-12, atol=1e-12,
                          mxstep=_MAX_STEPS, full_output=True, tfirst=True)
-    end_theta = float(y[-1, 0])
-    if info["message"] != "Integration successful." or not math.isfinite(end_theta):
+    end_thetas = y[-1].tolist()
+    shown = next((v for v in end_thetas if not math.isfinite(v)), end_thetas[0])
+    if info["message"] != "Integration successful." or not math.isfinite(shown):
         raise RuntimeError(f"radial integration failed on log r in [{t_from:g}, {t_match:g}]: "
-                           f"lsoda: {info['message']} End angle {end_theta:g}.")
-    r_du = math.cos(end_theta)
-    # where r itself underflows, du = (r du)/r is beyond the floats
-    end_du = r_du * math.exp(-t_match) if t_match > -709.0 else math.copysign(math.inf, r_du)
-    return Trajectory(math.sin(end_theta), end_du, end_theta, int(info["nfe"][-1]))
+                           f"lsoda: {info['message']} End angle {shown:g}.")
+    nfev = int(info["nfe"][-1])
+    ends = []
+    for end_theta in end_thetas:
+        r_du = math.cos(end_theta)
+        # where r itself underflows, du = (r du)/r is beyond the floats
+        end_du = r_du * math.exp(-t_match) if t_match > -709.0 else math.copysign(math.inf, r_du)
+        ends.append(Trajectory(math.sin(end_theta), end_du, end_theta, nfev))
+    return tuple(ends) if isinstance(coupling, tuple) else ends[0]
 
 
 # ---------------------------------------------------------------------------
@@ -300,18 +329,23 @@ def build_powerlaw_ode(mu: float, lam: float, l: int) -> RadialODE:
         raise ValueError("mu in {0, +1/2, -1/2} is outside the family")
     k = 1.0 / (mu + 0.5)
     a = (lam * k / 2.0) ** 2 * lam**2
-    if not a > 0.0:
+    if not a >= sys.float_info.min:  # a subnormal a keeps too few digits to shoot
         raise OverflowError(f"the repulsive coefficient underflows at mu = {mu:g}, lam = {lam:g}")
     return _two_term_ode(k, a, 2.0, l)
 
 
-def coupling_mismatch(ode: RadialODE, coupling: float):
+def coupling_mismatch(ode: RadialODE, coupling: float | tuple[float, ...]):
     """Scaled Wronskian of the two one-sided solutions at the matching radius,
     sin(theta_in - theta_out): zero exactly at a quantized parameter value,
-    continuous in between."""
-    out = integrate_radial(ode, coupling, "outward")
-    inn = integrate_radial(ode, coupling, "inward")
-    return math.sin(inn.end_theta - out.end_theta), out, inn
+    continuous in between.  Returns (mismatch, outward, inward) for a float
+    coupling and a tuple of them for a tuple of couplings, whose sweeps
+    ``integrate_radial`` pairs."""
+    outs = integrate_radial(ode, coupling, "outward")
+    inns = integrate_radial(ode, coupling, "inward")
+    if not isinstance(coupling, tuple):
+        return math.sin(inns.end_theta - outs.end_theta), outs, inns
+    return tuple((math.sin(inn.end_theta - out.end_theta), out, inn)
+                 for out, inn in zip(outs, inns))
 
 
 def _shoot(ode: RadialODE, count: int) -> ShootingResult:
@@ -319,29 +353,36 @@ def _shoot(ode: RadialODE, count: int) -> ShootingResult:
 
     Off the spectrum the two angles never differ by a multiple of pi, so the
     phase passes k only at the k-th level, whatever the matching radius, and
-    it rises with c (Sturm).  Each level is first swept at g/(1 + 1e-8) and
-    g (1 + 1e-8) around its estimate g = ``ode.guess(k)``, skipping a probe
-    that lies outside the bracket the earlier sweeps already make.  Where the
-    probes leave the level unbracketed, the bracket doubles up from the
-    highest coupling below it or halves down from the lowest one above it.
-    The level is the secant root of the tightest bracket the sweeps make, and
-    its node count is the floor difference of the two angles interpolated
-    there; the estimate only places the bracket.  brentq only narrows: a
-    bracket across which the secant could be off by more than 1e-10, one from
-    the fallback or one over which the phase steps.  Across the probes' 2e-8
-    a smooth phase is linear to within lsoda's noise, so a level is read to
-    that noise floor, which the module docstring states, and is not
-    certified below it."""
+    it rises with c (Sturm).  Each level is first swept at the probes
+    g/(1 + 1e-8) and g (1 + 1e-8) around its estimate g = ``ode.guess(k)``,
+    both in one paired call per side, skipping a probe that lies outside the
+    bracket the earlier levels' sweeps already make.  Where the probes leave
+    the level unbracketed, the bracket doubles up from the highest coupling
+    below it or halves down from the lowest one above it.  The level is the
+    secant root of the tightest bracket the sweeps make, and its node count is
+    the floor difference of the two angles interpolated there; the estimate
+    only places the bracket.  brentq only narrows: a bracket across which the
+    secant could be off by more than 1e-10, one from the fallback or one over
+    which the phase steps.  The fallback and brentq sweep one coupling at a
+    time.  Across the probes' 2e-8 a smooth phase is linear to within lsoda's
+    noise, so a level is read to that noise floor, which the module docstring
+    states, and is not certified below it."""
     # c -> (phase, theta_out, theta_in)
     sweeps: dict[float, tuple[float, float, float]] = {}
-    rhs_evals = 0
+    rhs_evals = ode_sweeps = 0
+
+    def sweep(couplings):
+        nonlocal rhs_evals, ode_sweeps
+        results = coupling_mismatch(ode, couplings)
+        _, out, inn = results[0]
+        rhs_evals += out.nfev + inn.nfev  # a pair shares its calls' callbacks
+        ode_sweeps += 2
+        for c, (_, out, inn) in zip(couplings, results):
+            sweeps[c] = ((out.end_theta - inn.end_theta) / math.pi, out.end_theta, inn.end_theta)
 
     def phase(c):
-        nonlocal rhs_evals
         if c not in sweeps:
-            _, out, inn = coupling_mismatch(ode, c)
-            rhs_evals += out.nfev + inn.nfev
-            sweeps[c] = ((out.end_theta - inn.end_theta) / math.pi, out.end_theta, inn.end_theta)
+            sweep((c,))
         return sweeps[c][0]
 
     def bracket(k):
@@ -352,10 +393,11 @@ def _shoot(ode: RadialODE, count: int) -> ShootingResult:
     values, nodes, fallback, widest = [], [], 0, 0.0
     for k in range(count):
         g = ode.guess(k)
-        for c in (g / (1.0 + 1e-8), g * (1.0 + 1e-8)):
-            lo, hi = bracket(k)
-            if (lo is None or c > lo) and (hi is None or c < hi):
-                phase(c)
+        lo, hi = bracket(k)
+        probes = tuple(c for c in (g / (1.0 + 1e-8), g * (1.0 + 1e-8))
+                       if (lo is None or c > lo) and (hi is None or c < hi))
+        if probes:
+            sweep(probes)
         lo, hi = bracket(k)  # a probe was swept or lay outside: one end is known
         while hi is None:
             fallback += 1
@@ -378,7 +420,7 @@ def _shoot(ode: RadialODE, count: int) -> ShootingResult:
         nodes.append(math.floor((out_lo + w * (out_hi - out_lo)) / math.pi)
                      - math.floor((in_lo + w * (in_hi - in_lo)) / math.pi))
         widest = max(widest, hi / lo - 1.0)
-    diagnostics = {"mismatch_evals": len(sweeps), "ode_sweeps": 2 * len(sweeps),
+    diagnostics = {"mismatch_evals": len(sweeps), "ode_sweeps": ode_sweeps,
                    "rhs_evals": rhs_evals, "fallback_sweeps": fallback,
                    "widest_bracket": widest}
     return ShootingResult(values, nodes, diagnostics)

@@ -295,12 +295,15 @@ def test_an_infinite_number_is_refused_by_name(capsys):
     (["oracle", "--mu", "1e300", "--count", "1"], "--mu 1e+300"),
     (["dirac", "--beta", "0.5", "--l", "1", "--lambda", "1e-170"], "--lambda 1e-170"),
     (["dirac", "--beta", "-3", "--l", "1", "--lambda", "1e-300"], "--lambda 1e-300"),
+    (["oracle", "--mu", "3/2", "--lambda", "1e-80", "--count", "2"], "--lambda 1e-80"),
 ], ids=["oracle-lambda", "potential-lambda", "figures-lambda", "dirac-lambda",
         "classify-mu", "oracle-mu", "dirac-lambda-1e-170",
-        "dirac-negative-beta-lambda-1e-300"])
+        "dirac-negative-beta-lambda-1e-300", "oracle-lambda-1e-80"])
 def test_a_value_beyond_the_floats_is_refused_by_name(capsys, argv, named):
     # these printed Python's bare "(34, 'Numerical result out of range')", blamed
-    # the term coefficients, or (oracle --mu 1e300) ended in a ZeroDivisionError
+    # the term coefficients, or (oracle --mu 1e300) ended in a ZeroDivisionError;
+    # oracle --lambda 1e-80 shot a subnormal repulsive coefficient to a 2e-3
+    # error and exit 1
     code = cli.main(argv)
     err = capsys.readouterr().err.splitlines()
     assert code == 2 and len(err) == 1

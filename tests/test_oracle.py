@@ -153,6 +153,48 @@ def test_a_sweep_that_cannot_finish_raises(r2q, reason):
         oracle.integrate_radial(_constant_ode(r2q), 0.0, "outward")
 
 
+@pytest.mark.parametrize("mu, lam, l", [
+    (1.5, 1.0, 1), (-1.5, 1.0, 1), (0.25, 1.0, 0), (-2.5, 1.0, 2), (-50.0, 1.0, 2)])
+@pytest.mark.parametrize("direction", ["outward", "inward"])
+def test_a_pair_sweeps_as_its_couplings_do_alone(mu, lam, l, direction):
+    # a pair shares the ends of its first coupling; at those ends each angle
+    # is its single sweep's.  The two differ only by lsoda's steps, chosen for
+    # both angles at once: up to 1.1e-9 at (-50, 1, 2), where a single sweep
+    # is itself about 3e-9 from one at rtol 1e-13
+    ode = oracle.build_powerlaw_ode(mu, lam, l)
+    for n in range(3):
+        g = ode.guess(n)
+        pair = (g / (1.0 + 1e-8), g * (1.0 + 1e-8))
+        shared = dataclasses.replace(ode, ends=lambda c, e=ode.ends(pair[0]): e)
+        swept = oracle.integrate_radial(ode, pair, direction)
+        assert isinstance(swept, tuple) and len(swept) == 2
+        assert swept[0].nfev == swept[1].nfev
+        for c, traj in zip(pair, swept, strict=True):
+            alone = oracle.integrate_radial(shared, c, direction)
+            assert isinstance(alone, oracle.Trajectory)
+            assert traj.end_theta == pytest.approx(alone.end_theta, abs=2e-9)
+
+
+def test_a_pair_that_cannot_finish_raises_as_one_sweep_does():
+    ode = _constant_ode(math.nan)
+    with pytest.raises(RuntimeError) as alone:
+        oracle.integrate_radial(ode, 0.0, "outward")
+    with pytest.raises(RuntimeError) as pair:
+        oracle.integrate_radial(ode, (0.0, 1.0), "outward")
+    assert str(pair.value) == str(alone.value)
+    assert str(alone.value).endswith("log r in [-6.90776, 0]: "
+                                     "lsoda: Integration successful. End angle nan.")
+
+
+def test_a_sweep_takes_one_coupling_or_a_pair():
+    ode = _constant_ode(0.0)
+    (traj,) = oracle.integrate_radial(ode, (0.0,), "outward")
+    assert traj == oracle.integrate_radial(ode, 0.0, "outward")
+    for couplings in ((), (0.0, 0.5, 1.0)):
+        with pytest.raises(ValueError):
+            oracle.integrate_radial(ode, couplings, "outward")
+
+
 # --- coupling shooting -----------------------------------------------------------
 
 def test_mismatch_brackets_each_root():
@@ -261,8 +303,33 @@ def test_shooting_diagnostics_count_the_work():
     assert isinstance(widest, float) and 0.0 < widest <= 3e-8
     assert all(isinstance(v, int) for v in diag.values())
     assert diag["mismatch_evals"] > 0 and diag["fallback_sweeps"] == 0
-    assert diag["ode_sweeps"] == 2 * diag["mismatch_evals"]
+    # every level is on the probe path: its two couplings take one paired
+    # odeint call per side
+    assert diag["ode_sweeps"] == diag["mismatch_evals"]
     assert diag["rhs_evals"] > diag["ode_sweeps"]
+
+
+@pytest.mark.parametrize("shoot, args, calls", [
+    (oracle.shoot_coupling, (1.5, 1.0, 1, 3), 6), (oracle.shoot_energy_bender, (0, 2), 4)])
+def test_a_level_on_the_probe_path_takes_one_paired_call_per_side(monkeypatch, shoot, args,
+                                                                   calls):
+    # both probes of a level go into one odeint call per side, and the
+    # diagnostics count those calls and their callbacks
+    states, callbacks = [], 0
+    odeint = oracle.odeint
+
+    def counting(rhs, y0, *rest, **kwargs):
+        def counted(*xs):
+            nonlocal callbacks
+            callbacks += 1
+            return rhs(*xs)
+        states.append(len(y0))
+        return odeint(counted, y0, *rest, **kwargs)
+
+    monkeypatch.setattr(oracle, "odeint", counting)
+    diag = shoot(*args).diagnostics
+    assert states == [2] * calls
+    assert diag["ode_sweeps"] == calls and diag["rhs_evals"] == callbacks
 
 
 @pytest.mark.parametrize("shoot, args, count", [
