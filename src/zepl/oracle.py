@@ -230,13 +230,13 @@ def integrate_radial(ode: RadialODE, coupling: float | tuple[float, ...],
         raise RuntimeError(f"radial integration failed on log r in [{t_from:g}, {t_match:g}]: "
                            f"lsoda: {info['message']} End angle {shown:g}.")
     nfev = int(info["nfe"][-1])
-    ends = []
+    trajectories = []
     for end_theta in end_thetas:
         r_du = math.cos(end_theta)
         # where r itself underflows, du = (r du)/r is beyond the floats
         end_du = r_du * math.exp(-t_match) if t_match > -709.0 else math.copysign(math.inf, r_du)
-        ends.append(Trajectory(math.sin(end_theta), end_du, end_theta, nfev))
-    return tuple(ends) if isinstance(coupling, tuple) else ends[0]
+        trajectories.append(Trajectory(math.sin(end_theta), end_du, end_theta, nfev))
+    return tuple(trajectories) if isinstance(coupling, tuple) else trajectories[0]
 
 
 # ---------------------------------------------------------------------------
