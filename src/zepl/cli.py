@@ -35,7 +35,7 @@ class ValidationError(Exception):
 
 
 # the options that state a problem's numbers, named when one leaves the floats
-_PROBLEM_OPTIONS = (("mu", "--mu"), ("lam", "--lambda"), ("beta", "--beta"),
+_PROBLEM_OPTIONS = (("mu", "--mu"), ("lam", "--lambda"), ("beta", "--beta"), ("N", "--N"),
                     ("coupling_scale", "--coupling-scale"))
 
 
@@ -243,19 +243,18 @@ def _cmd_oracle(args) -> int:
         predicted = [powerlaw.map_parameters(powerlaw.PowerLawFamily(
             mu=args.mu, lam=args.lam, l=args.l, n=n)).terms.attractive_coeff
             for n in range(args.count)]
-        if abs(args.mu) > oracle.MU_REACH:  # after the family's own refusals
-            raise ValidationError(f"--mu {float(args.mu):g}: shooting reaches |mu| <= "
-                                  f"{oracle.MU_REACH:g}, beyond which a sweep outruns its steps")
-        try:
-            res = oracle.shoot_coupling(args.mu, args.lam, args.l, count=args.count)
-        except RuntimeError as exc:  # l, as well as |mu|, lengthens a sweep
-            raise ValidationError(f"--mu {float(args.mu):g} --l {args.l}: a shooting sweep "
-                                  f"outran its step budget ({exc})") from exc
         params = vars_of(args, "mu", "lam", "l", "count")
+        named = f"--mu {float(args.mu):g} --l {args.l}"
     else:
-        res = oracle.shoot_energy_bender(args.N, count=args.count)
         predicted = [halfline.spectrum(args.N, n) for n in range(args.count)]
         params = vars_of(args, "N", "count")
+        named = f"--N {args.N}"
+    try:
+        res = (oracle.shoot_coupling(args.mu, args.lam, args.l, count=args.count)
+               if coupling_mode else oracle.shoot_energy_bender(args.N, count=args.count))
+    except RuntimeError as exc:  # a large |mu|, l or N lengthens a sweep
+        raise ValidationError(f"{named}: a shooting sweep outran its step budget "
+                              f"({exc})") from exc
     rows = [{"index": i, "recovered": got, "predicted": pred,
              "rel_err": abs(got - pred) / abs(pred), "node_count": nodes}
             for i, (got, pred, nodes)

@@ -2,19 +2,20 @@
 
 Nothing in this module evaluates a closed-form solution from the rest of the
 package: quantized couplings and energies are rediscovered from the bare
-differential equations by double-sided shooting on the Pruefer angle, and
-norms/orthogonality are checked by the trapezoidal rule after a
-double-exponential map.  The only shared knowledge is the problem statement
-itself (potential coefficients and exponents).  Each level's search starts at
-the problem's own Bohr-Sommerfeld estimate, a quadrature of the stated r^2 q;
-the two probes around it are swept together, one lsoda call per side with
-both Pruefer angles in its state.  The level reported is always the shooting
-root, the secant root of the phase across a bracket of swept couplings, read
-to lsoda's noise floor and not certified below it.  That floor is about 1e-10
-relative where mu is not near -1/2: at most 8e-11 at lam = 1, l <= 1 and two
-levels, at mu = -1e4, -50, -5/2, -0.6, 1/4, 3/2, 50 and 1e4.  Toward -1/2 it
-grows, fastest from above: at l = 0 and two levels, 4.5e-10 at -0.51,
-4.6e-10 at -0.4, 3.5e-9 at -0.49 and 6.6e-7 at -0.49999.
+differential equations by double-sided shooting on a Pruefer angle scaled to
+the problem's own variable, and norms/orthogonality are checked by the
+trapezoidal rule after a double-exponential map.  The only shared knowledge
+is the problem statement itself (potential coefficients and exponents).  Each
+level's search starts at the problem's own Bohr-Sommerfeld estimate, a
+quadrature of the stated r^2 q; the two probes around it are swept together,
+one lsoda call per side with both Pruefer angles in its state.  The level
+reported is always the shooting root, the secant root of the phase across a
+bracket of swept couplings, read to lsoda's noise floor and not certified
+below it.  That floor is about 1e-10 relative over the whole domain: at
+lam = 1 and two levels, at most 7e-11 at l <= 1 and mu = +-1e5, +-1e4, -50,
+-5/2, -0.6, 1/4, 3/2 and 50, and at most 2.7e-10 at l <= 2 and mu from -0.4
+to -0.49999 and from -0.500005 to -0.51.  Levels up to the 20th, the most one
+search shoots, are within 9e-10.
 """
 
 from __future__ import annotations
@@ -50,14 +51,13 @@ _SCAN = np.linspace(-_T_CAP, _T_CAP, 2817)  # step 0.5 in sigma
 _MAX_SAMPLES = 30_000  # samples beyond the scan
 _LOG3 = math.log(3.0)
 # lsoda's step budget for one sweep, paired or not.  The longest sweep of the
-# tests, `zepl verify --all` and perfbench's oracle_sweep takes 7462 steps, a
-# single one; the longest pair takes 5661 (odeint's default budget is 500).  A
+# tests, `zepl verify --all` and perfbench's oracle_sweep takes 6560 steps, a
+# single one; the longest pair takes 4255 (odeint's default budget is 500).  A
 # sweep that needs more than this has lost the problem, say to a huge r^2 q,
 # and raises instead of running on.
 _MAX_STEPS = 20_000
-# the largest |mu| shot: a sweep spans about 60 |mu| in log r.  At 1e5 every
-# l <= 3000 fits the step budget; at 1e6, l = 1000 does not
-MU_REACH = 1e5
+# the most levels one search shoots: the 20th is within 1e-9 of the closed forms
+_MAX_COUNT = 20
 # midpoint nodes in phi on (0, pi) for the Bohr-Sommerfeld action
 _PHI = (np.arange(64) + 0.5) * (math.pi / 64)
 _PHI_COS, _PHI_SIN = np.cos(_PHI), np.sin(_PHI)
@@ -128,11 +128,13 @@ class RadialODE:
 
     ``r2q(t, c)`` is r^2 q, the only thing the Euler-scaled Pruefer equations
     evaluate; ``c`` is the shooting parameter (attractive coupling or spectral
-    value).  ``ends(c)`` gives (t_inner, t_match, t_outer).  ``inner_slope``
-    and ``outer_slope`` give r u'/u at the start of each sweep.  A start must
-    have no zero of u beyond it (on its side of the domain): the sweep counts
-    zeros from there.  ``guess(n)`` estimates the n-th level; shooting only
-    starts its search there.
+    value).  ``ends(c)`` gives (t_inner, t_match, t_outer), the match inside
+    the two starts.  ``inner_slope`` and ``outer_slope`` give r u'/u at the
+    start of each sweep.  A start must have no zero of u beyond it (on its
+    side of the domain): the sweep counts zeros from there.  ``guess(n)``
+    estimates the n-th level; shooting only starts its search there.
+    ``scale`` S > 0 weighs u against r u' in the angle: S = |k| makes it the
+    Pruefer angle of log x, x = r^k.
     """
 
     r2q: Callable[[float, float], float]
@@ -140,15 +142,17 @@ class RadialODE:
     inner_slope: Callable[[float, float], float]
     outer_slope: Callable[[float, float], float]
     guess: Callable[[int], float]
+    scale: float = 1.0
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """One sweep's end at the matching radius: u and du up to one positive
-    factor, unit amplitude there.  ``end_theta`` is the Pruefer angle: it
-    starts in [0, pi) and, as r grows, rises through a multiple of pi at each
-    zero of u, so an inward sweep falls through them.  ``nfev`` counts the
-    call's right-hand-side evaluations, which the two sweeps of a pair share."""
+    factor, with S^2 u^2 + (r du)^2 = 1 there, S the problem's ``scale``.
+    ``end_theta`` is the Pruefer angle: it starts in [0, pi) and, as r grows,
+    rises through a multiple of pi at each zero of u, so an inward sweep falls
+    through them.  ``nfev`` counts the call's right-hand-side evaluations,
+    which the two sweeps of a pair share."""
 
     end_u: float
     end_du: float
@@ -172,54 +176,54 @@ def _wkb_slope(r2q, sign: float):
 def integrate_radial(ode: RadialODE, coupling: float | tuple[float, ...],
                      direction: str = "outward") -> Trajectory | tuple[Trajectory, ...]:
     """One ``odeint`` (lsoda) call toward the matching radius of the
-    Euler-scaled Pruefer angle theta, u = rho sin(theta), r u' = rho cos(theta)
-    with t = log r:
+    Euler-scaled Pruefer angle theta, S u = rho sin(theta),
+    r u' = rho cos(theta) with t = log r and S = ``ode.scale``:
 
-        theta' = cos^2 - sin cos - r^2 q sin^2
+        theta' = S cos^2 - sin cos - (r^2 q/S) sin^2
 
-    The angle alone carries the node count and the match: its equation does
-    not involve rho, so one call covers the whole side with no
-    renormalisation; lsoda's step loop runs in Fortran and calls back only for
-    the right-hand side.  ``coupling`` is a float, which gives one
+    from atan2(S, r u'/u) at the start.  The angle passes a multiple of pi at
+    each zero of u, whatever S, and alone carries the node count and the
+    match: its equation does not involve rho, so one call covers the whole
+    side with no renormalisation; lsoda's step loop runs in Fortran and calls
+    back only for the right-hand side.  ``coupling`` is a float, which gives one
     ``Trajectory``, or a tuple of one or two couplings, which gives a tuple of
     them in the same order: a pair is swept in the same call, its two angles
     one state that lsoda steps together, each callback evaluating both.  A
     pair takes its ends from ``ode.ends`` at its first coupling, so it should
-    be two close couplings, such as the probes around a level.  The matching
-    point is kept at least log 3 inside both ends.  A sweep that stops early
-    (more than 20 000 steps, or any other lsoda failure) or ends on a
-    non-finite angle raises ``RuntimeError``."""
+    be two close couplings, such as the probes around a level.  A sweep that
+    stops early (more than 20 000 steps, or any other lsoda failure) or ends
+    on a non-finite angle raises ``RuntimeError``."""
     if direction not in ("outward", "inward"):
         raise ValueError("direction must be 'outward' or 'inward'")
     couplings = coupling if isinstance(coupling, tuple) else (coupling,)
     if len(couplings) not in (1, 2):
         raise ValueError(f"a sweep takes one coupling or a pair, got {len(couplings)}")
     t_inner, t_match, t_outer = ode.ends(couplings[0])
-    t_match = min(max(t_match, t_inner + _LOG3), t_outer - _LOG3)
     if direction == "outward":
         t_from, start_slope = t_inner, ode.inner_slope
     else:
         t_from, start_slope = t_outer, ode.outer_slope
-    theta0 = [math.atan2(1.0, start_slope(t_from, c)) % math.pi for c in couplings]
+    scale = ode.scale
+    theta0 = [math.atan2(scale, start_slope(t_from, c)) % math.pi for c in couplings]
 
-    r2q, sin, cos = ode.r2q, math.sin, math.cos
+    r2q, sin, cos, inv = ode.r2q, math.sin, math.cos, 1.0 / scale
     if len(couplings) == 1:
         (c1,) = couplings
 
         def rhs(t, y):
             s, c = sin(y[0]), cos(y[0])
-            return c * c - s * c - r2q(t, c1) * s * s
+            return (scale * c - s) * c - r2q(t, c1) * inv * s * s
     else:
         c1, c2 = couplings
 
         def rhs(t, y):
             a, b = y.tolist()
             sa, ca, sb, cb = sin(a), cos(a), sin(b), cos(b)
-            return (ca * ca - sa * ca - r2q(t, c1) * sa * sa,
-                    cb * cb - sb * cb - r2q(t, c2) * sb * sb)
+            return ((scale * ca - sa) * ca - r2q(t, c1) * inv * sa * sa,
+                    (scale * cb - sb) * cb - r2q(t, c2) * inv * sb * sb)
 
     # the angle's global error grows with each oscillation; rtol 1e-12 keeps
-    # the sixth level within about 1e-10 of its value
+    # the 20th level within about 1e-9 of its value
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ODEintWarning)  # reported below instead
         y, info = odeint(rhs, theta0, (t_from, t_match), rtol=1e-12, atol=1e-12,
@@ -235,7 +239,7 @@ def integrate_radial(ode: RadialODE, coupling: float | tuple[float, ...],
         r_du = math.cos(end_theta)
         # where r itself underflows, du = (r du)/r is beyond the floats
         end_du = r_du * math.exp(-t_match) if t_match > -709.0 else math.copysign(math.inf, r_du)
-        trajectories.append(Trajectory(math.sin(end_theta), end_du, end_theta, nfev))
+        trajectories.append(Trajectory(math.sin(end_theta) * inv, end_du, end_theta, nfev))
     return tuple(trajectories) if isinstance(coupling, tuple) else trajectories[0]
 
 
@@ -261,35 +265,24 @@ def _two_term_ode(k: float, a: float, b: float, l: int) -> RadialODE:
     solution has no zero beyond the start.  The other end starts on WKB decay at
     x = max(36|k|/sqrt(a), 6 b c/a), which gives both a ~36 decay budget and
     clear dominance of the repulsive term.  The sides match at the bottom of
-    q's negative well.  The guess is the Bohr-Sommerfeld estimate with
-    Langer's l(l+1) -> (l+1/2)^2."""
+    r^2 q, x = b c/(2a), kept log 3 in log x above the regular start.  The
+    angle is scaled by S = max(1, |k|), the Pruefer angle of log x where
+    |k| > 1 (S = |k| below 1 outruns lsoda's steps at |mu| = 1e5).  The guess
+    is the Bohr-Sommerfeld estimate with Langer's l(l+1) -> (l+1/2)^2."""
     ll = l * (l + 1.0)
 
     def r2q(t, c):
         x = math.exp(k * t)
         return ll + x * (a * x - b * c)
 
-    def log_x_match(c):
-        # q = r^-2 r2q is stationary where a(k-1) x^2 - (b c (k-2)/2) x - l(l+1)
-        # = 0 (linear at k = 1); at most one such root lies in a negative
-        # region of q, and that is its well.  Without a well r^2 q has no
-        # positive zero (l > 0) or only x = b c/a (l = 0).
-        qa, qb = a * (k - 1.0), 0.5 * b * c * (k - 2.0)
-        disc = qb * qb + 4.0 * qa * ll
-        half = 0.5 * (qb + math.copysign(math.sqrt(disc), qb)) if disc >= 0.0 else 0.0
-        for x in ((half / qa if qa else 0.0, -ll / half) if half else ()):
-            if x > 0.0 and ll + x * (a * x - b * c) < 0.0:
-                return math.log(x)
-        return math.log(b * c / a)
-
     def ends(c):
-        t_regular = math.log(1e-12 / (1.0 + b * abs(c))) / k
-        t_wkb = math.log(max(36.0 * abs(k) / math.sqrt(a), 6.0 * b * c / a)) / k
-        t_match = log_x_match(c) / k
-        if k > 0:
-            return t_regular, t_match, t_wkb
-        # essential decay into the origin, algebraic r^(-l) branch at infinity
-        return t_wkb, t_match, max(t_regular, t_match + math.log(9.5))
+        # in log x: the regular start, the bottom of r^2 q at b c/(2 a), kept
+        # log 3 above that start, and the WKB start, at least 12x the bottom
+        log_regular = math.log(1e-12 / (1.0 + b * abs(c)))
+        log_match = max(math.log(b * c / (2.0 * a)), log_regular + _LOG3)
+        log_wkb = math.log(max(36.0 * abs(k) / math.sqrt(a), 6.0 * b * c / a))
+        t_ends = (log_regular / k, log_match / k, log_wkb / k)
+        return t_ends if k > 0 else t_ends[::-1]
 
     c_meet = 2.0 * math.sqrt(a) * (l + 0.5) / b  # where the turning points meet
 
@@ -313,9 +306,10 @@ def _two_term_ode(k: float, a: float, b: float, l: int) -> RadialODE:
             lo, hi = hi, 2.0 * hi
         return brentq(lambda c: action(c) - target, lo, hi, xtol=1e-15 * hi, rtol=1e-14)
 
+    scale = max(1.0, abs(k))
     if k > 0:
-        return RadialODE(r2q, ends, lambda t, c: l + 1.0, _wkb_slope(r2q, -1.0), guess)
-    return RadialODE(r2q, ends, _wkb_slope(r2q, +1.0), lambda t, c: -float(l), guess)
+        return RadialODE(r2q, ends, lambda t, c: l + 1.0, _wkb_slope(r2q, -1.0), guess, scale)
+    return RadialODE(r2q, ends, _wkb_slope(r2q, +1.0), lambda t, c: -float(l), guess, scale)
 
 
 def build_powerlaw_ode(mu: float, lam: float, l: int) -> RadialODE:
@@ -363,7 +357,7 @@ def _shoot(ode: RadialODE, count: int) -> ShootingResult:
     the floor difference of the two angles interpolated there; the estimate
     only places the bracket.  brentq only narrows: a bracket across which the
     secant could be off by more than 1e-10, one from the fallback or one over
-    which the phase steps.  The fallback and brentq sweep one coupling at a
+    which the phase is steep.  The fallback and brentq sweep one coupling at a
     time.  Across the probes' 2e-8 a smooth phase is linear to within lsoda's
     noise, so a level is read to that noise floor, which the module docstring
     states, and is not certified below it."""
@@ -409,8 +403,8 @@ def _shoot(ode: RadialODE, count: int) -> ShootingResult:
             lo, hi = (c, hi) if phase(c) < k else (None, c)
         # the secant root is off by about the bracket's relative width times
         # the phase change across it: below 1e-11 over the probes' 2e-8 where
-        # the phase is smooth, but the whole width where it steps by 1, as it
-        # does where the sweeps never oscillate (|mu| >= 100, say)
+        # the phase changes slowly, more where it is steep (by 1e-3 to 0.03
+        # across them at level 1 of |mu| >= 1e4) and the whole width at a step
         if (hi / lo - 1.0) * min(1.0, sweeps[hi][0] - sweeps[lo][0]) > 1e-10:
             brentq(lambda c: phase(c) - k, lo, hi, xtol=1e-12 * g, rtol=1e-10)
             lo, hi = bracket(k)
@@ -431,8 +425,8 @@ def shoot_coupling(mu, lam: float, l: int, count: int = 3) -> ShootingResult:
     two-term power-law problem at zero energy, holding the repulsive
     coefficient fixed at (lam k/2)^2 lam^2 / 2, k = 1/(mu + 1/2).  Node counts
     come from the Pruefer angles of the matched double-sided solution."""
-    if not 1 <= count <= 6:
-        raise ValueError(f"count must lie in 1..6, got {count}")
+    if not 1 <= count <= _MAX_COUNT:
+        raise ValueError(f"count must lie in 1..{_MAX_COUNT}, got {count}")
     mu, lam = float(mu), float(lam)
     ode = build_powerlaw_ode(mu, lam, l)
     return _shoot(ode, count)
@@ -450,8 +444,6 @@ def build_halfline_ode(n_power: int) -> RadialODE:
 def shoot_energy_bender(n_power: int, count: int = 2) -> ShootingResult:
     """Recover the first ``count`` quantized E values of the half-line
     monomial-potential problem from the phase of the matched solution."""
-    if not 1 <= count <= 4:
-        raise ValueError(f"count must lie in 1..4, got {count}")
-    if n_power not in (-1, 0, 1, 3):
-        raise ValueError("supported N values: -1, 0, 1, 3")
+    if not 1 <= count <= _MAX_COUNT:
+        raise ValueError(f"count must lie in 1..{_MAX_COUNT}, got {count}")
     return _shoot(build_halfline_ode(n_power), count)

@@ -192,8 +192,8 @@ def test_oracle_csv_header(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["oracle", "--mu", "3/2", "--count", "7"],
-    ["oracle", "--N", "0", "--count", "5"],
+    ["oracle", "--mu", "3/2", "--count", "21"],
+    ["oracle", "--N", "0", "--count", "21"],
     ["oracle", "--mu", "3/2", "--l", "-1"],
     ["bender", "--N", "0", "--n-max", "-1"],
     ["potential", "--mu", "3/2", "--points", "0"],
@@ -223,7 +223,7 @@ def test_oracle_csv_header(capsys):
     ["oracle", "--mu", "-1e10", "--l", "1", "--count", "1"],
     ["figures", "--which", "2", "--l", "-3"],
     ["figures", "--which", "3", "--l", "0"],
-], ids=["oracle-count-7", "oracle-energy-count-5", "oracle-negative-l",
+], ids=["oracle-count-21", "oracle-energy-count-21", "oracle-negative-l",
         "bender-negative-n-max", "potential-zero-points", "figures-zero-points",
         "oracle-negative-tolerance", "bender-zero-tolerance", "dirac-negative-tolerance",
         "oracle-exponent-tolerance", "dirac-exponent-tolerance",
@@ -269,16 +269,38 @@ def test_dirac_writes_null_with_the_note_for_an_unconverged_norm(capsys, schema,
 def test_oracle_refuses_mu_beyond_the_reach_of_shooting_by_name(capsys, mu):
     # lsoda ran out of steps here: a RuntimeError traceback with exit 1
     assert cli.main(["oracle", "--mu", mu, "--l", "1", "--count", "1"]) == 2
-    assert f"--mu {float(mu):g}" in capsys.readouterr().err
+    assert f"--mu {float(mu):g} --l 1: " in capsys.readouterr().err
 
 
 def test_a_sweep_that_outruns_its_steps_is_refused_by_name(capsys):
-    # inside the reach of |mu|, l = 10000 still takes the inward sweep past
-    # its step budget: a RuntimeError traceback with exit 1
+    # l = 10000 takes the inward sweep past its step budget: a RuntimeError
+    # traceback with exit 1
     assert cli.main(["oracle", "--mu", "-1e5", "--l", "10000", "--count", "1"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: --mu -100000 --l 10000: ")
     assert "outran its step budget" in err[0]
+
+
+def test_an_energy_sweep_that_outruns_its_steps_is_refused_by_name(capsys, monkeypatch):
+    def outrun(n_power, count):
+        raise RuntimeError("radial integration failed")
+
+    monkeypatch.setattr(oracle, "shoot_energy_bender", outrun)
+    assert cli.main(["oracle", "--N", "3", "--count", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: --N 3: a shooting sweep outran its step budget "
+                   "(radial integration failed)"]
+
+
+@pytest.mark.parametrize("argv", [["--mu", "-0.499995", "--l", "0", "--count", "2"],
+                                  ["--mu", "1e7", "--l", "10", "--count", "3"]],
+                         ids=["mu-near-minus-half", "mu-1e7"])
+def test_oracle_shoots_near_minus_half_and_beyond_mu_1e5(capsys, argv):
+    # near -1/2 level 1 read 2.65e-6 against ORACLE_TOL, exit 1; |mu| > 1e5
+    # was refused before shooting
+    code, doc = run_json(capsys, ["oracle", *argv])
+    assert code == 0 and doc["passed"] is True
+    assert max(row["rel_err"] for row in doc["results"]["levels"]) < 1e-9
 
 
 def test_an_infinite_number_is_refused_by_name(capsys):
@@ -296,9 +318,10 @@ def test_an_infinite_number_is_refused_by_name(capsys):
     (["dirac", "--beta", "0.5", "--l", "1", "--lambda", "1e-170"], "--lambda 1e-170"),
     (["dirac", "--beta", "-3", "--l", "1", "--lambda", "1e-300"], "--lambda 1e-300"),
     (["oracle", "--mu", "3/2", "--lambda", "1e-80", "--count", "2"], "--lambda 1e-80"),
+    (["oracle", "--N", "100000000", "--count", "2"], "--N 100000000"),
 ], ids=["oracle-lambda", "potential-lambda", "figures-lambda", "dirac-lambda",
         "classify-mu", "oracle-mu", "dirac-lambda-1e-170",
-        "dirac-negative-beta-lambda-1e-300", "oracle-lambda-1e-80"])
+        "dirac-negative-beta-lambda-1e-300", "oracle-lambda-1e-80", "oracle-N"])
 def test_a_value_beyond_the_floats_is_refused_by_name(capsys, argv, named):
     # these printed Python's bare "(34, 'Numerical result out of range')", blamed
     # the term coefficients, or (oracle --mu 1e300) ended in a ZeroDivisionError;

@@ -227,7 +227,7 @@ def test_shoot_coupling_below_branch():
 
 def test_shoot_coupling_count_capped():
     with pytest.raises(ValueError):
-        oracle.shoot_coupling(1.5, 1.0, 1, count=7)
+        oracle.shoot_coupling(1.5, 1.0, 1, count=21)
 
 
 # --- spectral shooting -----------------------------------------------------------
@@ -241,9 +241,19 @@ def test_shoot_energy_quartic_plus_linear():
 
 def test_shoot_energy_validation():
     with pytest.raises(ValueError):
-        oracle.shoot_energy_bender(2, count=2)
+        oracle.shoot_energy_bender(-3, count=2)  # N = -2 and below: no regular origin
     with pytest.raises(ValueError):
-        oracle.shoot_energy_bender(0, count=9)
+        oracle.shoot_energy_bender(0, count=21)
+
+
+@pytest.mark.parametrize("n_power", [2, 50, 100_000])
+def test_shoot_energy_at_any_n(n_power):
+    # in log x the half line is one problem for every N >= -1
+    res = oracle.shoot_energy_bender(n_power, count=4)
+    expected = [(2 * n + 1) * (n_power + 2) + 1.0 for n in range(4)]
+    for got, want in zip(res.values, expected, strict=True):
+        assert got == pytest.approx(want, rel=1e-9)
+    assert res.node_counts == [0, 1, 2, 3]
 
 
 # --- Pruefer-angle search ------------------------------------------------------
@@ -262,8 +272,7 @@ def test_start_angle_counts_zeros_inside_the_start_radius():
     assert res.node_counts == list(range(6))
 
 
-@pytest.mark.parametrize("mu, lam, l, count", [
-    (1.5, 1.0, 1, 6), (-2.5, 1.0, 2, 6), (-0.75, 1.0, 2, 6), (1.0 / 6.0, 2.0, 1, 6)])
+@pytest.mark.parametrize("mu, lam, l, count", [(1.5, 1.0, 1, 20), (-0.75, 1.0, 2, 20)])
 def test_shoot_coupling_at_count_cap(mu, lam, l, count):
     res = oracle.shoot_coupling(mu, lam, l, count=count)
     for got, want in zip(res.values, _coupling_levels(mu, lam, l, count), strict=True):
@@ -271,26 +280,28 @@ def test_shoot_coupling_at_count_cap(mu, lam, l, count):
     assert res.node_counts == list(range(count))
 
 
-@pytest.mark.parametrize("n_power", [-1, 0, 1, 3])
+@pytest.mark.parametrize("n_power", [-1, 3])
 def test_shoot_energy_at_count_cap(n_power):
-    res = oracle.shoot_energy_bender(n_power, count=4)
-    expected = [(2 * n + 1) * abs(n_power + 2) + 1.0 for n in range(4)]
+    res = oracle.shoot_energy_bender(n_power, count=20)
+    expected = [(2 * n + 1) * abs(n_power + 2) + 1.0 for n in range(20)]
     for got, want in zip(res.values, expected, strict=True):
         assert got == pytest.approx(want, rel=1e-9)
-    assert res.node_counts == [0, 1, 2, 3]
+    assert res.node_counts == list(range(20))
 
 
 @pytest.mark.parametrize("mu, l, coupling", [(1.5, 1, 0.5), (-1.5, 1, 2.2), (0.25, 0, 3.0)])
 def test_mismatch_is_the_scaled_wronskian(mu, l, coupling):
+    # the angle is Pruefer's for (S u, r u'), S = ode.scale, so the Wronskian
+    # r W = r (u_out' u_in - u_in' u_out) comes out divided by S
     ode = oracle.build_powerlaw_ode(mu, 1.0, l)
     mismatch, out, inn = oracle.coupling_mismatch(ode, coupling)
-    t_inner, t_match, t_outer = ode.ends(coupling)
-    assert t_inner + math.log(3.0) < t_match < t_outer - math.log(3.0)  # no clamp
-    rm = math.exp(t_match)
+    s = ode.scale
+    assert s == max(1.0, abs(1.0 / (mu + 0.5)))
+    rm = math.exp(ode.ends(coupling)[1])
     w = out.end_du * inn.end_u - inn.end_du * out.end_u
-    scale = math.sqrt((out.end_u**2 + (rm * out.end_du) ** 2)
-                      * (inn.end_u**2 + (rm * inn.end_du) ** 2))
-    assert mismatch == pytest.approx(w * rm / scale, abs=1e-12)
+    norm = math.sqrt(((s * out.end_u) ** 2 + (rm * out.end_du) ** 2)
+                     * ((s * inn.end_u) ** 2 + (rm * inn.end_du) ** 2))
+    assert mismatch == pytest.approx(s * w * rm / norm, abs=1e-12)
     assert abs(mismatch) > 1e-3  # off the spectrum
 
 
@@ -385,49 +396,55 @@ def test_one_builder_states_every_shooting_problem():
     assert builders == {"_two_term_ode"}
 
 
-# --- the problem stated in t = log r ---------------------------------------------
+# --- the problem stated in log x -------------------------------------------------
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mu, lam, l, count", [
     (-20.0, 1.0, 2, 3), (50.0, 1.0, 1, 2), (50.0, 1.0, 2, 2), (-50.0, 1.0, 1, 2),
-    (-50.0, 1.0, 2, 2), (-50.0, 1e-3, 1, 1), (100.0, 1.0, 0, 2), (-0.55, 1.0, 20, 3)])
+    (-50.0, 1.0, 2, 2), (-50.0, 1e-3, 1, 1), (100.0, 1.0, 0, 2), (-0.55, 1.0, 20, 3),
+    (1e5, 1.0, 0, 3), (-1e5, 1.0, 0, 3), (-0.45, 1.0, 20, 3),
+    (-0.501, 1.0, 0, 2), (-0.501, 1.0, 1, 2), (-0.501, 1.0, 2, 2),
+    (-0.5001, 1.0, 0, 2), (-0.5001, 1.0, 1, 2), (-0.5001, 1.0, 2, 2)])
 def test_shoot_coupling_where_r_is_extreme(mu, lam, l, count):
     # the well of (-20, 1, 2) sits at r ~ 3e-41, and a match point far from it
     # can miscount nodes; at |mu| = 50 the regular start r = x^(1/k) lies
     # outside the float range, and at (-50, 1e-3) so does the match point.  At
-    # (100, 1, 0) and (-0.55, 1, 20) the phase steps by 1 across the probes'
-    # bracket: its secant root alone is 5e-9 off, and the node count read at
-    # a brentq root past the step was one too high at (-0.55, 1, 20)
+    # |mu| >= 100 and at l = 20 near -1/2 the phase stepped by 1 across the
+    # probes' bracket when the match was the bottom of q in log r: 3 levels
+    # took 33 mismatch evaluations at (100, 1, 0) and (+-1e5, 1, 0) and 44 at
+    # (-0.45, 1, 20), and the node count read at a brentq root past the step
+    # was one too high at (-0.55, 1, 20).  Just below -1/2 the match clamp,
+    # stated in log r, sent lsoda where exp(k t) overflows
     res = oracle.shoot_coupling(mu, lam, l, count=count)
     for got, want in zip(res.values, _coupling_levels(mu, lam, l, count), strict=True):
         assert got == pytest.approx(want, rel=1e-9)
     assert res.node_counts == list(range(count))
-
-
-def _scan_argmin(f, lo, hi, points):
-    t = np.linspace(lo, hi, points)
-    v = f(t)
-    return t, v, int(np.argmin(v))
+    assert res.diagnostics["mismatch_evals"] <= 2 * count + 2
 
 
 def test_match_point_is_the_bottom_of_the_well():
-    wells = 0
-    for mu in (-10.0, -3.0, -1.5, -0.75, -0.3, 0.2, 0.25, 0.75, 1.5, 4.0, 10.0):
-        # q = l(l+1)/r^2 + 2 (c_rep r^p1 - c r^p2), in t = log r
-        p1, p2 = -2.0 * (mu - 0.5) / (mu + 0.5), -2.0 * mu / (mu + 0.5)
-        unit = (1.0 / (2.0 * mu + 1.0)) ** 2
-        c_rep = unit / 2.0
+    # r^2 q = l(l+1) + x (a x - b c) is lowest at x = b c/(2a); in log x the
+    # match is kept log 3 above the regular start, and the WKB start lies at
+    # least 12x above the bottom
+    cases = clamped = 0
+    for mu in (-1e5, -10.0, -1.5, -0.75, -0.5001, -0.4999, -0.3, 0.25, 1.5, 10.0, 1e5):
+        k = 1.0 / (mu + 0.5)
+        a = (k / 2.0) ** 2
         for l in (0, 1, 3):
             ode = oracle.build_powerlaw_ode(mu, 1.0, l)
-            for c in (0.5 * unit, 2.0 * unit, 8.0 * unit, 30.0 * unit):
-                def q(t):
-                    return (l * (l + 1) * np.exp(-2.0 * t)
-                            + 2.0 * (c_rep * np.exp(p1 * t) - c * np.exp(p2 * t)))
-                t_inner, t_match, t_outer = ode.ends(c)
-                t, v, i = _scan_argmin(q, t_inner, t_outer, 4001)
-                if not (0 < i < t.size - 1 and v[i] < 0):
-                    continue  # no negative well
-                t, v, i = _scan_argmin(q, t[i - 1], t[i + 1], 1001)
-                assert t_match == pytest.approx(t[i], abs=2.0 * (t[1] - t[0]))
-                wells += 1
-    assert wells > 50
+            unit = (1.0 / (2.0 * mu + 1.0)) ** 2
+            for c in (1e-14 * unit, 0.5 * unit, 2.0 * unit, 30.0 * unit):
+                log_x = [k * t for t in ode.ends(c)]
+                if k < 0:
+                    log_x.reverse()
+                lo, match, hi = log_x
+                s = np.linspace(lo, hi, 20001)
+                with np.errstate(over="ignore"):
+                    x = np.exp(s)
+                    bottom = s[np.argmin(x * (a * x - 2.0 * c))]
+                want = max(bottom, lo + math.log(3.0))
+                assert match == pytest.approx(want, abs=2.0 * (s[1] - s[0]))
+                assert match <= hi - math.log(3.0)
+                clamped += want > bottom
+                cases += 1
+    assert cases == 132 and clamped > 0
