@@ -249,6 +249,7 @@ def _cmd_oracle(args) -> int:
         predicted = [halfline.spectrum(args.N, n) for n in range(args.count)]
         params = vars_of(args, "N", "count")
         named = f"--N {args.N}"
+        args.lam = None  # no part of the half-line problem: main names only --N
     try:
         res = (oracle.shoot_coupling(args.mu, args.lam, args.l, count=args.count)
                if coupling_mode else oracle.shoot_energy_bender(args.N, count=args.count))

@@ -3,19 +3,20 @@
 Nothing in this module evaluates a closed-form solution from the rest of the
 package: quantized couplings and energies are rediscovered from the bare
 differential equations by double-sided shooting on a Pruefer angle scaled to
-the problem's own variable, and norms/orthogonality are checked by the
-trapezoidal rule after a double-exponential map.  The only shared knowledge
-is the problem statement itself (potential coefficients and exponents).  Each
-level's search starts at the problem's own Bohr-Sommerfeld estimate, a
-quadrature of the stated r^2 q; the two probes around it are swept together,
-one lsoda call per side with both Pruefer angles in its state.  The level
-reported is always the shooting root, the secant root of the phase across a
-bracket of swept couplings, read to lsoda's noise floor and not certified
-below it.  That floor is about 1e-10 relative over the whole domain: at
-lam = 1 and two levels, at most 7e-11 at l <= 1 and mu = +-1e5, +-1e4, -50,
--5/2, -0.6, 1/4, 3/2 and 50, and at most 2.7e-10 at l <= 2 and mu from -0.4
-to -0.49999 and from -0.500005 to -0.51.  Levels up to the 20th, the most one
-search shoots, are within 9e-10.
+the wavenumber at the bottom of the problem's well, and norms/orthogonality
+are checked by the trapezoidal rule after a double-exponential map.  The only
+shared knowledge is the problem statement itself (potential coefficients and
+exponents).  Each level's search starts at the problem's own Bohr-Sommerfeld
+estimate, a quadrature of the stated r^2 q; the two probes around it are swept
+together, one lsoda call per side with both Pruefer angles in its state.  The
+level reported is always the shooting root, the secant root of the phase
+across a bracket of swept couplings, read to lsoda's noise floor and not
+certified below it.  That floor is about 1e-10 relative over the whole
+domain: at lam = 1 and two levels, at most 1.1e-10 at l <= 1 and mu = +-1e5,
++-1e4, -50, -5/2, -0.6, 1/4, 3/2 and 50 (4.6e-11 but for level 1 at
+mu = -0.6, l = 0), and at most 2.7e-10 at l <= 2 and mu from -0.4 to -0.49999
+and from -0.500005 to -0.51.  Levels up to the 20th, the most one search
+shoots, are within 2.6e-10.
 """
 
 from __future__ import annotations
@@ -50,13 +51,15 @@ _T_CAP = 704.0  # exp() stays finite
 _SCAN = np.linspace(-_T_CAP, _T_CAP, 2817)  # step 0.5 in sigma
 _MAX_SAMPLES = 30_000  # samples beyond the scan
 _LOG3 = math.log(3.0)
-# lsoda's step budget for one sweep, paired or not.  The longest sweep of the
-# tests, `zepl verify --all` and perfbench's oracle_sweep takes 6560 steps, a
-# single one; the longest pair takes 4255 (odeint's default budget is 500).  A
-# sweep that needs more than this has lost the problem, say to a huge r^2 q,
-# and raises instead of running on.
+# lsoda's step budget for one sweep, paired or not.  The longest pair of the
+# tests, `zepl verify --all` and perfbench's oracle_sweep takes 5506 steps (the
+# 20th level at (3/2, 1, 1)), the longest single one 5098, but for the tests'
+# sweeps 2.5x and 3x past level 0 of (-50, 1, 2), near levels 186 and 248,
+# which take up to 17 388 (odeint's default budget is 500).  A sweep that
+# needs more than this has lost the problem, say to a huge r^2 q, and raises
+# instead of running on.
 _MAX_STEPS = 20_000
-# the most levels one search shoots: the 20th is within 1e-9 of the closed forms
+# the most levels one search shoots: the 20th is within 3e-10 of the closed forms
 _MAX_COUNT = 20
 # midpoint nodes in phi on (0, pi) for the Bohr-Sommerfeld action
 _PHI = (np.arange(64) + 0.5) * (math.pi / 64)
@@ -126,33 +129,32 @@ def quad_seminfinite(h, tol: float = 1e-10, *, atol: float = 0.0) -> QuadResult:
 class RadialODE:
     """u'' = q(r, c) u on r > 0, stated in t = log r.
 
-    ``r2q(t, c)`` is r^2 q, the only thing the Euler-scaled Pruefer equations
-    evaluate; ``c`` is the shooting parameter (attractive coupling or spectral
-    value).  ``ends(c)`` gives (t_inner, t_match, t_outer), the match inside
-    the two starts.  ``inner_slope`` and ``outer_slope`` give r u'/u at the
-    start of each sweep.  A start must have no zero of u beyond it (on its
-    side of the domain): the sweep counts zeros from there.  ``guess(n)``
-    estimates the n-th level; shooting only starts its search there.
-    ``scale`` S > 0 weighs u against r u' in the angle: S = |k| makes it the
-    Pruefer angle of log x, x = r^k.
+    ``terms(t)`` gives (q0, w), the pencil r^2 q = q0 - c w that the
+    Euler-scaled Pruefer equations evaluate; ``c`` is the shooting parameter
+    (attractive coupling or spectral value).  ``ends(c)`` gives the sweep's
+    frame (t_inner, t_match, t_outer, S): the match inside the two starts,
+    and the scale S > 0 that weighs u against r u' in the angle.
+    ``inner_slope`` and ``outer_slope`` give r u'/u at the start of each
+    sweep.  A start must have no zero of u beyond it (on its side of the
+    domain): the sweep counts zeros from there.  ``guess(n)`` estimates the
+    n-th level; shooting only starts its search there.
     """
 
-    r2q: Callable[[float, float], float]
-    ends: Callable[[float], tuple[float, float, float]]
+    terms: Callable[[float], tuple[float, float]]
+    ends: Callable[[float], tuple[float, float, float, float]]
     inner_slope: Callable[[float, float], float]
     outer_slope: Callable[[float, float], float]
     guess: Callable[[int], float]
-    scale: float = 1.0
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """One sweep's end at the matching radius: u and du up to one positive
-    factor, with S^2 u^2 + (r du)^2 = 1 there, S the problem's ``scale``.
-    ``end_theta`` is the Pruefer angle: it starts in [0, pi) and, as r grows,
-    rises through a multiple of pi at each zero of u, so an inward sweep falls
-    through them.  ``nfev`` counts the call's right-hand-side evaluations,
-    which the two sweeps of a pair share."""
+    factor, with S^2 u^2 + (r du)^2 = 1 there, S the scale of the sweep's
+    frame.  ``end_theta`` is the Pruefer angle: it starts in [0, pi) and, as r
+    grows, rises through a multiple of pi at each zero of u, so an inward
+    sweep falls through them.  ``nfev`` counts the call's right-hand-side
+    evaluations, which the two sweeps of a pair share."""
 
     end_u: float
     end_du: float
@@ -160,9 +162,13 @@ class Trajectory:
     nfev: int
 
 
-def _wkb_slope(r2q, sign: float):
+def _wkb_slope(terms, sign: float):
     """r u'/u of the first-order WKB form u = q^(-1/4) exp(sign * int sqrt(q)),
     which with Q = r^2 q is sign sqrt(Q) + 1/2 - Q'/(4Q), Q' = dQ/dt."""
+    def r2q(t, c):
+        q0, w = terms(t)
+        return q0 - c * w
+
     def slope(t, c):
         big_q = r2q(t, c)
         if big_q <= 0:
@@ -177,53 +183,59 @@ def integrate_radial(ode: RadialODE, coupling: float | tuple[float, ...],
                      direction: str = "outward") -> Trajectory | tuple[Trajectory, ...]:
     """One ``odeint`` (lsoda) call toward the matching radius of the
     Euler-scaled Pruefer angle theta, S u = rho sin(theta),
-    r u' = rho cos(theta) with t = log r and S = ``ode.scale``:
+    r u' = rho cos(theta) with t = log r and S the scale of the sweep's frame:
 
-        theta' = S cos^2 - sin cos - (r^2 q/S) sin^2
+        theta' = S cos^2 - sin cos - ((q0 - c w)/S) sin^2,   (q0, w) = terms(t)
 
     from atan2(S, r u'/u) at the start.  The angle passes a multiple of pi at
     each zero of u, whatever S, and alone carries the node count and the
     match: its equation does not involve rho, so one call covers the whole
     side with no renormalisation; lsoda's step loop runs in Fortran and calls
-    back only for the right-hand side.  ``coupling`` is a float, which gives one
-    ``Trajectory``, or a tuple of one or two couplings, which gives a tuple of
-    them in the same order: a pair is swept in the same call, its two angles
-    one state that lsoda steps together, each callback evaluating both.  A
-    pair takes its ends from ``ode.ends`` at its first coupling, so it should
-    be two close couplings, such as the probes around a level.  A sweep that
-    stops early (more than 20 000 steps, or any other lsoda failure) or ends
-    on a non-finite angle raises ``RuntimeError``."""
+    back only for the right-hand side, which makes one ``terms(t)`` call and
+    writes into one array that the sweep allocates and odeint copies at once.
+    ``coupling`` is a float, which gives one ``Trajectory``, or a tuple of one
+    or two couplings, which gives a tuple of them in the same order: a pair is
+    swept in the same call, its two angles one state that lsoda steps
+    together, each callback evaluating both.  A pair takes its frame, ends
+    and scale, from ``ode.ends`` at its first coupling, so it should be two
+    close couplings, such as the probes around a level.  A sweep that stops
+    early (more than 20 000 steps, or any other lsoda failure) or ends on a
+    non-finite angle raises ``RuntimeError``."""
     if direction not in ("outward", "inward"):
         raise ValueError("direction must be 'outward' or 'inward'")
     couplings = coupling if isinstance(coupling, tuple) else (coupling,)
     if len(couplings) not in (1, 2):
         raise ValueError(f"a sweep takes one coupling or a pair, got {len(couplings)}")
-    t_inner, t_match, t_outer = ode.ends(couplings[0])
+    t_inner, t_match, t_outer, scale = ode.ends(couplings[0])
     if direction == "outward":
         t_from, start_slope = t_inner, ode.inner_slope
     else:
         t_from, start_slope = t_outer, ode.outer_slope
-    scale = ode.scale
     theta0 = [math.atan2(scale, start_slope(t_from, c)) % math.pi for c in couplings]
 
-    r2q, sin, cos, inv = ode.r2q, math.sin, math.cos, 1.0 / scale
+    terms, sin, cos, inv = ode.terms, math.sin, math.cos, 1.0 / scale
+    dtheta = np.empty(len(couplings))
     if len(couplings) == 1:
         (c1,) = couplings
 
         def rhs(t, y):
+            q0, w = terms(t)
             s, c = sin(y[0]), cos(y[0])
-            return (scale * c - s) * c - r2q(t, c1) * inv * s * s
+            dtheta[0] = (scale * c - s) * c - (q0 - c1 * w) * inv * s * s
+            return dtheta
     else:
         c1, c2 = couplings
 
         def rhs(t, y):
+            q0, w = terms(t)
             a, b = y.tolist()
             sa, ca, sb, cb = sin(a), cos(a), sin(b), cos(b)
-            return ((scale * ca - sa) * ca - r2q(t, c1) * inv * sa * sa,
-                    (scale * cb - sb) * cb - r2q(t, c2) * inv * sb * sb)
+            dtheta[0] = (scale * ca - sa) * ca - (q0 - c1 * w) * inv * sa * sa
+            dtheta[1] = (scale * cb - sb) * cb - (q0 - c2 * w) * inv * sb * sb
+            return dtheta
 
     # the angle's global error grows with each oscillation; rtol 1e-12 keeps
-    # the 20th level within about 1e-9 of its value
+    # the 20th level within about 3e-10 of its value
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ODEintWarning)  # reported below instead
         y, info = odeint(rhs, theta0, (t_from, t_match), rtol=1e-12, atol=1e-12,
@@ -266,14 +278,16 @@ def _two_term_ode(k: float, a: float, b: float, l: int) -> RadialODE:
     x = max(36|k|/sqrt(a), 6 b c/a), which gives both a ~36 decay budget and
     clear dominance of the repulsive term.  The sides match at the bottom of
     r^2 q, x = b c/(2a), kept log 3 in log x above the regular start.  The
-    angle is scaled by S = max(1, |k|), the Pruefer angle of log x where
-    |k| > 1 (S = |k| below 1 outruns lsoda's steps at |mu| = 1e5).  The guess
-    is the Bohr-Sommerfeld estimate with Langer's l(l+1) -> (l+1/2)^2."""
+    angle's scale S = max(1, |k|, sqrt(-r^2 q at the match)) is the
+    wavenumber at the bottom of the well, where most of the oscillation
+    happens, and at least that of log x where |k| > 1 (S = |k| below 1
+    outruns lsoda's steps at |mu| = 1e5).  The guess is the Bohr-Sommerfeld
+    estimate with Langer's l(l+1) -> (l+1/2)^2."""
     ll = l * (l + 1.0)
 
-    def r2q(t, c):
+    def terms(t):
         x = math.exp(k * t)
-        return ll + x * (a * x - b * c)
+        return ll + a * x * x, b * x
 
     def ends(c):
         # in log x: the regular start, the bottom of r^2 q at b c/(2 a), kept
@@ -282,7 +296,9 @@ def _two_term_ode(k: float, a: float, b: float, l: int) -> RadialODE:
         log_match = max(math.log(b * c / (2.0 * a)), log_regular + _LOG3)
         log_wkb = math.log(max(36.0 * abs(k) / math.sqrt(a), 6.0 * b * c / a))
         t_ends = (log_regular / k, log_match / k, log_wkb / k)
-        return t_ends if k > 0 else t_ends[::-1]
+        q0, w = terms(t_ends[1])
+        scale = max(1.0, abs(k), math.sqrt(max(c * w - q0, 0.0)))
+        return (*(t_ends if k > 0 else t_ends[::-1]), scale)
 
     c_meet = 2.0 * math.sqrt(a) * (l + 0.5) / b  # where the turning points meet
 
@@ -306,10 +322,9 @@ def _two_term_ode(k: float, a: float, b: float, l: int) -> RadialODE:
             lo, hi = hi, 2.0 * hi
         return brentq(lambda c: action(c) - target, lo, hi, xtol=1e-15 * hi, rtol=1e-14)
 
-    scale = max(1.0, abs(k))
     if k > 0:
-        return RadialODE(r2q, ends, lambda t, c: l + 1.0, _wkb_slope(r2q, -1.0), guess, scale)
-    return RadialODE(r2q, ends, _wkb_slope(r2q, +1.0), lambda t, c: -float(l), guess, scale)
+        return RadialODE(terms, ends, lambda t, c: l + 1.0, _wkb_slope(terms, -1.0), guess)
+    return RadialODE(terms, ends, _wkb_slope(terms, +1.0), lambda t, c: -float(l), guess)
 
 
 def build_powerlaw_ode(mu: float, lam: float, l: int) -> RadialODE:

@@ -333,6 +333,15 @@ def test_a_value_beyond_the_floats_is_refused_by_name(capsys, argv, named):
     assert err[0].startswith("error: ") and named in err[0] and "float range" in err[0]
 
 
+def test_energy_mode_names_only_the_half_line_options(capsys):
+    # --lambda states no part of the half-line problem, yet its default 1.0
+    # was named: "error: --lambda 1.0 --N 100000000: ..."
+    code = cli.main(["oracle", "--N", "100000000", "--count", "2"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --N 100000000: the problem's numbers leave the float range"]
+
+
 def test_json_writes_non_finite_numbers_as_null(capsys, schema):
     row = {"name": "suite.residual", "value": float("inf"), "tolerance": 1e-8,
            "passed": False, "detail": ""}

@@ -111,8 +111,8 @@ def test_quad_result_holds_python_scalars():
 # --- radial integration ---------------------------------------------------------
 
 def _constant_ode(r2q):
-    return oracle.RadialODE(r2q=lambda t, c: r2q,
-                            ends=lambda c: (math.log(1e-3), 0.0, math.log(10.0)),
+    return oracle.RadialODE(terms=lambda t: (r2q, 0.0),
+                            ends=lambda c: (math.log(1e-3), 0.0, math.log(10.0), 1.0),
                             inner_slope=lambda t, c: 1.0, outer_slope=lambda t, c: 0.0,
                             guess=lambda n: 1.0)
 
@@ -128,10 +128,10 @@ def test_free_particle_log_derivative():
 def test_inward_direction_and_renormalization():
     # u'' = u with the WKB decaying outer start: u ~ e^(-r), log-derivative -1;
     # 59 units of decay leave the unit-amplitude end finite
-    r2q = lambda t, c: math.exp(2.0 * t)
-    ode = oracle.RadialODE(r2q=r2q, ends=lambda c: (math.log(0.1), 0.0, math.log(60.0)),
+    terms = lambda t: (math.exp(2.0 * t), 0.0)
+    ode = oracle.RadialODE(terms=terms, ends=lambda c: (math.log(0.1), 0.0, math.log(60.0), 1.0),
                            inner_slope=lambda t, c: 1.0,
-                           outer_slope=oracle._wkb_slope(r2q, -1.0), guess=lambda n: 1.0)
+                           outer_slope=oracle._wkb_slope(terms, -1.0), guess=lambda n: 1.0)
     traj = oracle.integrate_radial(ode, 0.0, "inward")
     assert traj.end_du / traj.end_u == pytest.approx(-1.0, rel=1e-6)
     assert math.isfinite(traj.end_u) and math.isfinite(traj.end_du)
@@ -291,13 +291,17 @@ def test_shoot_energy_at_count_cap(n_power):
 
 @pytest.mark.parametrize("mu, l, coupling", [(1.5, 1, 0.5), (-1.5, 1, 2.2), (0.25, 0, 3.0)])
 def test_mismatch_is_the_scaled_wronskian(mu, l, coupling):
-    # the angle is Pruefer's for (S u, r u'), S = ode.scale, so the Wronskian
-    # r W = r (u_out' u_in - u_in' u_out) comes out divided by S
+    # the angle is Pruefer's for (S u, r u'), S the scale of the sweep's frame,
+    # so the Wronskian r W = r (u_out' u_in - u_in' u_out) comes out divided
+    # by S.  Here S is the wavenumber at the bottom of the well, x = b c/(2a),
+    # where -r^2 q = (b c)^2/(4a) - l(l+1), b = 2 and a = k^2/4
     ode = oracle.build_powerlaw_ode(mu, 1.0, l)
     mismatch, out, inn = oracle.coupling_mismatch(ode, coupling)
-    s = ode.scale
-    assert s == max(1.0, abs(1.0 / (mu + 0.5)))
-    rm = math.exp(ode.ends(coupling)[1])
+    _, t_match, _, s = ode.ends(coupling)
+    k = 1.0 / (mu + 0.5)
+    well = math.sqrt(coupling**2 / (k * k / 4.0) - l * (l + 1.0))
+    assert s == pytest.approx(well, rel=1e-12) and s > max(1.0, abs(k))
+    rm = math.exp(t_match)
     w = out.end_du * inn.end_u - inn.end_du * out.end_u
     norm = math.sqrt(((s * out.end_u) ** 2 + (rm * out.end_du) ** 2)
                      * ((s * inn.end_u) ** 2 + (rm * inn.end_du) ** 2))
@@ -318,6 +322,33 @@ def test_shooting_diagnostics_count_the_work():
     # odeint call per side
     assert diag["ode_sweeps"] == diag["mismatch_evals"]
     assert diag["rhs_evals"] > diag["ode_sweeps"]
+
+
+@pytest.mark.parametrize("args, most_evals, worst", [
+    ((1.5, 1.0, 1, 3), 5_400, 1e-11), ((0.25, 1.0, 0, 20), 75_000, 1e-10)])
+def test_a_scale_matched_to_the_well_saves_callbacks(args, most_evals, worst):
+    # lsoda's callbacks are deterministic: with S = max(1, |k|) these took
+    # 6040 and 138 670, and the 20th level at (1/4, 1, 0) was off by 7.8e-10
+    res = oracle.shoot_coupling(*args)
+    assert res.diagnostics["rhs_evals"] <= most_evals
+    for got, want in zip(res.values, _coupling_levels(*args), strict=True):
+        assert got == pytest.approx(want, rel=worst)
+
+
+@pytest.mark.parametrize("factor, most_evals", [(2.0, 30_000), (2.5, 65_000), (3.0, 65_000)])
+def test_a_sweep_deep_in_the_spectrum_finishes(factor, most_evals):
+    # at (-50, 1, 2) the levels are 0.8 % of the coupling apart, so 2.5x level
+    # 0 lies past level 186; with S = max(1, |k|) lsoda ran out of its 20 000
+    # steps there and at 3x, and took 44 062 callbacks at 2x
+    mu, lam, l = -50.0, 1.0, 2
+    unit = (lam / (2.0 * mu + 1.0)) ** 2
+    c = factor * _coupling_levels(mu, lam, l, 1)[0]
+    _, out, inn = oracle.coupling_mismatch(oracle.build_powerlaw_ode(mu, lam, l), c)
+    assert out.nfev + inn.nfev <= most_evals
+    # the phase lies between the levels around c, level n at
+    # (2n + 1 + (2l + 1)|mu + 1/2|) unit
+    below = math.floor((c / unit - 1.0 - (2 * l + 1) * abs(mu + 0.5)) / 2.0)
+    assert math.floor((out.end_theta - inn.end_theta) / math.pi) == below
 
 
 @pytest.mark.parametrize("shoot, args, calls", [
@@ -425,8 +456,9 @@ def test_shoot_coupling_where_r_is_extreme(mu, lam, l, count):
 def test_match_point_is_the_bottom_of_the_well():
     # r^2 q = l(l+1) + x (a x - b c) is lowest at x = b c/(2a); in log x the
     # match is kept log 3 above the regular start, and the WKB start lies at
-    # least 12x above the bottom
-    cases = clamped = 0
+    # least 12x above the bottom.  The angle's scale is the wavenumber
+    # sqrt(-r^2 q) there, at least max(1, |k|)
+    cases = clamped = deep = 0
     for mu in (-1e5, -10.0, -1.5, -0.75, -0.5001, -0.4999, -0.3, 0.25, 1.5, 10.0, 1e5):
         k = 1.0 / (mu + 0.5)
         a = (k / 2.0) ** 2
@@ -434,7 +466,8 @@ def test_match_point_is_the_bottom_of_the_well():
             ode = oracle.build_powerlaw_ode(mu, 1.0, l)
             unit = (1.0 / (2.0 * mu + 1.0)) ** 2
             for c in (1e-14 * unit, 0.5 * unit, 2.0 * unit, 30.0 * unit):
-                log_x = [k * t for t in ode.ends(c)]
+                *t_ends, scale = ode.ends(c)
+                log_x = [k * t for t in t_ends]
                 if k < 0:
                     log_x.reverse()
                 lo, match, hi = log_x
@@ -445,6 +478,10 @@ def test_match_point_is_the_bottom_of_the_well():
                 want = max(bottom, lo + math.log(3.0))
                 assert match == pytest.approx(want, abs=2.0 * (s[1] - s[0]))
                 assert match <= hi - math.log(3.0)
+                xm = math.exp(match)
+                well = math.sqrt(max(xm * (2.0 * c - a * xm) - l * (l + 1.0), 0.0))
+                assert scale == pytest.approx(max(1.0, abs(k), well), rel=1e-9)
                 clamped += want > bottom
+                deep += well > max(1.0, abs(k))
                 cases += 1
-    assert cases == 132 and clamped > 0
+    assert cases == 132 and clamped > 0 and deep > 0
