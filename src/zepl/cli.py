@@ -240,22 +240,24 @@ def _cmd_oracle(args) -> int:
         raise ValidationError("give either --mu (coupling mode) or --N (energy mode)")
     _check_tolerance(args)
     if coupling_mode:
+        args.lam = 1.0 if args.lam is None else args.lam
+        args.l = 0 if args.l is None else args.l
         predicted = [powerlaw.map_parameters(powerlaw.PowerLawFamily(
             mu=args.mu, lam=args.lam, l=args.l, n=n)).terms.attractive_coeff
             for n in range(args.count)]
         params = vars_of(args, "mu", "lam", "l", "count")
         named = f"--mu {float(args.mu):g} --l {args.l}"
     else:
+        if args.lam is not None or args.l is not None:
+            raise ValidationError("energy mode (--N) takes neither --lambda nor --l")
         predicted = [halfline.spectrum(args.N, n) for n in range(args.count)]
         params = vars_of(args, "N", "count")
         named = f"--N {args.N}"
-        args.lam = None  # no part of the half-line problem: main names only --N
     try:
         res = (oracle.shoot_coupling(args.mu, args.lam, args.l, count=args.count)
                if coupling_mode else oracle.shoot_energy_bender(args.N, count=args.count))
-    except RuntimeError as exc:  # a large |mu|, l or N lengthens a sweep
-        raise ValidationError(f"{named}: a shooting sweep outran its step budget "
-                              f"({exc})") from exc
+    except RuntimeError as exc:  # a large |mu|, l or N lengthens a sweep or breaks lsoda
+        raise ValidationError(f"{named}: a shooting sweep failed ({exc})") from exc
     rows = [{"index": i, "recovered": got, "predicted": pred,
              "rel_err": abs(got - pred) / abs(pred), "node_count": nodes}
             for i, (got, pred, nodes)
@@ -424,8 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="shooting recovery of couplings or energies")
     sp.add_argument("--mu", type=parse_rational, help="coupling mode")
     sp.add_argument("--N", type=int, help="energy mode")
-    sp.add_argument("--lambda", dest="lam", type=finite_float, default=1.0)
-    sp.add_argument("--l", type=int, default=0)
+    sp.add_argument("--lambda", dest="lam", type=finite_float,
+                    help="coupling mode only (default 1)")
+    sp.add_argument("--l", type=int, help="coupling mode only (default 0)")
     sp.add_argument("--count", type=int, default=3)
     sp.add_argument("--tolerance", type=finite_float, default=verify.ORACLE_TOL)
     _add_common(sp)

@@ -7,16 +7,19 @@ the wavenumber at the bottom of the problem's well, and norms/orthogonality
 are checked by the trapezoidal rule after a double-exponential map.  The only
 shared knowledge is the problem statement itself (potential coefficients and
 exponents).  Each level's search starts at the problem's own Bohr-Sommerfeld
-estimate, a quadrature of the stated r^2 q; the two probes around it are swept
-together, one lsoda call per side with both Pruefer angles in its state.  The
-level reported is always the shooting root, the secant root of the phase
-across a bracket of swept couplings, read to lsoda's noise floor and not
-certified below it.  That floor is about 1e-10 relative over the whole
-domain: at lam = 1 and two levels, at most 1.1e-10 at l <= 1 and mu = +-1e5,
-+-1e4, -50, -5/2, -0.6, 1/4, 3/2 and 50 (4.6e-11 but for level 1 at
-mu = -0.6, l = 0), and at most 2.7e-10 at l <= 2 and mu from -0.4 to -0.49999
-and from -0.500005 to -0.51.  Levels up to the 20th, the most one search
-shoots, are within 2.6e-10.
+estimate with Langer's (l+1/2)^2, whose action the stated r^2 q gives in
+closed form; the two probes around it are swept together, one lsoda call per
+side with both Pruefer angles in its state.  The problem is an oscillator in
+disguise, for which Langer-WKB is exact, so the estimate is the quantized
+level to rounding; yet the level reported is always the shooting root, the
+secant root of the phase across a bracket of swept couplings, read to lsoda's
+noise floor and not certified below it (an estimate moved 1e-6 off gives the
+same levels).  That floor is about 1e-10 relative over the whole
+domain: at lam = 1 and two levels, at most 1.05e-10 at l <= 1 and mu = +-1e5,
++-1e4, -50, -5/2, -0.6, 1/4, 3/2 and 50 (4.6e-11 but at mu = -0.6, l = 0),
+and at most 2.7e-10 at l <= 2 and mu from -0.4 to -0.49999 and from
+-0.500005 to -0.51.  Levels up to the 20th, the most one search shoots, stay
+within these floors on the same families (1.6e-10 on the first set).
 """
 
 from __future__ import annotations
@@ -61,9 +64,6 @@ _LOG3 = math.log(3.0)
 _MAX_STEPS = 20_000
 # the most levels one search shoots: the 20th is within 3e-10 of the closed forms
 _MAX_COUNT = 20
-# midpoint nodes in phi on (0, pi) for the Bohr-Sommerfeld action
-_PHI = (np.arange(64) + 0.5) * (math.pi / 64)
-_PHI_COS, _PHI_SIN = np.cos(_PHI), np.sin(_PHI)
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,9 @@ class RadialODE:
     frame (t_inner, t_match, t_outer, S): the match inside the two starts,
     and the scale S > 0 that weighs u against r u' in the angle.
     ``inner_slope`` and ``outer_slope`` give r u'/u at the start of each
-    sweep.  A start must have no zero of u beyond it (on its side of the
-    domain): the sweep counts zeros from there.  ``guess(n)`` estimates the
-    n-th level; shooting only starts its search there.
+    sweep, in closed form.  A start must have no zero of u beyond it (on its
+    side of the domain): the sweep counts zeros from there.  ``guess(n)``
+    estimates the n-th level; shooting only starts its search there.
     """
 
     terms: Callable[[float], tuple[float, float]]
@@ -162,23 +162,6 @@ class Trajectory:
     nfev: int
 
 
-def _wkb_slope(terms, sign: float):
-    """r u'/u of the first-order WKB form u = q^(-1/4) exp(sign * int sqrt(q)),
-    which with Q = r^2 q is sign sqrt(Q) + 1/2 - Q'/(4Q), Q' = dQ/dt."""
-    def r2q(t, c):
-        q0, w = terms(t)
-        return q0 - c * w
-
-    def slope(t, c):
-        big_q = r2q(t, c)
-        if big_q <= 0:
-            raise ValueError(f"WKB start needs q > 0, got r^2 q = {big_q:g} at log r = {t:g}")
-        h = 1e-5
-        d_q = (r2q(t + h, c) - r2q(t - h, c)) / (2.0 * h)
-        return sign * math.sqrt(big_q) + 0.5 - d_q / (4.0 * big_q)
-    return slope
-
-
 def integrate_radial(ode: RadialODE, coupling: float | tuple[float, ...],
                      direction: str = "outward") -> Trajectory | tuple[Trajectory, ...]:
     """One ``odeint`` (lsoda) call toward the matching radius of the
@@ -199,8 +182,8 @@ def integrate_radial(ode: RadialODE, coupling: float | tuple[float, ...],
     together, each callback evaluating both.  A pair takes its frame, ends
     and scale, from ``ode.ends`` at its first coupling, so it should be two
     close couplings, such as the probes around a level.  A sweep that stops
-    early (more than 20 000 steps, or any other lsoda failure) or ends on a
-    non-finite angle raises ``RuntimeError``."""
+    early (more than 20 000 steps, or any other lsoda failure), meets a
+    non-finite angle or ends on one raises ``RuntimeError``."""
     if direction not in ("outward", "inward"):
         raise ValueError("direction must be 'outward' or 'inward'")
     couplings = coupling if isinstance(coupling, tuple) else (coupling,)
@@ -236,15 +219,19 @@ def integrate_radial(ode: RadialODE, coupling: float | tuple[float, ...],
 
     # the angle's global error grows with each oscillation; rtol 1e-12 keeps
     # the 20th level within about 3e-10 of its value
+    failed = f"radial integration failed on log r in [{t_from:g}, {t_match:g}]"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ODEintWarning)  # reported below instead
-        y, info = odeint(rhs, theta0, (t_from, t_match), rtol=1e-12, atol=1e-12,
-                         mxstep=_MAX_STEPS, full_output=True, tfirst=True)
+        try:
+            y, info = odeint(rhs, theta0, (t_from, t_match), rtol=1e-12, atol=1e-12,
+                             mxstep=_MAX_STEPS, full_output=True, tfirst=True)
+        except ValueError as exc:  # math.sin of an infinite angle
+            raise RuntimeError(f"{failed}: the right-hand side met a non-finite angle "
+                               f"({exc}).") from exc
     end_thetas = y[-1].tolist()
     shown = next((v for v in end_thetas if not math.isfinite(v)), end_thetas[0])
     if info["message"] != "Integration successful." or not math.isfinite(shown):
-        raise RuntimeError(f"radial integration failed on log r in [{t_from:g}, {t_match:g}]: "
-                           f"lsoda: {info['message']} End angle {shown:g}.")
+        raise RuntimeError(f"{failed}: lsoda: {info['message']} End angle {shown:g}.")
     nfev = int(info["nfe"][-1])
     trajectories = []
     for end_theta in end_thetas:
@@ -281,8 +268,10 @@ def _two_term_ode(k: float, a: float, b: float, l: int) -> RadialODE:
     angle's scale S = max(1, |k|, sqrt(-r^2 q at the match)) is the
     wavenumber at the bottom of the well, where most of the oscillation
     happens, and at least that of log x where |k| > 1 (S = |k| below 1
-    outruns lsoda's steps at |mu| = 1e5).  The guess is the Bohr-Sommerfeld
-    estimate with Langer's l(l+1) -> (l+1/2)^2."""
+    outruns lsoda's steps at |mu| = 1e5).  The WKB start's slope and the
+    guess, the Bohr-Sommerfeld estimate with Langer's l(l+1) -> (l+1/2)^2
+    (Langer 1937), are closed forms; in x the problem is the 3D oscillator,
+    for which that estimate is exact."""
     ll = l * (l + 1.0)
 
     def terms(t):
@@ -300,31 +289,23 @@ def _two_term_ode(k: float, a: float, b: float, l: int) -> RadialODE:
         scale = max(1.0, abs(k), math.sqrt(max(c * w - q0, 0.0)))
         return (*(t_ends if k > 0 else t_ends[::-1]), scale)
 
-    c_meet = 2.0 * math.sqrt(a) * (l + 0.5) / b  # where the turning points meet
-
-    def action(c):
-        # int sqrt(-(r^2 q + 1/4)) dt between the turning points, the roots of
-        # a x^2 - b c x + (l+1/2)^2 = 0; log x spans m -+ h, h = acosh(c/c_meet).
-        # At log x = m - h cos(phi) the integrand is (l+1/2)/|k| h sin(phi)
-        # sqrt((e^(h (1 - cos phi)) - 1) (1 - e^(-h (1 + cos phi)))), smooth and
-        # periodic in phi, so the midpoint rule converges fast
-        if not c > c_meet:
-            return 0.0
-        h = math.acosh(c / c_meet)
-        v = _PHI_SIN * np.sqrt(np.expm1(h * (1.0 - _PHI_COS)) * -np.expm1(-h * (1.0 + _PHI_COS)))
-        return (l + 0.5) * h * float(v.sum()) * (math.pi / _PHI.size) / abs(k)
-
     def guess(n):
-        # the smallest c whose action, rising from 0 at c_meet, is (n + 1/2) pi
-        target = (n + 0.5) * math.pi
-        lo, hi = c_meet, 2.0 * c_meet
-        while action(hi) < target:
-            lo, hi = hi, 2.0 * hi
-        return brentq(lambda c: action(c) - target, lo, hi, xtol=1e-15 * hi, rtol=1e-14)
+        # the action (1/|k|) int sqrt(b c x - a x^2 - (l+1/2)^2) dx/x between
+        # the turning points, pi (b c/(2 sqrt(a)) - (l+1/2))/|k|, is (n+1/2) pi
+        return math.sqrt(a) * ((2 * l + 1) + (2 * n + 1) * abs(k)) / b
+
+    def wkb_slope(sign):
+        # r u'/u of u = Q^(-1/4) exp(sign int sqrt(Q) dt), Q = r^2 q = q0 - c w
+        # and Q' = dQ/dt = k (2 a x^2 - b c x); x >= 6 b c/a keeps Q >= 5 a x^2/6
+        def slope(t, c):
+            q0, w = terms(t)
+            big_q = q0 - c * w
+            return sign * math.sqrt(big_q) + 0.5 - k * (2.0 * (q0 - ll) - c * w) / (4.0 * big_q)
+        return slope
 
     if k > 0:
-        return RadialODE(terms, ends, lambda t, c: l + 1.0, _wkb_slope(terms, -1.0), guess)
-    return RadialODE(terms, ends, _wkb_slope(terms, +1.0), lambda t, c: -float(l), guess)
+        return RadialODE(terms, ends, lambda t, c: l + 1.0, wkb_slope(-1.0), guess)
+    return RadialODE(terms, ends, wkb_slope(+1.0), lambda t, c: -float(l), guess)
 
 
 def build_powerlaw_ode(mu: float, lam: float, l: int) -> RadialODE:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["laguerre", "laguerre_pair", "laguerre_deriv"]
+__all__ = ["laguerre", "laguerre_pair"]
 
 
 def _check_degree(n) -> int:
@@ -46,9 +46,3 @@ def laguerre(n, alpha, x):
     """Generalized Laguerre polynomial L_n^alpha(x): ``laguerre_pair``'s first entry."""
     return laguerre_pair(n, alpha, x)[0]
 
-
-def laguerre_deriv(n, alpha, x):
-    """d/dx L_n^alpha(x) = -L_{n-1}^{alpha+1}(x); zero for the constant L_0,
-    formed as 0 L_0(x) so that x is checked and shaped as at every degree."""
-    n = _check_degree(n)
-    return -laguerre(n - 1, alpha + 1.0, x) if n else 0.0 * laguerre(0, alpha, x)

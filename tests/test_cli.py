@@ -223,6 +223,8 @@ def test_oracle_csv_header(capsys):
     ["oracle", "--mu", "-1e10", "--l", "1", "--count", "1"],
     ["figures", "--which", "2", "--l", "-3"],
     ["figures", "--which", "3", "--l", "0"],
+    ["oracle", "--N", str(10**110), "--count", "1"],
+    ["oracle", "--N", str(10**130), "--count", "1"],
 ], ids=["oracle-count-21", "oracle-energy-count-21", "oracle-negative-l",
         "bender-negative-n-max", "potential-zero-points", "figures-zero-points",
         "oracle-negative-tolerance", "bender-zero-tolerance", "dirac-negative-tolerance",
@@ -233,7 +235,8 @@ def test_oracle_csv_header(capsys):
         "classify-negative-coupling-scale", "oracle-lambda-1e300", "degeneracy-omega-1e400",
         "classify-lambda-inf", "classify-coupling-scale-inf", "potential-r-max-1e400",
         "dirac-alpha-fs-inf", "bender-tolerance-inf", "verify-tolerance-scale-inf",
-        "oracle-mu-1e10", "oracle-mu-minus-1e10", "figures-negative-l", "figures-zero-l"])
+        "oracle-mu-1e10", "oracle-mu-minus-1e10", "figures-negative-l", "figures-zero-l",
+        "oracle-N-1e110", "oracle-N-1e130"])
 def test_bad_input_is_a_one_line_validation_error(capsys, argv):
     code = cli.main(argv)
     err = capsys.readouterr().err.splitlines()
@@ -278,7 +281,7 @@ def test_a_sweep_that_outruns_its_steps_is_refused_by_name(capsys):
     assert cli.main(["oracle", "--mu", "-1e5", "--l", "10000", "--count", "1"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: --mu -100000 --l 10000: ")
-    assert "outran its step budget" in err[0]
+    assert "a shooting sweep failed (" in err[0] and "Excess work done" in err[0]
 
 
 def test_an_energy_sweep_that_outruns_its_steps_is_refused_by_name(capsys, monkeypatch):
@@ -288,16 +291,21 @@ def test_an_energy_sweep_that_outruns_its_steps_is_refused_by_name(capsys, monke
     monkeypatch.setattr(oracle, "shoot_energy_bender", outrun)
     assert cli.main(["oracle", "--N", "3", "--count", "2"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: --N 3: a shooting sweep outran its step budget "
-                   "(radial integration failed)"]
+    assert err == ["error: --N 3: a shooting sweep failed (radial integration failed)"]
 
 
 @pytest.mark.parametrize("argv", [["--mu", "-0.499995", "--l", "0", "--count", "2"],
-                                  ["--mu", "1e7", "--l", "10", "--count", "3"]],
-                         ids=["mu-near-minus-half", "mu-1e7"])
+                                  ["--mu", "1e7", "--l", "10", "--count", "3"],
+                                  ["--mu", "-0.4999999", "--count", "2"],
+                                  ["--mu", "-0.50000001", "--count", "2"],
+                                  ["--N", "100000000", "--count", "2"]],
+                         ids=["mu-near-minus-half", "mu-1e7", "mu-minus-0.4999999",
+                              "mu-minus-0.50000001", "N-1e8"])
 def test_oracle_shoots_near_minus_half_and_beyond_mu_1e5(capsys, argv):
     # near -1/2 level 1 read 2.65e-6 against ORACLE_TOL, exit 1; |mu| > 1e5
-    # was refused before shooting
+    # was refused before shooting.  The WKB start's slope was a finite
+    # difference: at -0.4999999 it failed with "math domain error", and at
+    # -0.50000001 and N = 1e8 it left the floats
     code, doc = run_json(capsys, ["oracle", *argv])
     assert code == 0 and doc["passed"] is True
     assert max(row["rel_err"] for row in doc["results"]["levels"]) < 1e-9
@@ -318,7 +326,7 @@ def test_an_infinite_number_is_refused_by_name(capsys):
     (["dirac", "--beta", "0.5", "--l", "1", "--lambda", "1e-170"], "--lambda 1e-170"),
     (["dirac", "--beta", "-3", "--l", "1", "--lambda", "1e-300"], "--lambda 1e-300"),
     (["oracle", "--mu", "3/2", "--lambda", "1e-80", "--count", "2"], "--lambda 1e-80"),
-    (["oracle", "--N", "100000000", "--count", "2"], "--N 100000000"),
+    (["oracle", "--N", str(10**309), "--count", "2"], f"--N {10**309}"),
 ], ids=["oracle-lambda", "potential-lambda", "figures-lambda", "dirac-lambda",
         "classify-mu", "oracle-mu", "dirac-lambda-1e-170",
         "dirac-negative-beta-lambda-1e-300", "oracle-lambda-1e-80", "oracle-N"])
@@ -336,10 +344,25 @@ def test_a_value_beyond_the_floats_is_refused_by_name(capsys, argv, named):
 def test_energy_mode_names_only_the_half_line_options(capsys):
     # --lambda states no part of the half-line problem, yet its default 1.0
     # was named: "error: --lambda 1.0 --N 100000000: ..."
-    code = cli.main(["oracle", "--N", "100000000", "--count", "2"])
+    code = cli.main(["oracle", "--N", str(10**309), "--count", "2"])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: --N 100000000: the problem's numbers leave the float range"]
+        f"error: --N {10**309}: the problem's numbers leave the float range"]
+
+
+@pytest.mark.parametrize("extra", [["--lambda", "5"], ["--l", "3"], ["--lambda", "5", "--l", "3"]],
+                         ids=["lambda", "l", "both"])
+def test_energy_mode_refuses_the_coupling_mode_options(capsys, extra):
+    # both were accepted and ignored: exit 0 with a passed half-line check
+    assert cli.main(["oracle", "--N", "2", "--count", "1", *extra]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: energy mode (--N) takes neither --lambda nor --l"]
+
+
+def test_coupling_mode_defaults_lambda_and_l(capsys, schema):
+    code, doc = run_json(capsys, ["oracle", "--mu", "3/2", "--count", "1"])
+    assert code == 0 and doc["parameters"]["lambda"] == 1.0 and doc["parameters"]["l"] == 0
+    jsonschema.validate(doc, schema)
 
 
 def test_json_writes_non_finite_numbers_as_null(capsys, schema):

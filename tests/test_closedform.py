@@ -10,7 +10,7 @@ import scipy.special
 from zepl import closedform, halfline
 from zepl.closedform import (ClosedFormSolution, count_sign_changes, relative_residual,
                              zero_energy_solution)
-from zepl.specfn import laguerre, laguerre_deriv
+from zepl.specfn import laguerre
 
 
 @pytest.mark.parametrize("params", [
@@ -46,7 +46,7 @@ def test_derivatives_from_one_recurrence_match_the_three_recurrence_forms():
         log_env = p * (np.log(w) - math.log(sol.rate)) / k - 0.5 * w
         weight = np.exp(log_env - log_env.max())
         h = laguerre(n, a, w)
-        rg, d1 = p - 0.5 * k * w, k * w * laguerre_deriv(n, a, w)
+        rg, d1 = p - 0.5 * k * w, k * w * (-laguerre(n - 1, a + 1.0, w) if n else 0.0)
         d2 = (k - 1.0) * d1 + (k * k * w * w * laguerre(n - 2, a + 2.0, w) if n > 1 else 0.0)
         ref = [rg * h + d1, (rg * rg - p - 0.5 * k * (k - 1.0) * w) * h + 2.0 * rg * d1 + d2]
         for got, want in zip(sol.euler(w, derivs=True)[1:], ref):

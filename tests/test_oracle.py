@@ -126,12 +126,12 @@ def test_free_particle_log_derivative():
 
 
 def test_inward_direction_and_renormalization():
-    # u'' = u with the WKB decaying outer start: u ~ e^(-r), log-derivative -1;
+    # u'' = u from the decaying outer start u = e^(-r), whose r u'/u is -r;
     # 59 units of decay leave the unit-amplitude end finite
-    terms = lambda t: (math.exp(2.0 * t), 0.0)
-    ode = oracle.RadialODE(terms=terms, ends=lambda c: (math.log(0.1), 0.0, math.log(60.0), 1.0),
+    ode = oracle.RadialODE(terms=lambda t: (math.exp(2.0 * t), 0.0),
+                           ends=lambda c: (math.log(0.1), 0.0, math.log(60.0), 1.0),
                            inner_slope=lambda t, c: 1.0,
-                           outer_slope=oracle._wkb_slope(terms, -1.0), guess=lambda n: 1.0)
+                           outer_slope=lambda t, c: -math.exp(t), guess=lambda n: 1.0)
     traj = oracle.integrate_radial(ode, 0.0, "inward")
     assert traj.end_du / traj.end_u == pytest.approx(-1.0, rel=1e-6)
     assert math.isfinite(traj.end_u) and math.isfinite(traj.end_du)
@@ -173,6 +173,13 @@ def test_a_pair_sweeps_as_its_couplings_do_alone(mu, lam, l, direction):
             alone = oracle.integrate_radial(shared, c, direction)
             assert isinstance(alone, oracle.Trajectory)
             assert traj.end_theta == pytest.approx(alone.end_theta, abs=2e-9)
+
+
+def test_a_sweep_that_meets_an_infinite_angle_raises():
+    # math.sin of the angle raised "ValueError: math domain error" from the
+    # right-hand side
+    with pytest.raises(RuntimeError, match=r"non-finite angle \(math domain error\)"):
+        oracle.shoot_energy_bender(10**110, 1)
 
 
 def test_a_pair_that_cannot_finish_raises_as_one_sweep_does():
@@ -389,11 +396,15 @@ def test_the_estimate_brackets_each_level(shoot, args, count):
 
 
 @pytest.mark.parametrize("mu, lam, l, factors", [
-    (1.5, 1.0, 1, (0.1, 0.7, 1.3, 3.0)), (-2.5, 1.0, 2, (0.1, 0.7, 1.3, 3.0)),
-    (0.25, 1.0, 0, (0.1, 0.7, 1.3, 3.0)), (-50.0, 1.0, 2, (0.7, 1.3))])
+    (1.5, 1.0, 1, (0.1, 0.7, 1 - 1e-6, 1 + 1e-6, 1.3, 3.0)),
+    (-2.5, 1.0, 2, (0.1, 0.7, 1 - 1e-6, 1 + 1e-6, 1.3, 3.0)),
+    (0.25, 1.0, 0, (0.1, 0.7, 1 - 1e-6, 1 + 1e-6, 1.3, 3.0)),
+    (-50.0, 1.0, 2, (0.7, 1 - 1e-6, 1 + 1e-6, 1.3))])
 def test_the_estimate_only_places_the_bracket(mu, lam, l, factors):
     # a guess off by a factor costs fallback sweeps, never a different level:
-    # brentq narrows the fallback's bracket at least as tight as the probes'
+    # brentq narrows the fallback's bracket at least as tight as the probes'.
+    # The estimate is the level to rounding, so 1 -+ 1e-6, 100x the probes'
+    # width, shows the level reported is the phase's root and not the estimate
     ode = oracle.build_powerlaw_ode(mu, lam, l)
     want = oracle._shoot(ode, 3)
     for f in factors:
@@ -415,16 +426,21 @@ def test_oracle_imports_nothing_from_the_package():
 
 
 def test_one_builder_states_every_shooting_problem():
-    # the power-law and half-line problems are both _two_term_ode's
+    # the power-law and half-line problems are both _two_term_ode's, which
+    # states its estimate and start slopes in closed form: no root finder
     tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
-    builders = set()
+    builders, called = set(), {}
     for fn in ast.walk(tree):
         if isinstance(fn, ast.FunctionDef):
-            for node in ast.walk(fn):
-                if (isinstance(node, ast.Call)
-                        and getattr(node.func, "id", None) == "RadialODE"):
-                    builders.add(fn.name)
+            names = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                     for node in ast.walk(fn) if isinstance(node, ast.Call)}
+            called[fn.name] = names
+            if "RadialODE" in names:
+                builders.add(fn.name)
     assert builders == {"_two_term_ode"}
+    assert "brentq" in called["_shoot"]
+    assert not called["_two_term_ode"] & {"brentq", "bisect", "newton", "root_scalar",
+                                          "fsolve", "ridder", "toms748"}
 
 
 # --- the problem stated in log x -------------------------------------------------

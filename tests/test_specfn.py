@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from zepl.specfn import laguerre, laguerre_deriv, laguerre_pair
+from zepl.specfn import laguerre, laguerre_pair
 
 
 def series_laguerre(n, alpha, x):
@@ -89,31 +89,33 @@ def test_pair_refuses_what_laguerre_refuses(n, x):
             f(n, 0.0, x)
 
 
-def test_deriv_trivial_cases():
-    assert laguerre_deriv(0, 3.3, 9.9) == 0.0
-    assert laguerre_deriv(1, 2.0, 3.0) == -1.0
-
-
 @pytest.mark.parametrize("n", [0, 2])
 @pytest.mark.parametrize("x", [math.inf, math.nan, np.array([1.0, math.inf])])
 def test_deriv_refuses_a_non_finite_argument_at_every_degree(n, x):
-    # the constant L_0 as well: its derivative is 0 only where x is a number
+    # the derivatives are formed from the pair (L_n, L_(n-1)); at the constant
+    # L_0 as well, its L_(-1) = 0 is 0 only where x is a number
     with pytest.raises(ValueError, match="finite"):
-        laguerre_deriv(n, 0.5, x)
+        laguerre_pair(n, 0.5, x)
 
 
 def test_deriv_matches_finite_difference():
+    # d/dx L_n^alpha = -L_(n-1)^(alpha+1)
     n, alpha, x = 3, 0.5, 1.7
     h = 1e-5
     fd = (laguerre(n, alpha, x + h) - laguerre(n, alpha, x - h)) / (2 * h)
-    got = laguerre_deriv(n, alpha, x)
+    got = -laguerre(n - 1, alpha + 1.0, x)
     assert abs(got - fd) <= 1e-8 * abs(fd)
 
 
 @pytest.mark.parametrize("n,alpha", [(1, 0.0), (4, 1.5), (7, -0.25)])
 def test_deriv_identity(n, alpha):
+    # the two forms of x L_n' that the package relies on agree: from the
+    # pair, n L_n - (n+alpha) L_(n-1), and -x L_(n-1)^(alpha+1)
     x = np.linspace(0.1, 30.0, 50)
-    assert np.array_equal(laguerre_deriv(n, alpha, x), -laguerre(n - 1, alpha + 1.0, x))
+    top, below = laguerre_pair(n, alpha, x)
+    want = -x * laguerre(n - 1, alpha + 1.0, x)
+    assert np.allclose(n * top - (n + alpha) * below, want, rtol=1e-12,
+                       atol=1e-12 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.5])
