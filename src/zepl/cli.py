@@ -34,6 +34,11 @@ class ValidationError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line and exit 2, not a usage block; subparsers inherit
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 # the options that state a problem's numbers, named when one leaves the floats
 _PROBLEM_OPTIONS = (("mu", "--mu"), ("lam", "--lambda"), ("beta", "--beta"), ("N", "--N"),
                     ("coupling_scale", "--coupling-scale"))
@@ -363,7 +368,7 @@ def _add_common(sp):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="zepl",
         description="Zero-energy power-law solutions: closed forms, "
                     "classification, and independent numerical verification.")
@@ -477,7 +482,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.run(args)
-    except SystemExit as exc:  # argparse uses 2 for usage errors already
+    except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ applied to phi and vanishes identically.
 from __future__ import annotations
 
 import math
-import warnings
+import sys
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -61,8 +61,10 @@ class DiracFamily:
             raise ValueError("l must be a non-negative integer")
         if not self.alpha_fs > 0:
             raise ValueError("fine-structure constant must be positive")
-        if not 0.0 < abs(self.coupling) < math.inf:  # also wherever lam^2 is 0 or inf
-            raise OverflowError(f"the coupling lam^2 beta/2 leaves the floats at "
+        # the reduced equation's r^(2 beta) coefficient is the coupling squared,
+        # so it must be a normal float (also refused: lam^2 of 0 or inf)
+        if not sys.float_info.min <= self.coupling * self.coupling < math.inf:
+            raise OverflowError(f"the coupling lam^2 beta/2 or its square leaves the floats at "
                                 f"beta = {self.beta:g}, lam = {self.lam:g}")
 
     @property
@@ -73,7 +75,8 @@ class DiracFamily:
     def kappa(self) -> int:
         """Spin-orbit label: branch (ii) -l-1 for beta > 0, branch (i) l for
         beta < 0.  The l = 0, beta < 0 combination yields kappa = 0, outside
-        the physical spin-orbit spectrum; it is representable but flagged."""
+        the physical spin-orbit spectrum; it is representable, and the
+        solution's notes say so."""
         return -self.l - 1 if self.beta > 0 else self.l
 
     @property
@@ -147,8 +150,6 @@ def upper_spinor(family: DiracFamily) -> SpinorSolution:
     else:  # l = 0 with beta < 0, the one case where kappa = 0
         notes = ("kappa = 0 lies outside the physical spin-orbit spectrum",
                  "unnormalized: norm diverges for l = 0 with beta < 0")
-        warnings.warn("DiracFamily with l = 0 and beta < 0 yields kappa = 0, "
-                      "outside the physical spin-orbit spectrum", stacklevel=2)
     phi = zero_energy_solution(beta, lam, family.l, 0).scaled(
         (log_c or 0.0) - 2.0 * kappa / beta * math.log(lam), normalized=family.normalizable,
         notes=notes)

@@ -8,18 +8,20 @@ are checked by the trapezoidal rule after a double-exponential map.  The only
 shared knowledge is the problem statement itself (potential coefficients and
 exponents).  Each level's search starts at the problem's own Bohr-Sommerfeld
 estimate with Langer's (l+1/2)^2, whose action the stated r^2 q gives in
-closed form; the two probes around it are swept together, one lsoda call per
-side with both Pruefer angles in its state.  The problem is an oscillator in
-disguise, for which Langer-WKB is exact, so the estimate is the quantized
-level to rounding; yet the level reported is always the shooting root, the
-secant root of the phase across a bracket of swept couplings, read to lsoda's
-noise floor and not certified below it (an estimate moved 1e-6 off gives the
-same levels).  That floor is about 1e-10 relative over the whole
-domain: at lam = 1 and two levels, at most 1.05e-10 at l <= 1 and mu = +-1e5,
-+-1e4, -50, -5/2, -0.6, 1/4, 3/2 and 50 (4.6e-11 but at mu = -0.6, l = 0),
-and at most 2.7e-10 at l <= 2 and mu from -0.4 to -0.49999 and from
--0.500005 to -0.51.  Levels up to the 20th, the most one search shoots, stay
-within these floors on the same families (1.6e-10 on the first set).
+closed form.  Every sweep is a pair of probes around a centre, one lsoda call
+per side with both Pruefer angles in its state; the first pair is centred on
+the estimate, and later ones on Newton steps of the monotone phase, until a
+pair brackets the level itself.  The problem is an oscillator in disguise, for
+which Langer-WKB is exact, so the estimate is the quantized level to rounding;
+yet the level reported is always the shooting root, the secant root of the
+phase across that pair, read to lsoda's noise floor and not certified below it
+(an estimate moved 1e-6 off gives the same levels).  That floor is about 1e-10
+relative over the whole domain: at lam = 1 and two levels, at most 1.05e-10 at
+l <= 1 and mu = +-1e5, +-1e4, -50, -5/2, -0.6, 1/4, 3/2 and 50 (4.6e-11 but at
+mu = -0.6, l = 0), and at most 2.7e-10 at l <= 2 and mu from -0.4 to -0.49999
+and from -0.500005 to -0.51.  Levels up to the 20th, the most one search
+shoots, stay within these floors on the same families (1.6e-10 on the first
+set).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import numpy as np
 from scipy.integrate import ODEintWarning, odeint
 # not called here: perfbench/tracing.py wraps oracle.solve_ivp by name
 from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.optimize import brentq
 
 __all__ = [
     "QuadResult",
@@ -54,16 +55,18 @@ _T_CAP = 704.0  # exp() stays finite
 _SCAN = np.linspace(-_T_CAP, _T_CAP, 2817)  # step 0.5 in sigma
 _MAX_SAMPLES = 30_000  # samples beyond the scan
 _LOG3 = math.log(3.0)
-# lsoda's step budget for one sweep, paired or not.  The longest pair of the
-# tests, `zepl verify --all` and perfbench's oracle_sweep takes 5506 steps (the
-# 20th level at (3/2, 1, 1)), the longest single one 5098, but for the tests'
-# sweeps 2.5x and 3x past level 0 of (-50, 1, 2), near levels 186 and 248,
-# which take up to 17 388 (odeint's default budget is 500).  A sweep that
-# needs more than this has lost the problem, say to a huge r^2 q, and raises
-# instead of running on.
+# lsoda's step budget for one sweep.  The longest sweep of the tests, `zepl
+# verify --all` and perfbench's oracle_sweep takes 5143 steps (a pair at
+# (1e7, 1, 10)), but for the tests' sweeps 2.5x and 3x past level 0 of
+# (-50, 1, 2), near levels 186 and 248, which take up to 17 388 (odeint's
+# default budget is 500).  A sweep that needs more than this has lost the
+# problem, say to a huge r^2 q, and raises instead of running on.
 _MAX_STEPS = 20_000
 # the most levels one search shoots: the 20th is within 3e-10 of the closed forms
 _MAX_COUNT = 20
+# pairs of sweeps per level: 1 on the probe path, 5 where the phase is steep at
+# (1e7, 1, 10), and up to 13 from the tests' guesses off by a factor
+_MAX_PAIRS = 40
 
 
 @dataclass(frozen=True)
@@ -149,15 +152,13 @@ class RadialODE:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One sweep's end at the matching radius: u and du up to one positive
-    factor, with S^2 u^2 + (r du)^2 = 1 there, S the scale of the sweep's
-    frame.  ``end_theta`` is the Pruefer angle: it starts in [0, pi) and, as r
-    grows, rises through a multiple of pi at each zero of u, so an inward
-    sweep falls through them.  ``nfev`` counts the call's right-hand-side
-    evaluations, which the two sweeps of a pair share."""
+    """One sweep's end at the matching radius.  ``end_theta`` is the Pruefer
+    angle of (S u, r u'), S the scale of the sweep's frame, so r u'/u is
+    S cot(end_theta) there: it starts in [0, pi) and, as r grows, rises
+    through a multiple of pi at each zero of u, so an inward sweep falls
+    through them.  ``nfev`` counts the call's right-hand-side evaluations,
+    which the two sweeps of a pair share."""
 
-    end_u: float
-    end_du: float
     end_theta: float
     nfev: int
 
@@ -176,46 +177,36 @@ def integrate_radial(ode: RadialODE, coupling: float | tuple[float, ...],
     side with no renormalisation; lsoda's step loop runs in Fortran and calls
     back only for the right-hand side, which makes one ``terms(t)`` call and
     writes into one array that the sweep allocates and odeint copies at once.
-    ``coupling`` is a float, which gives one ``Trajectory``, or a tuple of one
-    or two couplings, which gives a tuple of them in the same order: a pair is
-    swept in the same call, its two angles one state that lsoda steps
-    together, each callback evaluating both.  A pair takes its frame, ends
-    and scale, from ``ode.ends`` at its first coupling, so it should be two
-    close couplings, such as the probes around a level.  A sweep that stops
-    early (more than 20 000 steps, or any other lsoda failure), meets a
-    non-finite angle or ends on one raises ``RuntimeError``."""
+    Every call sweeps a pair, two angles in one state that lsoda steps
+    together; one coupling, a float or a 1-tuple, is swept as (c, c), and
+    the result matches ``coupling``: one ``Trajectory`` or a tuple of them.
+    A pair takes its frame, ends and scale, from ``ode.ends`` at its first
+    coupling, so it should be two close couplings, such as a level's probes.
+    A sweep that stops early (more than 20 000 steps, or any other lsoda
+    failure), meets a non-finite angle or ends on one raises ``RuntimeError``."""
     if direction not in ("outward", "inward"):
         raise ValueError("direction must be 'outward' or 'inward'")
     couplings = coupling if isinstance(coupling, tuple) else (coupling,)
     if len(couplings) not in (1, 2):
         raise ValueError(f"a sweep takes one coupling or a pair, got {len(couplings)}")
-    t_inner, t_match, t_outer, scale = ode.ends(couplings[0])
+    c1, c2 = couplings if len(couplings) == 2 else couplings * 2
+    t_inner, t_match, t_outer, scale = ode.ends(c1)
     if direction == "outward":
         t_from, start_slope = t_inner, ode.inner_slope
     else:
         t_from, start_slope = t_outer, ode.outer_slope
-    theta0 = [math.atan2(scale, start_slope(t_from, c)) % math.pi for c in couplings]
+    theta0 = [math.atan2(scale, start_slope(t_from, c)) % math.pi for c in (c1, c2)]
 
     terms, sin, cos, inv = ode.terms, math.sin, math.cos, 1.0 / scale
-    dtheta = np.empty(len(couplings))
-    if len(couplings) == 1:
-        (c1,) = couplings
+    dtheta = np.empty(2)
 
-        def rhs(t, y):
-            q0, w = terms(t)
-            s, c = sin(y[0]), cos(y[0])
-            dtheta[0] = (scale * c - s) * c - (q0 - c1 * w) * inv * s * s
-            return dtheta
-    else:
-        c1, c2 = couplings
-
-        def rhs(t, y):
-            q0, w = terms(t)
-            a, b = y.tolist()
-            sa, ca, sb, cb = sin(a), cos(a), sin(b), cos(b)
-            dtheta[0] = (scale * ca - sa) * ca - (q0 - c1 * w) * inv * sa * sa
-            dtheta[1] = (scale * cb - sb) * cb - (q0 - c2 * w) * inv * sb * sb
-            return dtheta
+    def rhs(t, y):
+        q0, w = terms(t)
+        a, b = y.tolist()
+        sa, ca, sb, cb = sin(a), cos(a), sin(b), cos(b)
+        dtheta[0] = (scale * ca - sa) * ca - (q0 - c1 * w) * inv * sa * sa
+        dtheta[1] = (scale * cb - sb) * cb - (q0 - c2 * w) * inv * sb * sb
+        return dtheta
 
     # the angle's global error grows with each oscillation; rtol 1e-12 keeps
     # the 20th level within about 3e-10 of its value
@@ -228,18 +219,13 @@ def integrate_radial(ode: RadialODE, coupling: float | tuple[float, ...],
         except ValueError as exc:  # math.sin of an infinite angle
             raise RuntimeError(f"{failed}: the right-hand side met a non-finite angle "
                                f"({exc}).") from exc
-    end_thetas = y[-1].tolist()
+    end_thetas = y[-1].tolist()[:len(couplings)]
     shown = next((v for v in end_thetas if not math.isfinite(v)), end_thetas[0])
     if info["message"] != "Integration successful." or not math.isfinite(shown):
         raise RuntimeError(f"{failed}: lsoda: {info['message']} End angle {shown:g}.")
     nfev = int(info["nfe"][-1])
-    trajectories = []
-    for end_theta in end_thetas:
-        r_du = math.cos(end_theta)
-        # where r itself underflows, du = (r du)/r is beyond the floats
-        end_du = r_du * math.exp(-t_match) if t_match > -709.0 else math.copysign(math.inf, r_du)
-        trajectories.append(Trajectory(math.sin(end_theta) * inv, end_du, end_theta, nfev))
-    return tuple(trajectories) if isinstance(coupling, tuple) else trajectories[0]
+    trajectories = tuple(Trajectory(theta, nfev) for theta in end_thetas)
+    return trajectories if isinstance(coupling, tuple) else trajectories[0]
 
 
 # ---------------------------------------------------------------------------
@@ -343,75 +329,63 @@ def _shoot(ode: RadialODE, count: int) -> ShootingResult:
 
     Off the spectrum the two angles never differ by a multiple of pi, so the
     phase passes k only at the k-th level, whatever the matching radius, and
-    it rises with c (Sturm).  Each level is first swept at the probes
-    g/(1 + 1e-8) and g (1 + 1e-8) around its estimate g = ``ode.guess(k)``,
-    both in one paired call per side, skipping a probe that lies outside the
-    bracket the earlier levels' sweeps already make.  Where the probes leave
-    the level unbracketed, the bracket doubles up from the highest coupling
-    below it or halves down from the lowest one above it.  The level is the
-    secant root of the tightest bracket the sweeps make, and its node count is
-    the floor difference of the two angles interpolated there; the estimate
-    only places the bracket.  brentq only narrows: a bracket across which the
-    secant could be off by more than 1e-10, one from the fallback or one over
-    which the phase is steep.  The fallback and brentq sweep one coupling at a
-    time.  Across the probes' 2e-8 a smooth phase is linear to within lsoda's
-    noise, so a level is read to that noise floor, which the module docstring
-    states, and is not certified below it."""
-    # c -> (phase, theta_out, theta_in)
+    it rises with c (Sturm).  Every sweep is a pair of probes centre/(1 + h)
+    and centre (1 + h), one paired call per side, from centre =
+    ``ode.guess(k)`` and h = 1e-8.  The first pair that brackets the level
+    itself, tightly enough (below), gives it; else the next centre is the
+    Newton step through the pair's two phases if that lies inside the
+    bracket all sweeps make, and within a factor 2 of the nearest swept
+    coupling while the bracket is open; if not, 2 lo or hi/2, or the closed
+    bracket's secant root, with h at most an eighth of its relative width.
+    Where levels crowd, as 1e-8 apart at (1e7, 1, 10), the phase is a
+    staircase, which a bracket assembled from two pairs can straddle.  The
+    level is the pair's secant root and its node count the floor difference
+    of the two angles interpolated there; the estimate only places the
+    first pair.  A level is read to lsoda's noise floor, which the module
+    docstring states, and not certified below it.  One not read within
+    _MAX_PAIRS pairs raises ``RuntimeError``."""
+    # c -> (phase, theta_out, theta_in), over every level's sweeps
     sweeps: dict[float, tuple[float, float, float]] = {}
-    rhs_evals = ode_sweeps = 0
-
-    def sweep(couplings):
-        nonlocal rhs_evals, ode_sweeps
-        results = coupling_mismatch(ode, couplings)
-        _, out, inn = results[0]
-        rhs_evals += out.nfev + inn.nfev  # a pair shares its calls' callbacks
-        ode_sweeps += 2
-        for c, (_, out, inn) in zip(couplings, results):
-            sweeps[c] = ((out.end_theta - inn.end_theta) / math.pi, out.end_theta, inn.end_theta)
-
-    def phase(c):
-        if c not in sweeps:
-            sweep((c,))
-        return sweeps[c][0]
-
-    def bracket(k):
-        lo = max((c for c, s in sweeps.items() if s[0] < k), default=None)
-        hi = min((c for c, s in sweeps.items() if s[0] >= k), default=None)
-        return lo, hi
-
-    values, nodes, fallback, widest = [], [], 0, 0.0
+    values, nodes, pairs, rhs_evals, widest = [], [], 0, 0, 0.0
     for k in range(count):
-        g = ode.guess(k)
-        lo, hi = bracket(k)
-        probes = tuple(c for c in (g / (1.0 + 1e-8), g * (1.0 + 1e-8))
-                       if (lo is None or c > lo) and (hi is None or c < hi))
-        if probes:
-            sweep(probes)
-        lo, hi = bracket(k)  # a probe was swept or lay outside: one end is known
-        while hi is None:
-            fallback += 1
-            c = 2.0 * lo
-            lo, hi = (c, None) if phase(c) < k else (lo, c)
-        while lo is None:
-            fallback += 1
-            c = 0.5 * hi
-            lo, hi = (c, hi) if phase(c) < k else (None, c)
-        # the secant root is off by about the bracket's relative width times
-        # the phase change across it: below 1e-11 over the probes' 2e-8 where
-        # the phase changes slowly, more where it is steep (by 1e-3 to 0.03
-        # across them at level 1 of |mu| >= 1e4) and the whole width at a step
-        if (hi / lo - 1.0) * min(1.0, sweeps[hi][0] - sweeps[lo][0]) > 1e-10:
-            brentq(lambda c: phase(c) - k, lo, hi, xtol=1e-12 * g, rtol=1e-10)
-            lo, hi = bracket(k)
-        (p_lo, out_lo, in_lo), (p_hi, out_hi, in_hi) = sweeps[lo], sweeps[hi]
-        w = (k - p_lo) / (p_hi - p_lo)
-        values.append(lo + w * (hi - lo))
-        nodes.append(math.floor((out_lo + w * (out_hi - out_lo)) / math.pi)
-                     - math.floor((in_lo + w * (in_hi - in_lo)) / math.pi))
-        widest = max(widest, hi / lo - 1.0)
-    diagnostics = {"mismatch_evals": len(sweeps), "ode_sweeps": ode_sweeps,
-                   "rhs_evals": rhs_evals, "fallback_sweeps": fallback,
+        centre, h = ode.guess(k), 1e-8
+        for _ in range(_MAX_PAIRS):
+            a, b = centre / (1.0 + h), centre * (1.0 + h)
+            for c, (_, out, inn) in zip((a, b), coupling_mismatch(ode, (a, b))):
+                sweeps[c] = ((out.end_theta - inn.end_theta) / math.pi, out.end_theta,
+                             inn.end_theta)
+            rhs_evals += out.nfev + inn.nfev  # a pair shares its calls' callbacks
+            pairs += 1
+            (p_a, out_a, in_a), (p_b, out_b, in_b) = sweeps[a], sweeps[b]
+            # the secant root is off by about the pair's relative width times
+            # the phase change across it: below 1e-11 over the probes' 2e-8
+            # where the phase changes slowly, more where it is steep (by 1e-3
+            # to 0.03 across them at level 1 of |mu| >= 1e4) and the whole
+            # width at a step
+            if p_a < k <= p_b and (b / a - 1.0) * min(1.0, p_b - p_a) <= 1e-10:
+                break
+            lo = max((c for c, s in sweeps.items() if s[0] < k), default=None)
+            hi = min((c for c, s in sweeps.items() if s[0] >= k), default=None)
+            newton = a + (k - p_a) / (p_b - p_a) * (b - a) if p_b != p_a else math.nan
+            if hi is None:
+                centre = newton if lo < newton <= 2.0 * lo else 2.0 * lo
+            elif lo is None:
+                centre = newton if 0.5 * hi <= newton < hi else 0.5 * hi
+            else:
+                p_lo, p_hi = sweeps[lo][0], sweeps[hi][0]
+                centre = (newton if lo < newton < hi
+                          else lo + (k - p_lo) / (p_hi - p_lo) * (hi - lo))
+                h = min(1e-8, (hi / lo - 1.0) / 8.0)
+        else:
+            raise RuntimeError(f"level {k} was not read within {_MAX_PAIRS} pairs of sweeps "
+                               f"from its estimate {ode.guess(k):g}")
+        w = (k - p_a) / (p_b - p_a)
+        values.append(a + w * (b - a))
+        nodes.append(math.floor((out_a + w * (out_b - out_a)) / math.pi)
+                     - math.floor((in_a + w * (in_b - in_a)) / math.pi))
+        widest = max(widest, b / a - 1.0)
+    diagnostics = {"mismatch_evals": 2 * pairs, "ode_sweeps": 2 * pairs,
+                   "rhs_evals": rhs_evals, "fallback_sweeps": pairs - count,
                    "widest_bracket": widest}
     return ShootingResult(values, nodes, diagnostics)
 

@@ -100,6 +100,19 @@ class PowerLawFamily:
         return 2 * self.n + 1 + (2 * self.l + 1) * abs(self.mu_f + 0.5)
 
 
+def _dominant_beyond_floats(v, r, monomials):
+    """v, the sum of c r^p over ``monomials`` at r, set where it is not finite
+    to the inf of the largest term there, max log|c| + p log r (c != 0)."""
+    v = np.asarray(v, dtype=float)
+    beyond = ~np.isfinite(v)
+    if beyond.any():
+        monomials = [(c, p) for c, p in monomials if c]
+        log_r = np.log(np.broadcast_to(r, v.shape)[beyond])
+        lead = np.argmax([math.log(abs(c)) + p * log_r for c, p in monomials], axis=0)
+        v[beyond] = np.copysign(np.inf, np.array([c for c, _ in monomials])[lead])
+    return v[()]
+
+
 @dataclass(frozen=True)
 class PotentialTerms:
     """One repulsive plus one attractive power term; coefficients positive."""
@@ -114,15 +127,12 @@ class PotentialTerms:
             raise ValueError("both term coefficients must be positive")
 
     def value(self, r):
-        """c1 r^p1 - c2 r^p2, or inf signed by the larger log c + p log r where both overflow."""
+        """c1 r^p1 - c2 r^p2, or the larger term's inf where that is not finite."""
         r, c1, c2 = positive_radii(r), self.repulsive_coeff, self.attractive_coeff
         p1, p2 = self.repulsive_exponent, self.attractive_exponent
         with np.errstate(over="ignore", invalid="ignore"):
             v = c1 * r**p1 - c2 * r**p2
-        nan = np.isnan(v)  # inf - inf
-        if nan.any():
-            v = np.where(nan, np.copysign(np.inf, math.log(c1 / c2) + (p1 - p2) * np.log(r)), v)[()]
-        return v
+        return _dominant_beyond_floats(v, r, ((c1, p1), (-c2, p2)))
 
     def scaled(self, coupling_scale: float) -> "PotentialTerms":
         return replace(self, attractive_coeff=self.attractive_coeff * coupling_scale)
@@ -169,10 +179,16 @@ def potential_eval(family: PowerLawFamily, r):
 
 def effective_potential_eval(family: PowerLawFamily, r, coupling_scale: float = 1.0):
     """Centrifugal term plus twice the potential: the coefficient of psi in
-    psi'' = [l(l+1)/r^2 + 2 V(r)] psi at zero energy."""
+    psi'' = [l(l+1)/r^2 + 2 V(r)] psi at zero energy, or the largest term's
+    inf where that is not finite; at l = 0 the centrifugal term is exactly 0."""
     r = positive_radii(r)
-    terms = map_parameters(family).terms.scaled(coupling_scale)
-    return family.l * (family.l + 1) / r**2 + 2.0 * terms.value(r)
+    t = map_parameters(family).terms.scaled(coupling_scale)
+    ll = family.l * (family.l + 1.0)
+    with np.errstate(all="ignore"):
+        v = (ll / r**2 if ll else 0.0) + 2.0 * t.value(r)
+    return _dominant_beyond_floats(v, r, ((ll, -2.0),
+                                          (2.0 * t.repulsive_coeff, t.repulsive_exponent),
+                                          (-2.0 * t.attractive_coeff, t.attractive_exponent)))
 
 
 def effective_potential_beta_form(family: PowerLawFamily, r):

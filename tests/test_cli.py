@@ -149,6 +149,28 @@ def test_potential_takes_the_dominant_term_where_both_leave_the_floats(capsys):
     assert np.all(v[r < 0.9] == np.inf) and np.all(np.isfinite(v[r > 1.1]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["potential", "--mu", "2.5", "--r-min", "1e-300"],
+    ["potential", "--mu", "7/3", "--l", "100000", "--r-max", "1e300"],
+    ["figures", "--which", "2", "--lambda", "1e40", "--mu-negative", "-0.4999"]],
+    ids=["l0-r-min-1e-300", "l-1e5-r-max-1e300", "figure-2-lambda-1e40"])
+def test_the_effective_potential_takes_the_dominant_term_beyond_the_floats(capsys, schema,
+                                                                           argv):
+    # V_eff read 0/0 from l(l+1)/r^2 at l = 0 where r^2 underflows, overflowed
+    # in r^2 at l = 1e5, and read inf - inf at lambda = 1e40: RuntimeWarnings
+    # on exit 0.  Where the sum leaves the floats it is the dominant term's inf
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    jsonschema.validate(doc, schema)
+    if argv[0] == "potential":
+        for row in doc["results"]["samples"]:
+            if row["v"] is None:
+                assert row["v_eff"] is None
+            elif argv[2] == "2.5":  # at l = 0, V_eff is 2 V exactly
+                assert row["v_eff"] == 2.0 * row["v"]
+
+
 def test_potential_json_notes_the_samples_it_writes_as_null(capsys, schema):
     # V is +inf below r = 1 at mu = -0.5001; null alone cannot tell that from
     # a failed evaluation, so the schema asks for the note
@@ -225,6 +247,8 @@ def test_oracle_csv_header(capsys):
     ["figures", "--which", "3", "--l", "0"],
     ["oracle", "--N", str(10**110), "--count", "1"],
     ["oracle", "--N", str(10**130), "--count", "1"],
+    ["classify"],
+    ["oracle", "--mu", "3/2", "--bogus", "1"],
 ], ids=["oracle-count-21", "oracle-energy-count-21", "oracle-negative-l",
         "bender-negative-n-max", "potential-zero-points", "figures-zero-points",
         "oracle-negative-tolerance", "bender-zero-tolerance", "dirac-negative-tolerance",
@@ -236,12 +260,26 @@ def test_oracle_csv_header(capsys):
         "classify-lambda-inf", "classify-coupling-scale-inf", "potential-r-max-1e400",
         "dirac-alpha-fs-inf", "bender-tolerance-inf", "verify-tolerance-scale-inf",
         "oracle-mu-1e10", "oracle-mu-minus-1e10", "figures-negative-l", "figures-zero-l",
-        "oracle-N-1e110", "oracle-N-1e130"])
+        "oracle-N-1e110", "oracle-N-1e130", "classify-without-mu", "oracle-unknown-option"])
 def test_bad_input_is_a_one_line_validation_error(capsys, argv):
     code = cli.main(argv)
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta", ["1e-300", "-1e-300", "1e-154"])
+def test_a_dirac_coupling_whose_square_leaves_the_floats_is_refused_first(capsys, beta):
+    # the reduced equation's r^(2 beta) coefficient is the coupling squared.
+    # At 1e-300 the refusal came from reduced_form_agreement, after four
+    # RuntimeWarnings from residual_33; at 1e-154 the square is subnormal and
+    # the checks failed, exit 1.  Now the family refuses it, before any sum
+    code = cli.main(["dirac", "--beta", beta])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1
+    assert err[0] == (f"error: --lambda 1.0 --beta {float(beta):g}: "
+                      "the problem's numbers leave the float range")
 
 
 @pytest.mark.filterwarnings("error")

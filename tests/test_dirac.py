@@ -63,9 +63,10 @@ def test_spinor_norm_matches_constant():
     assert q.converged and q.value == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.filterwarnings("error")
 def test_unnormalizable_branch_flagged():
-    with pytest.warns(UserWarning):
-        sol = dirac.upper_spinor(dirac.DiracFamily(beta=-1.0, lam=1.0, l=0))
+    # kappa = 0 is in the domain: the notes flag it, and no warning is raised
+    sol = dirac.upper_spinor(dirac.DiracFamily(beta=-1.0, lam=1.0, l=0))
     assert not sol.normalized and sol.c_l is None
     assert any("kappa = 0" in note for note in sol.notes)
 
@@ -86,12 +87,14 @@ def test_reduced_equation_residual(beta, lam, l):
     assert dirac.residual_33(fam).max_residual < 1e-8
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("beta", [-0.5, -3.0])
 def test_residual_vanishes_to_rounding_at_kappa_zero(beta):
     # l = 0, beta < 0 (kappa = 0): phi = exp(-w/2), and r^2 q is formed from
     # r^beta = exp(beta log r), so the residual is rounding on all 240 points
-    with pytest.warns(UserWarning, match="kappa = 0"):
-        rep = dirac.residual_33(dirac.DiracFamily(beta=beta, lam=1.0, l=0))
+    fam = dirac.DiracFamily(beta=beta, lam=1.0, l=0)
+    assert any("kappa = 0" in note for note in dirac.upper_spinor(fam).notes)
+    rep = dirac.residual_33(fam)
     assert rep.max_residual < 1e-15 and rep.residuals.size == 240
 
 

@@ -73,6 +73,19 @@ def test_effective_potential_reduces_to_2v_at_l0():
                        2.0 * pl.potential_eval(fam, r), rtol=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+def test_effective_potential_beyond_the_floats_is_the_dominant_terms_inf():
+    # at l = 0 the centrifugal term is exactly 0, also where r^2 underflows;
+    # elsewhere a sum that leaves the floats takes the sign of its largest term
+    r = np.geomspace(1e-300, 1e300, 601)
+    fam = pl.PowerLawFamily(mu=2.5, lam=1.0, l=0, n=0)
+    assert np.array_equal(pl.effective_potential_eval(fam, r), 2.0 * pl.potential_eval(fam, r))
+    fam = pl.PowerLawFamily(mu=7 / 3, lam=1.0, l=100_000, n=0)
+    v_eff = pl.effective_potential_eval(fam, r)
+    assert not np.isnan(v_eff).any() and np.all(v_eff[r < 1e-150] == np.inf)
+    assert pl.effective_potential_eval(fam, 1e-300) == np.inf
+
+
 @pytest.mark.parametrize("mu,l,n,lam", FAMILY_GRID)
 def test_beta_form_equals_mu_form(mu, l, n, lam):
     fam = pl.PowerLawFamily(mu=mu, lam=lam, l=l, n=n)
