@@ -5,6 +5,11 @@ above tolerance), 2 parameter/validation error, 3 I/O error.  Output is a
 single JSON document (validating against schemas/output.schema.json) or CSV
 rows with a stable header, to stdout or --output.  The only environment
 knob is ZEPL_OUTPUT_DIR, which relative --output paths are joined against.
+
+Each option is checked in one place: the options that state a problem by
+the library, which refuses it with ValueError or OverflowError, and the
+options only this module reads by their argparse type.  Each runner returns
+its document's parts, and ``main`` alone writes it and picks the exit code.
 """
 
 from __future__ import annotations
@@ -48,10 +53,18 @@ def finite_float(text: str) -> float:
     """The type of every float option: inf and nan are refused."""
     try:
         value = float(text)
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse number {text!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
     if not math.isfinite(value):
-        raise ValidationError(f"{text!r} is not a finite number")
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """The type of --tolerance and --tolerance-scale."""
+    value = finite_float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
     return value
 
 
@@ -63,8 +76,26 @@ def parse_rational(text: str):
         return finite_float(text)
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"cannot parse number {text!r}") from exc
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+
+
+MU_RANGE_SAMPLES = 10**5  # the most samples --mu-range may ask for
+
+
+def mu_range(text: str) -> tuple[float, float, float]:
+    """The type of --mu-range: lo:hi:step with lo < hi, step > 0 and at most
+    MU_RANGE_SAMPLES samples."""
+    try:
+        lo, hi, step = (float(tok) for tok in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} does not look like -4:4:0.01") from None
+    if not (hi > lo and 0 < step < math.inf):
+        raise argparse.ArgumentTypeError(f"{text!r} does not satisfy lo < hi, step > 0")
+    if (hi - lo) / step + 0.5 > MU_RANGE_SAMPLES:  # np.arange runs to hi + step/2
+        raise argparse.ArgumentTypeError(
+            f"{text!r} asks for more than {MU_RANGE_SAMPLES} samples")
+    return lo, hi, step
 
 
 def _finite_or_null(obj):
@@ -113,16 +144,19 @@ def _num(value):
     return value
 
 
+def _row(result: dict) -> dict:
+    """A one-row command's result as its CSV row, lists and dicts as JSON."""
+    return {k: json.dumps(v) if isinstance(v, (list, dict)) else v for k, v in result.items()}
+
+
 # ---------------------------------------------------------------------------
-# Subcommand runners
+# Subcommand runners: each returns (parameters, results, rows, passed), the
+# envelope's parameters and results, the CSV rows and the verdict (None for
+# a command that checks nothing), which main writes
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(args) -> int:
-    if args.all and args.suite:
-        raise ValidationError("--all runs every suite; it cannot be combined with --suite")
+def _cmd_verify(args) -> tuple:
     scale = args.tolerance_scale
-    if not scale > 0:
-        raise ValidationError("--tolerance-scale must be positive")
     names = args.suite or verify.suite_names()
     checks = [c for name in names for c in verify.run_suite(name)]
     # flags and the runtime limit keep their own tolerance and verdict
@@ -131,18 +165,15 @@ def _cmd_verify(args) -> int:
              "passed": bool(c.value < c.tolerance * scale) if c.scales else c.passed,
              "detail": c.detail}
             for c in checks]
-    passed = all(r["passed"] for r in rows)
-    doc = _envelope("verify", {"suites": names, "tolerance_scale": scale},
-                    rows, passed=passed)
-    _emit(doc, rows, args)
-    return EXIT_OK if passed else EXIT_VERIFICATION
+    return ({"suites": names, "tolerance_scale": scale}, rows, rows,
+            all(r["passed"] for r in rows))
 
 
 def _family_from(args) -> powerlaw.PowerLawFamily:
     return powerlaw.PowerLawFamily(mu=args.mu, lam=args.lam, l=args.l, n=args.n)
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple:
     fam = _family_from(args)
     rep = powerlaw.classify(fam, coupling_scale=args.coupling_scale)
     result = {
@@ -154,22 +185,17 @@ def _cmd_classify(args) -> int:
         "condition_rhs": rep.condition.rhs,
         "well": None if rep.well is None else asdict(rep.well),
     }
-    row = {k: (json.dumps(v) if isinstance(v, dict) else v) for k, v in result.items()}
-    _emit(_envelope("classify", vars_of(args, "mu", "lam", "l", "n", "coupling_scale"),
-                    result), [row], args)
-    return EXIT_OK
+    return (vars_of(args, "mu", "lam", "l", "n", "coupling_scale"), result, [_row(result)],
+            None)
 
 
-def _cmd_degeneracy(args) -> int:
+def _cmd_degeneracy(args) -> tuple:
     pairs = sorted(powerlaw.degenerate_pairs(args.mu, args.omega, args.l_max))
-    result = {"pairs": [list(p) for p in pairs]}
-    rows = [{"l": l, "n": n} for l, n in pairs]
-    _emit(_envelope("degeneracy", vars_of(args, "mu", "omega", "l_max"), result),
-          rows, args)
-    return EXIT_OK
+    return (vars_of(args, "mu", "omega", "l_max"), {"pairs": [list(p) for p in pairs]},
+            [{"l": l, "n": n} for l, n in pairs], None)
 
 
-def _cmd_potential(args) -> int:
+def _cmd_potential(args) -> tuple:
     fam = _family_from(args)
     if not (args.r_min > 0 and args.r_max > args.r_min):
         raise ValidationError("need 0 < r-min < r-max")
@@ -187,19 +213,11 @@ def _cmd_potential(args) -> int:
     if beyond:  # written as null in JSON
         result["note"] = (f"v or v_eff is null on {beyond} of {len(rows)} samples: there it is "
                           "+inf or -inf, a term of the potential being beyond the floats")
-    _emit(_envelope("potential", vars_of(args, "mu", "lam", "l", "n",
-                                         "r_min", "r_max", "points"), result),
-          rows, args)
-    return EXIT_OK
+    return (vars_of(args, "mu", "lam", "l", "n", "r_min", "r_max", "points"), result, rows,
+            None)
 
 
-def _check_tolerance(args) -> None:
-    if not args.tolerance > 0:
-        raise ValidationError("--tolerance must be positive")
-
-
-def _cmd_dirac(args) -> int:
-    _check_tolerance(args)
+def _cmd_dirac(args) -> tuple:
     fam = dirac.DiracFamily(beta=args.beta, lam=args.lam, l=args.l, alpha_fs=args.alpha_fs)
     sol = dirac.upper_spinor(fam)
     theta = dirac.lower_component_relative(fam)
@@ -217,33 +235,24 @@ def _cmd_dirac(args) -> int:
         result["norm_quadrature"] = quad.value if quad.converged else None
         if not quad.converged:
             result["notes"].append(quad.note)
-    row = {k: (json.dumps(v) if isinstance(v, list) else v) for k, v in result.items()}
     passed = theta < verify.THETA_TOL and res < args.tolerance and agree < verify.REDUCED_FORM_TOL
-    _emit(_envelope("dirac", vars_of(args, "beta", "lam", "l", "alpha_fs"),
-                    result, passed=passed), [row], args)
-    return EXIT_OK if passed else EXIT_VERIFICATION
+    return vars_of(args, "beta", "lam", "l", "alpha_fs"), result, [_row(result)], passed
 
 
-def _cmd_bender(args) -> int:
-    if args.N == -2:
-        raise ValidationError("N = -2 is excluded")
+def _cmd_bender(args) -> tuple:
     if args.n_max < 0:
         raise ValidationError("--n-max must be at least 0")
-    _check_tolerance(args)
     rows = [{"n": n, "energy": halfline.spectrum(args.N, n),
              "residual_max": halfline.residual_41(args.N, n).max_residual}
             for n in range(args.n_max + 1)]
-    passed = max(r["residual_max"] for r in rows) < args.tolerance
-    _emit(_envelope("bender", vars_of(args, "N", "n_max"), rows, passed=passed),
-          rows, args)
-    return EXIT_OK if passed else EXIT_VERIFICATION
+    return (vars_of(args, "N", "n_max"), rows, rows,
+            max(r["residual_max"] for r in rows) < args.tolerance)
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> tuple:
     coupling_mode = args.mu is not None
     if coupling_mode == (args.N is not None):
         raise ValidationError("give either --mu (coupling mode) or --N (energy mode)")
-    _check_tolerance(args)
     if coupling_mode:
         args.lam = 1.0 if args.lam is None else args.lam
         args.l = 0 if args.l is None else args.l
@@ -271,17 +280,18 @@ def _cmd_oracle(args) -> int:
     passed = worst < args.tolerance and res.node_counts == list(range(args.count))
     result = {"mode": "coupling" if coupling_mode else "energy",
               "levels": rows, "diagnostics": res.diagnostics}
-    _emit(_envelope("oracle", params, result, passed=passed), rows, args)
-    return EXIT_OK if passed else EXIT_VERIFICATION
+    return params, result, rows, passed
 
 
 # --- figures ---------------------------------------------------------------
 
 def _veff_rows(case: str, fam: powerlaw.PowerLawFamily, scale: float,
                points: int) -> list[dict]:
-    terms = powerlaw.map_parameters(fam).terms.scaled(scale)
-    r0 = terms.turning_scale
-    r = np.geomspace(r0 * 1e-3, r0 * 1e3, points)
+    r0 = powerlaw.map_parameters(fam).terms.scaled(scale).turning_scale(fam.k)
+    lo, hi = r0 * 1e-3, r0 * 1e3
+    if not (lo > 0.0 and hi < math.inf):
+        raise OverflowError("the figure's radii leave the floats")
+    r = np.geomspace(lo, hi, points)
     v = powerlaw.effective_potential_eval(fam, r, coupling_scale=scale)
     return [{"case": case, "r": float(a), "v_eff": float(b)} for a, b in zip(r, v)]
 
@@ -297,28 +307,22 @@ def _subcritical_scale(fam: powerlaw.PowerLawFamily) -> float:
     return 0.9 * omega_crit / fam.omega
 
 
-def _cmd_figures(args) -> int:
+def _cmd_figures(args) -> tuple:
     which = args.which
     lam, n, points = args.lam, args.n, args.points
     if points < 1:
         raise ValidationError("--points must be at least 1")
     if which == 1:
-        try:
-            lo, hi, step = (float(tok) for tok in args.mu_range.split(":"))
-        except ValueError as exc:
-            raise ValidationError("--mu-range must look like -4:4:0.01") from exc
-        if not (hi > lo and step > 0):
-            raise ValidationError("--mu-range must satisfy lo < hi, step > 0")
-        mus = np.arange(lo, hi + step / 2, step)
+        lo, hi, step = args.mu_range
         rows = []
-        for mu in mus:
+        for mu in np.arange(lo, hi + step / 2, step):
             if min(abs(mu), abs(mu - 0.5), abs(mu + 0.5)) < 1e-9:
                 continue
             p1, p2 = powerlaw.exponent_pair(float(mu))
             rows.append({"mu": float(mu), "p1": p1, "p2": p2})
-        _emit(_envelope("figures", {"which": 1, "mu_range": args.mu_range}, rows),
-              rows, args)
-        return EXIT_OK
+        # the parsed range, each number in its shortest form: -4:4:0.01 stays
+        text = ":".join(repr(x).removesuffix(".0") for x in args.mu_range)
+        return {"which": 1, "mu_range": text}, rows, rows, None
 
     if args.l < 1:
         raise ValidationError(f"figures 2-4 draw their l > 0 cases at --l >= 1, got {args.l}")
@@ -332,7 +336,7 @@ def _cmd_figures(args) -> int:
         rows = (_veff_rows("a", fam_a, 1.0, points)
                 + _veff_rows("b", fam_bc, 1.0, points)
                 + _veff_rows("c", fam_bc, _subcritical_scale(fam_bc), points))
-    elif which == 3:
+    else:
         mu = float(args.mu) if args.mu is not None else 1.0 / 6.0
         if not 0.0 < mu < 0.5:
             raise ValidationError("figure 3 requires 0 < mu < 1/2 for case (a)")
@@ -342,12 +346,9 @@ def _cmd_figures(args) -> int:
         rows = (_veff_rows("a", powerlaw.PowerLawFamily(mu=mu, lam=lam, l=0, n=n), 1.0, points)
                 + _veff_rows("b", powerlaw.PowerLawFamily(mu=mu_neg, lam=lam, l=0, n=n), 1.0, points)
                 + _veff_rows("c", powerlaw.PowerLawFamily(mu=mu, lam=lam, l=args.l, n=n), 1.0, points))
-    else:
-        raise ValidationError("--which must be 1, 2, 3 or 4")
     params = {"which": which, "mu": _num(args.mu) if args.mu is not None else None,
               "lambda": lam, "l": args.l, "n": n}
-    _emit(_envelope("figures", params, rows), rows, args)
-    return EXIT_OK
+    return params, rows, rows, None
 
 
 def vars_of(args, *names) -> dict:
@@ -361,12 +362,6 @@ def vars_of(args, *names) -> dict:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sp):
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--output", help="write to this path instead of stdout "
-                                     "(relative paths join ZEPL_OUTPUT_DIR)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="zepl",
@@ -375,88 +370,83 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("verify", help="run verification suites; exit 1 on any failure")
-    sp.add_argument("--suite", action="append", choices=verify.suite_names(),
-                    help="run only this suite (repeatable); default: every suite")
-    sp.add_argument("--all", action="store_true", help="run every suite (the default)")
-    sp.add_argument("--tolerance-scale", type=finite_float, default=1.0,
-                    help="multiply every check tolerance by this factor")
-    _add_common(sp)
-    sp.set_defaults(run=_cmd_verify)
+    out = argparse.ArgumentParser(add_help=False)  # every command's output options
+    out.add_argument("--format", choices=("json", "csv"), default="json")
+    out.add_argument("--output", help="write to this path instead of stdout "
+                                      "(relative paths join ZEPL_OUTPUT_DIR)")
+    family = argparse.ArgumentParser(add_help=False)  # a power-law family
+    family.add_argument("--mu", type=parse_rational, required=True)
+    family.add_argument("--lambda", dest="lam", type=finite_float, default=1.0)
+    family.add_argument("--l", type=int, default=0)
+    family.add_argument("--n", type=int, default=0)
 
-    sp = sub.add_parser("classify", help="boundedness/normalizability report")
-    sp.add_argument("--mu", type=parse_rational, required=True)
-    sp.add_argument("--lambda", dest="lam", type=finite_float, default=1.0)
-    sp.add_argument("--l", type=int, default=0)
-    sp.add_argument("--n", type=int, default=0)
+    def command(name, run, help, parents=()):
+        sp = sub.add_parser(name, help=help, parents=[*parents, out])
+        sp.set_defaults(run=run)
+        return sp
+
+    sp = command("verify", _cmd_verify, "run verification suites; exit 1 on any failure")
+    suites = sp.add_mutually_exclusive_group()
+    suites.add_argument("--suite", action="append", choices=verify.suite_names(),
+                        help="run only this suite (repeatable); default: every suite")
+    suites.add_argument("--all", action="store_true", help="run every suite (the default)")
+    sp.add_argument("--tolerance-scale", type=positive_float, default=1.0,
+                    help="multiply every check tolerance by this factor")
+
+    sp = command("classify", _cmd_classify, "boundedness/normalizability report", [family])
     sp.add_argument("--coupling-scale", type=finite_float, default=1.0,
                     help="scale the attractive coefficient (sub-quantized shapes)")
-    _add_common(sp)
-    sp.set_defaults(run=_cmd_classify)
 
-    sp = sub.add_parser("degeneracy", help="(l, n) pairs sharing one potential")
+    sp = command("degeneracy", _cmd_degeneracy, "(l, n) pairs sharing one potential")
     sp.add_argument("--mu", type=parse_rational, required=True)
     sp.add_argument("--omega", type=parse_rational, required=True)
     sp.add_argument("--l-max", type=int, default=6)
-    _add_common(sp)
-    sp.set_defaults(run=_cmd_degeneracy)
 
-    sp = sub.add_parser("potential", help="tabulate V and the effective potential")
-    sp.add_argument("--mu", type=parse_rational, required=True)
-    sp.add_argument("--lambda", dest="lam", type=finite_float, default=1.0)
-    sp.add_argument("--l", type=int, default=0)
-    sp.add_argument("--n", type=int, default=0)
+    sp = command("potential", _cmd_potential, "tabulate V and the effective potential",
+                 [family])
     sp.add_argument("--r-min", type=finite_float, default=1e-2)
     sp.add_argument("--r-max", type=finite_float, default=1e2)
     sp.add_argument("--points", type=int, default=200)
-    _add_common(sp)
-    sp.set_defaults(run=_cmd_potential)
 
-    sp = sub.add_parser("dirac", help="rest-mass-energy spinor branch")
+    sp = command("dirac", _cmd_dirac, "rest-mass-energy spinor branch")
     sp.add_argument("--beta", type=finite_float, required=True)
     sp.add_argument("--lambda", dest="lam", type=finite_float, default=1.0)
     sp.add_argument("--l", type=int, default=0)
     sp.add_argument("--alpha-fs", type=finite_float, default=dirac.FINE_STRUCTURE_DEFAULT)
-    sp.add_argument("--tolerance", type=finite_float, default=verify.RESIDUAL_TOL)
-    _add_common(sp)
-    sp.set_defaults(run=_cmd_dirac)
+    sp.add_argument("--tolerance", type=positive_float, default=verify.RESIDUAL_TOL)
 
-    sp = sub.add_parser("bender", help="half-line monomial spectrum E_n = (2n+1)|N+2|+1")
+    sp = command("bender", _cmd_bender, "half-line monomial spectrum E_n = (2n+1)|N+2|+1")
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--n-max", type=int, default=3)
-    sp.add_argument("--tolerance", type=finite_float, default=verify.RESIDUAL_TOL)
-    _add_common(sp)
-    sp.set_defaults(run=_cmd_bender)
+    sp.add_argument("--tolerance", type=positive_float, default=verify.RESIDUAL_TOL)
 
-    sp = sub.add_parser("oracle", help="shooting recovery of couplings or energies")
+    sp = command("oracle", _cmd_oracle, "shooting recovery of couplings or energies")
     sp.add_argument("--mu", type=parse_rational, help="coupling mode")
     sp.add_argument("--N", type=int, help="energy mode")
     sp.add_argument("--lambda", dest="lam", type=finite_float,
                     help="coupling mode only (default 1)")
     sp.add_argument("--l", type=int, help="coupling mode only (default 0)")
     sp.add_argument("--count", type=int, default=3)
-    sp.add_argument("--tolerance", type=finite_float, default=verify.ORACLE_TOL)
-    _add_common(sp)
-    sp.set_defaults(run=_cmd_oracle)
+    sp.add_argument("--tolerance", type=positive_float, default=verify.ORACLE_TOL)
 
-    sp = sub.add_parser("figures", help="curve data for the four summary figures")
+    sp = command("figures", _cmd_figures, "curve data for the four summary figures")
     sp.add_argument("--which", type=int, required=True, choices=(1, 2, 3, 4))
     sp.add_argument("--mu", type=parse_rational)
     sp.add_argument("--mu-negative", type=finite_float, default=-0.25,
                     help="mu for figure 3 case (b), in (-1/2, 0)")
-    sp.add_argument("--mu-range", default="-4:4:0.01", help="lo:hi:step for figure 1")
+    sp.add_argument("--mu-range", type=mu_range, default="-4:4:0.01",
+                    help="lo:hi:step for figure 1")
     sp.add_argument("--lambda", dest="lam", type=finite_float, default=1.0)
     sp.add_argument("--l", type=int, default=1)
     sp.add_argument("--n", type=int, default=0)
     sp.add_argument("--points", type=int, default=400)
-    _add_common(sp)
-    sp.set_defaults(run=_cmd_figures)
 
     return p
 
 
-# a negative number, fraction or range such as -3/4, -1e-8 or -4:4:0.01
-_DASH_VALUE = re.compile(r"-\.?\d[\d.eE+\-/:]*")
+# a negative number, fraction or range such as -3/4, -1e-8 or -4:4:0.01, or
+# -inf, -nan or -Infinity, which the float types refuse by name
+_DASH_VALUE = re.compile(r"-(\.?\d[\d.eE+\-/:]*|inf|infinity|nan)", re.IGNORECASE)
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
@@ -473,15 +463,18 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    """Run one command.  Bad input, whether refused by the parser's types,
-    by this module or by the library's own domain checks (ValueError, or
+    """Run one command and write its document; exit 1 where its verdict is
+    a failure.  Bad input, whether refused by the parser's types, by this
+    module or by the library's own domain checks (ValueError, or
     OverflowError where a value leaves the floats, which names the options
     that state the problem), is one error line and exit 2."""
     argv = _merge_negative_values(list(sys.argv[1:] if argv is None else argv))
     args = None
     try:
         args = build_parser().parse_args(argv)
-        return args.run(args)
+        parameters, results, rows, passed = args.run(args)
+        _emit(_envelope(args.command, parameters, results, passed), rows, args)
+        return EXIT_OK if passed is None or passed else EXIT_VERIFICATION
     except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
     except (ValidationError, ValueError) as exc:

@@ -89,6 +89,12 @@ class PowerLawFamily:
         return 1.0 / abs(self.mu_f + 0.5)
 
     @property
+    def k(self) -> float:
+        """k = 1/(mu + 1/2): p1 + 2 = 2k and p2 + 2 = p1 - p2 = k, stated exactly,
+        since p + 2 and p1 - p2 cancel at large |mu|."""
+        return 1.0 / (self.mu_f + 0.5)
+
+    @property
     def gamma(self) -> float:
         return -0.5 + (self.l + 0.5) * abs(self.mu_f + 0.5)
 
@@ -137,11 +143,14 @@ class PotentialTerms:
     def scaled(self, coupling_scale: float) -> "PotentialTerms":
         return replace(self, attractive_coeff=self.attractive_coeff * coupling_scale)
 
-    @property
-    def turning_scale(self) -> float:
-        """Radius where the two terms balance."""
-        return (self.attractive_coeff / self.repulsive_coeff) ** (
-            1.0 / (self.repulsive_exponent - self.attractive_exponent))
+    def turning_scale(self, k: float) -> float:
+        """Radius where the two terms balance, (c2/c1)^(1/k) with k = p1 - p2
+        passed exactly (``PowerLawFamily.k``), since the difference cancels to
+        0 at large |mu|; OverflowError where the radius is 0 or inf."""
+        r = (self.attractive_coeff / self.repulsive_coeff) ** (1.0 / k)
+        if not 0.0 < r < math.inf:
+            raise OverflowError("the turning radius leaves the floats")
+        return r
 
 
 @dataclass(frozen=True)
@@ -208,7 +217,7 @@ def effective_potential_beta_form(family: PowerLawFamily, r):
 
 def _unit_solution(family: PowerLawFamily) -> ClosedFormSolution:
     """The closed form with unit amplitude: the paper's member k = 1/(mu+1/2)."""
-    return zero_energy_solution(1.0 / (family.mu_f + 0.5), family.lam, family.l, family.n)
+    return zero_energy_solution(family.k, family.lam, family.l, family.n)
 
 
 def wavefunction(family: PowerLawFamily) -> ClosedFormSolution:
@@ -248,7 +257,7 @@ def norm(family: PowerLawFamily) -> NormResult:
 def _residual_inputs(family: PowerLawFamily) -> tuple:
     """(k, lam, l, 2A, -2B) of r^2 q = l(l+1) + 2A r^(2k) - 2B r^k, k = 1/(mu + 1/2)."""
     t = map_parameters(family).terms
-    return (1.0 / (family.mu_f + 0.5), family.lam, family.l,
+    return (family.k, family.lam, family.l,
             2.0 * t.repulsive_coeff, -2.0 * t.attractive_coeff)
 
 
@@ -386,10 +395,11 @@ def _effective_limits(terms: PotentialTerms, l: int) -> tuple[str, str]:
             _limit_label(*atinf, at_infinity=True))
 
 
-def _well(terms: PotentialTerms, l: int) -> Well:
+def _well(terms: PotentialTerms, l: int, k: float) -> Well:
     """Closed-form well of V_eff for l > 0, |mu| > 1/2.
 
-    With t = r^k, k = p2 + 2 = (p1 + 2)/2, r^2 V_eff = l(l+1) + 2A t^2 - 2B t.
+    With t = r^k, k = p2 + 2 = (p1 + 2)/2 passed exactly,
+    r^2 V_eff = l(l+1) + 2A t^2 - 2B t.
     Both limits are positive (+inf at 0, 0+ at inf), so V_eff goes negative
     exactly when that quadratic does, B^2 > 2A l(l+1), and then the well is
     the stationary point, a root of A p1 t^2 - B p2 t - l(l+1) = 0, where the
@@ -404,8 +414,10 @@ def _well(terms: PotentialTerms, l: int) -> Well:
         return Well(False, None, None, None)
     # p1, p2 < 0 here, so both roots are positive; stable quadratic formula
     q = 0.5 * (-b * p2 + math.sqrt((b * p2) ** 2 + 4.0 * a * p1 * c))
-    r2v, t = min((c + 2.0 * a * t * t - 2.0 * b * t, t) for t in (-q / (a * p1), c / q))
-    log_r = math.log(t) / (p2 + 2.0)
+    # at a stationary point r^2 V_eff = (k/2) t d(r^2 V_eff)/dt = k t (2A t - B),
+    # which does not cancel to 0 where k is small, as the sum does
+    r2v, t = min((k * t * (2.0 * a * t - b), t) for t in (-q / (a * p1), c / q))
+    log_r = math.log(t) / k
     log_v = math.log(-r2v) - 2.0 * log_r
     return Well(True, math.exp(log_r) if abs(log_r) < 709.0 else None,
                 -math.exp(log_v) if log_v < 709.0 else -math.inf, True)
@@ -447,7 +459,7 @@ def classify(family: PowerLawFamily, coupling_scale: float = 1.0) -> Classificat
     elif mu < -0.5 and l == 0:
         bounded = False
     else:
-        well = _well(terms, l)
+        well = _well(terms, l, family.k)
         bounded = well.found_negative_minimum
     normalizable = _unit_solution(family).norm_finite
     return ClassificationReport(limit_origin=lim0, limit_infinity=liminf,

@@ -1,8 +1,10 @@
 import argparse
+import ast
 import csv
 import io
 import json
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -249,6 +251,9 @@ def test_oracle_csv_header(capsys):
     ["oracle", "--N", str(10**130), "--count", "1"],
     ["classify"],
     ["oracle", "--mu", "3/2", "--bogus", "1"],
+    ["bender", "--N", "-2"],
+    ["figures", "--which", "1", "--mu-range", "-4:4:1e-12"],
+    ["figures", "--which", "1", "--mu-range", "0:1e300:1e-300"],
 ], ids=["oracle-count-21", "oracle-energy-count-21", "oracle-negative-l",
         "bender-negative-n-max", "potential-zero-points", "figures-zero-points",
         "oracle-negative-tolerance", "bender-zero-tolerance", "dirac-negative-tolerance",
@@ -260,12 +265,90 @@ def test_oracle_csv_header(capsys):
         "classify-lambda-inf", "classify-coupling-scale-inf", "potential-r-max-1e400",
         "dirac-alpha-fs-inf", "bender-tolerance-inf", "verify-tolerance-scale-inf",
         "oracle-mu-1e10", "oracle-mu-minus-1e10", "figures-negative-l", "figures-zero-l",
-        "oracle-N-1e110", "oracle-N-1e130", "classify-without-mu", "oracle-unknown-option"])
+        "oracle-N-1e110", "oracle-N-1e130", "classify-without-mu", "oracle-unknown-option",
+        "bender-N-minus-2", "figures-mu-range-8e12-samples", "figures-mu-range-1e600-samples"])
 def test_bad_input_is_a_one_line_validation_error(capsys, argv):
     code = cli.main(argv)
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["classify", "--mu", "3/2", "--lambda", "inf"], "--lambda"),
+    (["classify", "--mu", "abc"], "--mu"),
+    (["dirac", "--beta", "0.5", "--tolerance", "-1"], "--tolerance"),
+    (["verify", "--suite", "specfn", "--tolerance-scale", "0"], "--tolerance-scale"),
+    (["figures", "--which", "1", "--mu-range", "oops"], "--mu-range"),
+    (["classify", "--mu", "-inf"], "--mu"),
+    (["classify", "--mu", "-Infinity"], "--mu"),
+    (["figures", "--which", "3", "--mu-negative", "-nan"], "--mu-negative"),
+], ids=["lambda-inf", "mu-abc", "tolerance-minus-1", "tolerance-scale-0", "mu-range-oops",
+        "mu-minus-inf", "mu-minus-Infinity", "mu-negative-minus-nan"])
+def test_a_type_error_names_its_option(capsys, argv, option):
+    # the types raised their own error, whose line named the value alone, as
+    # "error: 'inf' is not a finite number"; -inf, -Infinity and -nan did not
+    # reach the type: "expected one argument"
+    code = cli.main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1
+    assert err[0].startswith(f"error: zepl {argv[0]}: argument {option}: '{argv[-1]}' ")
+
+
+def test_mu_range_takes_at_most_1e5_samples():
+    # -4:4:1e-12 asked numpy for 58 TiB: an _ArrayMemoryError traceback, exit 1
+    lo, hi, step = cli.mu_range("0:99999:1")
+    assert len(np.arange(lo, hi + step / 2, step)) == cli.MU_RANGE_SAMPLES
+    with pytest.raises(argparse.ArgumentTypeError, match="more than 100000 samples"):
+        cli.mu_range("0:100000:1")
+
+
+@pytest.mark.parametrize("given, echoed", [(["--mu-range", "-1:1:0.25"], "-1:1:0.25"),
+                                           ([], "-4:4:0.01")], ids=["given", "default"])
+def test_figure_one_echoes_its_range(capsys, schema, given, echoed):
+    code, doc = run_json(capsys, ["figures", "--which", "1", *given])
+    assert code == 0 and doc["parameters"]["mu_range"] == echoed
+    jsonschema.validate(doc, schema)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu, l", [("1e16", "1"), ("1e40", "3"), ("-1e40", "3")])
+def test_classify_reports_a_well_at_mu_beyond_4e15(capsys, schema, mu, l):
+    # k = 1/(mu + 1/2) was formed as p2 + 2, which cancels to 0 here: a
+    # ZeroDivisionError traceback, exit 1
+    code, doc = run_json(capsys, ["classify", "--mu", mu, "--l", l])
+    well = doc["results"]["well"]
+    assert code == 0 and well["found_negative_minimum"] and well["r_min"] is None
+    jsonschema.validate(doc, schema)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("which, mu, named", [
+    ("2", "1e40", "1e+40"), ("4", "-1e40", "-1e+40"), ("4", "-300", "-300"),
+    ("2", "108", "108"), ("4", "-114", "-114")])
+def test_figures_whose_radii_leave_the_floats_are_refused_by_name(capsys, which, mu, named):
+    # the turning radius divided by p1 - p2, which cancels to 0 at 1e40: a
+    # ZeroDivisionError traceback, exit 1.  At -300 it underflowed to 0, and
+    # at 108 and -114 its window of 10^(+-3) left the floats: numpy's
+    # "Geometric sequence cannot include zero" or an overflow warning
+    code = cli.main(["figures", "--which", which, "--mu", mu])
+    assert code == 2 and capsys.readouterr().err.splitlines() == [
+        f"error: --mu {named} --lambda 1.0: the problem's numbers leave the float range"]
+
+
+def test_main_alone_writes_the_document_and_picks_the_exit_code():
+    # each runner wrote its own envelope and returned its own exit code
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    callers = {"_emit": set(), "_envelope": set()}
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                callers[node.func.id].add(fn.name)
+            if fn.name.startswith("_cmd_") and isinstance(node, ast.Name):
+                assert not node.id.startswith("EXIT_"), f"{fn.name} names {node.id}"
+    assert callers == {"_emit": {"main"}, "_envelope": {"main"}}
 
 
 @pytest.mark.filterwarnings("error")

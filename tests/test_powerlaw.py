@@ -496,6 +496,17 @@ def test_classify_reports_a_well_beyond_float_range_in_t():
     assert rep.well.r_min is None and rep.well.v_min == 0.0
 
 
+def test_turning_scale_takes_k_exactly():
+    # 1/(p1 - p2) divided by zero from |mu| ~ 4.5e15 on, where p1 - p2 cancels
+    fam = pl.PowerLawFamily(mu=1.5, l=1)
+    t = pl.map_parameters(fam).terms
+    assert t.turning_scale(fam.k) == (t.attractive_coeff / t.repulsive_coeff) ** 2  # k = 1/2
+    for mu in (1e40, -1e40, -300):
+        fam = pl.PowerLawFamily(mu=mu, l=1)
+        with pytest.raises(OverflowError):
+            pl.map_parameters(fam).terms.turning_scale(fam.k)
+
+
 def test_bound_condition_is_the_stationary_point_discriminant():
     # dV_eff/dr = 0  <=>  A p1 t^2 - B p2 t - l(l+1) = 0 with t = r^(p2+2)
     checked = 0
