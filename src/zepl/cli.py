@@ -219,10 +219,10 @@ def _cmd_potential(args) -> tuple:
 
 def _cmd_dirac(args) -> tuple:
     fam = dirac.DiracFamily(beta=args.beta, lam=args.lam, l=args.l, alpha_fs=args.alpha_fs)
+    agree = dirac.reduced_form_agreement(fam)  # first: it refuses |beta| > 1e3
     sol = dirac.upper_spinor(fam)
     theta = dirac.lower_component_relative(fam)
     res = dirac.residual_33(fam).max_residual
-    agree = dirac.reduced_form_agreement(fam)
     result = {
         "nu": fam.nu, "kappa": fam.kappa, "coupling": fam.coupling,
         "n": dirac.correspondence(fam.beta, fam.l, fam.lam).n,

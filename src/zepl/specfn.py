@@ -1,12 +1,16 @@
 """Special-function kernel: generalized Laguerre polynomials.
 
-Everything here is stateless and safe to call from any thread.  Degrees stay
-small (n <~ 50) in this package, so the upward three-term recurrence is the
-right tool; no asymptotic machinery.  There is one copy of it:
-``laguerre_pair`` returns the last two degrees it passes through,
-(L_n^alpha, L_(n-1)^alpha) with L_(-1) = 0, from which Laguerre's identities
-give the derivatives without another recurrence; ``laguerre`` is its first
-entry.
+Everything here is stateless and safe to call from any thread.  The upward
+three-term recurrence is the one tool, with no asymptotic machinery and no
+rescaling, and on the closed forms' grids it leaves the floats near n = 160
+for some families: at (mu, lam, l) = (3/2, 1, 1), (-5/2, 1, 0) and
+(1/4, 1, 2) the products of its values overflow in ``euler`` at n = 160.
+ROADMAP item 3 owns the rescale, which goes into ``laguerre_pair``, the
+kernel that ``ClosedFormSolution._terms`` calls once per block of points.
+There is one copy of the recurrence: ``laguerre_pair`` returns the last two
+degrees it passes through, (L_n^alpha, L_(n-1)^alpha) with L_(-1) = 0, from
+which Laguerre's identities give the derivatives without another
+recurrence; ``laguerre`` is its first entry.
 """
 
 from __future__ import annotations

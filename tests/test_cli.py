@@ -366,6 +366,19 @@ def test_a_dirac_coupling_whose_square_leaves_the_floats_is_refused_first(capsys
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [["--beta", "1e154"], ["--beta", "1e154", "--l", "3"],
+                                  ["--beta", "2000"]], ids=["1e154", "1e154-l3", "2000"])
+def test_dirac_refuses_beta_beyond_1e3_before_any_check_runs(capsys, argv):
+    # upper_spinor, lower_component_relative and residual_33 ran before
+    # reduced_form_agreement refused |beta| > 1e3: at 1e154 four
+    # RuntimeWarnings came first, a traceback with exit 1 under -W error
+    code = cli.main(["dirac", *argv])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1 and err[0].startswith("error: ")
+    assert "|beta| > 1e3" in err[0]
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [["dirac", "--beta", "1e-3"],
                                   ["dirac", "--beta", "0.01", "--lambda", "1000"]],
                          ids=["beta-1e-3", "beta-0.01-lambda-1000"])

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import scipy.special
 from zepl import closedform, halfline
 from zepl.closedform import (ClosedFormSolution, count_sign_changes, relative_residual,
                              zero_energy_solution)
-from zepl.specfn import laguerre
+from zepl.specfn import laguerre, laguerre_pair
 
 
 @pytest.mark.parametrize("params", [
@@ -293,3 +294,102 @@ def test_grid_covers_psi_beyond_the_laguerre_range():
     assert w[0] > 30.0 and w[-1] > 400.0
     assert psi[0] < 1e-12 * psi.max() and psi[-1] < 1e-9 * psi.max()
     assert np.sum(psi > 1e-12 * psi.max()) >= 120
+
+
+# --- _terms in blocks of _BLOCK points ----------------------------------------
+
+B = closedform._BLOCK
+CALLS = ("value", "__call__", "deriv", "deriv2", "_derivs")
+
+
+def one_pass_and_blocked(monkeypatch, sol, r):
+    """Every evaluation of sol at r as _terms does it, then with _BLOCK
+    above the size of r, which makes every input one pass."""
+    blocked = [getattr(sol, name)(r) for name in CALLS]
+    monkeypatch.setattr(closedform, "_BLOCK", np.size(r) + 1)
+    return [getattr(sol, name)(r) for name in CALLS], blocked
+
+
+def assert_bit_for_bit(whole, blocked):
+    for one, many in zip(whole, blocked):
+        if isinstance(one, list):  # _derivs: [psi, psi', psi'']
+            assert all(np.array_equal(a, b) for a, b in zip(one, many, strict=True))
+        else:
+            assert np.array_equal(one, many)
+
+
+@pytest.mark.parametrize("num", [1, B - 1, B, B + 1, 3 * B + 17])
+def test_blocks_equal_one_pass_bit_for_bit(monkeypatch, num):
+    sol = zero_energy_solution(0.8, 1.3, 2, 12).to_unit_norm()
+    r = np.geomspace(1e-3, 80.0, num)
+    lengths = []
+    monkeypatch.setattr(closedform, "laguerre_pair",
+                        lambda n, a, w: lengths.append(w.shape[-1]) or laguerre_pair(n, a, w))
+    sol._derivs(r)
+    assert sum(lengths) == num and len(lengths) == -(-num // B)  # one recurrence per block
+    assert max(lengths) - min(lengths) <= 1  # of equal length: none is short
+    assert_bit_for_bit(*one_pass_and_blocked(monkeypatch, sol, r))
+
+
+def test_blocks_run_along_the_last_axis_of_a_2d_radius(monkeypatch):
+    sol = zero_energy_solution(-1.5, 0.9, 1, 7)
+    r = np.geomspace(0.05, 40.0, 2 * (3 * B + 17)).reshape(2, -1)
+    whole, blocked = one_pass_and_blocked(monkeypatch, sol, r)
+    assert blocked[0].shape == r.shape
+    assert_bit_for_bit(whole, blocked)
+
+
+def test_a_scalar_radius_still_gives_floats(monkeypatch):
+    sol = zero_energy_solution(2.0, 1.0, 1, 5)
+    whole, blocked = one_pass_and_blocked(monkeypatch, sol, 1.7)
+    assert all(type(v) is float for v in [*blocked[:4], *blocked[4]])
+    assert_bit_for_bit(whole, blocked)
+
+
+def test_blocks_of_a_stack_equal_one_pass_bit_for_bit(monkeypatch):
+    # cut as 3 blocks of _BLOCK and one of 17 points, the last block took
+    # numpy's SIMD power on the (3, 1) shapes: one value a last bit off
+    shape, lam = np.array([[2.0], [0.5], [-1.5]]), np.array([[1.0], [0.7], [1.4]])
+    sol = zero_energy_solution(shape, lam, np.array([[0.0], [1.0], [3.0]]), 9)
+    r = np.geomspace(1e-2, 30.0, 3 * B + 17)
+    whole, blocked = one_pass_and_blocked(monkeypatch, sol, r)
+    assert blocked[0].shape == (3, r.size)
+    assert_bit_for_bit(whole, blocked)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_block_where_the_envelope_is_zero_equals_one_pass(monkeypatch):
+    # E = 0 from the first point to past the second block's start, with w
+    # overflowing to inf on the first part of it: L is taken at r = 1 there
+    sol = zero_energy_solution(2.0, 1.0, 1, 6)
+    r = np.concatenate([np.geomspace(1e200, 100.0, B + B // 2),
+                        np.geomspace(1e-2, 8.0, 2 * B)])
+    whole, blocked = one_pass_and_blocked(monkeypatch, sol, r)
+    assert not blocked[0][:B + B // 2].any() and blocked[0][B + B // 2:].all()
+    assert_bit_for_bit(whole, blocked)
+
+
+@pytest.mark.parametrize("block", [B, 10**6], ids=["blocked", "one-pass"])
+def test_a_radius_in_the_last_block_that_is_not_positive_is_refused(monkeypatch, block):
+    monkeypatch.setattr(closedform, "_BLOCK", block)
+    r = np.geomspace(1e-2, 8.0, 3 * B + 17)
+    r[-1] = 0.0
+    sol = zero_energy_solution(2.0, 1.0, 1, 6)
+    for name in CALLS:
+        with pytest.raises(ValueError, match="radial argument must be positive"):
+            getattr(sol, name)(r)
+
+
+def test_deriv2_on_1e5_points_keeps_no_whole_grid_temporaries():
+    # one pass held ~16 temporaries of 800 KB at once: a 9.6 MB peak.  Blocked,
+    # the peak is the three 800 KB outputs plus one block's temporaries,
+    # 4.23 MB measured; a margin of 0.5 MB, less than one more 800 KB array
+    sol = zero_energy_solution(0.8, 1.3, 2, 30).to_unit_norm()
+    r = np.geomspace(1e-3, 80.0, 100_000)
+    tracemalloc.start()
+    try:
+        sol.deriv2(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.75e6
