@@ -242,9 +242,18 @@ def _cmd_dirac(args) -> tuple:
 def _cmd_bender(args) -> tuple:
     if args.n_max < 0:
         raise ValidationError("--n-max must be at least 0")
-    rows = [{"n": n, "energy": halfline.spectrum(args.N, n),
-             "residual_max": halfline.residual_41(args.N, n).max_residual}
-            for n in range(args.n_max + 1)]
+    rows = []
+    for n in range(args.n_max + 1):
+        energy = halfline.spectrum(args.N, n)
+        try:  # past the floats the residual reads inf and the norm raises: refused below
+            with np.errstate(all="ignore"):
+                res = halfline.residual_41(args.N, n).max_residual
+        except OverflowError:
+            res = math.inf
+        if not math.isfinite(res):
+            raise ValidationError(f"--N {args.N}: at n = {n} the eigenfunction's residual or "
+                                  "norm leaves the float range")
+        rows.append({"n": n, "energy": energy, "residual_max": res})
     return (vars_of(args, "N", "n_max"), rows, rows,
             max(r["residual_max"] for r in rows) < args.tolerance)
 

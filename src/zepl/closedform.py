@@ -22,7 +22,7 @@ any other integral of psi is stated in u = log w by ``integrand``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -46,9 +46,9 @@ def positive_radii(r) -> np.ndarray:
 @dataclass(frozen=True)
 class ClosedFormSolution:
     """Radial function with analytic derivatives; its amplitude is a log, so
-    psi leaves the floats only where its own value does.  Its fields other
-    than degree may also be (m, 1) columns, a stack of m solutions of one
-    degree, which euler, w_grid and residual take in one array pass."""
+    psi leaves the floats only where its own value does.  Its float fields
+    may also be (m, 1) columns, a stack of m solutions of one degree, which
+    euler, w_grid and residual take in one array pass."""
 
     log_amplitude: float
     power: float
@@ -83,44 +83,50 @@ class ClosedFormSolution:
     def _terms(self, r, derivs: bool = True):
         """[psi, psi', psi''], or [psi] alone (floats at a scalar r).  An r whose
         last axis is longer than _BLOCK points goes through ``_pointwise`` in
-        blocks of that axis, each written into outputs made once.  In one
-        pass over a 1e5-point grid each of the ~16 temporaries is 800 KB,
-        12.8 MB in all, far past a 2 MB L2 cache; at 16384 points they take
-        2.1 MB and the recurrence's few live ones far less.  Of 4096, 8192,
-        16384 and 32768 points, 16384 was fastest on a Xeon with 2 MB of L2
-        per core: smaller blocks pay numpy's per-call cost more often.
-        Every step is pointwise, so the blocks' outputs equal one pass's to
-        the bit, provided no block is short: on rows of up to 2730 points
-        numpy buffers a broadcast exponent, as a stack's shape is, into its
-        SIMD power, which differs from its scalar power in the last bit.  So
-        the blocks are of equal length, at least _BLOCK/2 points each."""
+        blocks of that axis.  The outputs are allocated once, at the shape r
+        broadcasts to against the float fields, and each block writes its
+        products straight into their slices, with no per-block product or copy.
+        In one pass over a 1e5-point grid each of the ~16 temporaries is
+        800 KB, 12.8 MB in all, far past a 2 MB L2 cache; at 16384 points they
+        take 2.1 MB and the recurrence's three buffers far less.  Of 4096,
+        8192, 16384 and 32768 points, 16384 was fastest on a Xeon with 2 MB of
+        L2 per core, with the recurrence in place as well as before it:
+        smaller blocks pay numpy's per-call cost more often.  Every step is
+        pointwise, so the blocks' outputs equal one pass's to the bit,
+        provided no block is short: on rows of up to 2730 points numpy
+        buffers a broadcast exponent, as a stack's shape is, into its SIMD
+        power, which differs from its scalar power in the last bit.  So the
+        blocks are of equal length, at least _BLOCK/2 points each."""
         r = positive_radii(r)
         num = r.shape[-1] if r.ndim else 0
         if num <= _BLOCK:
             return self._pointwise(r, derivs)
+        stack = (getattr(self, f.name) for f in fields(self) if f.type == "float")
+        shape = np.broadcast_shapes(r.shape, *map(np.shape, stack))
+        out = [np.empty(shape) for _ in range(3 if derivs else 1)]
         count = -(-num // _BLOCK)
         bounds = [num * i // count for i in range(count + 1)]
-        out = None
         for lo, hi in zip(bounds, bounds[1:]):
-            part = self._pointwise(r[..., lo:hi], derivs)
-            if out is None:
-                out = [np.empty(x.shape[:-1] + (num,)) for x in part]
-            for whole, x in zip(out, part):
-                whole[..., lo:hi] = x
+            self._pointwise(r[..., lo:hi], derivs, [x[..., lo:hi] for x in out])
         return out
 
-    def _pointwise(self, r, derivs: bool):
+    def _pointwise(self, r, derivs: bool, out=None):
         """_terms on positive radii in one pass: euler(w) times E, E/r and
-        E/r^2, E = amplitude r^power exp(-w/2).  A point where E is 0 is
-        exactly 0: L is evaluated at r = 1 in its place, not at its own w,
-        which may be infinite."""
+        E/r^2, E = amplitude r^power exp(-w/2), written into ``out`` where it
+        is given; E/r and E/r^2 are formed in E's own buffer.  A point where
+        E is 0 is exactly 0: L is evaluated at r = 1 in its place, not at its
+        own w, which may be infinite."""
         with np.errstate(over="ignore"):  # w = inf puts E at exactly 0
             w = self.rate * r ** self.shape
         env = np.exp(self.log_amplitude + self.power * np.log(r) - 0.5 * w)
         if not env.all():
             w = np.where(env > 0.0, w, self.rate)
-        scales = (env, env / r, env / r / r) if derivs else (env,)
-        out = [s * x for s, x in zip(scales, self.euler(w, derivs))]
+        terms = self.euler(w, derivs)
+        out = out or [None] * len(terms)
+        for i, term in enumerate(terms):
+            if i:
+                env /= r
+            out[i] = np.multiply(env, term, out=out[i])
         return out if r.ndim else [float(v) for v in out]
 
     _derivs = _terms  # the name other modules call; value() goes to _terms directly
@@ -177,10 +183,14 @@ class ClosedFormSolution:
         return replace(self, log_amplitude=self.log_amplitude + log_factor, **changes)
 
     def to_unit_norm(self) -> "ClosedFormSolution":
-        """This solution scaled by exp(-log_norm()/2), so it integrates to one."""
+        """This solution scaled by exp(-log_norm()/2), so it integrates to one;
+        OverflowError where the norm leaves the floats."""
         if not self.norm_finite:
             raise ValueError("the norm diverges: the solution cannot be normalized")
-        return self.scaled(-0.5 * self.log_norm(), normalized=True)
+        log_norm = self.log_norm()
+        if not math.isfinite(log_norm):  # L at the Gauss nodes leaves the floats
+            raise OverflowError("the norm leaves the float range")
+        return self.scaled(-0.5 * log_norm, normalized=True)
 
     def w_grid(self, num: int) -> np.ndarray:
         """Geometric grid in w = rate r^shape: exp of one shared linspace in

@@ -3,6 +3,7 @@ import ast
 import csv
 import io
 import json
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -84,6 +85,37 @@ def test_bender_json(capsys, schema):
     energies = [row["energy"] for row in doc["results"]]
     assert energies == [3.0, 7.0, 11.0]
     jsonschema.validate(doc, schema)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [["--N", "-3", "--n-max", "200"], ["--N", "0", "--n-max", "170"],
+                                  ["--N", "1", "--n-max", "400"], ["--N", "-3", "--n-max", "10000"]],
+                         ids=["N-3-200", "N0-170", "N1-400", "N-3-10000"])
+def test_bender_stops_at_the_first_degree_past_the_floats(capsys, argv):
+    # the rows past that degree read residual_max null with RuntimeWarnings and
+    # exit 1, or the norm's non-finite log ended in a ValueError; --n-max 10000
+    # ran for minutes.  Now the first such degree is one error line, exit 2,
+    # and every degree below it passes
+    code = cli.main(["bender", *argv, "--format", "csv"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    match = re.fullmatch(rf"error: --N {argv[1]}: at n = (\d+) the eigenfunction's residual or "
+                         r"norm leaves the float range\n", err)
+    first = int(match[1])
+    assert 40 < first < int(argv[3])
+    code, rows = run_csv(capsys, ["bender", argv[0], argv[1], "--n-max", str(first - 1),
+                                  "--format", "csv"])
+    assert code == 0 and len(rows) == first
+    assert all(float(row["residual_max"]) < verify.RESIDUAL_TOL for row in rows)
+
+
+def test_a_norm_past_the_floats_is_an_overflow():
+    # what bender refuses by degree: the Gauss-Laguerre norm of the N = 1
+    # eigenfunction leaves the floats before degree 200
+    from zepl import halfline
+
+    with np.errstate(all="ignore"), pytest.raises(OverflowError, match="norm"):
+        halfline.eigenfunction(1, 200)
 
 
 def test_dirac_json(capsys, schema):

@@ -383,7 +383,9 @@ def test_a_radius_in_the_last_block_that_is_not_positive_is_refused(monkeypatch,
 def test_deriv2_on_1e5_points_keeps_no_whole_grid_temporaries():
     # one pass held ~16 temporaries of 800 KB at once: a 9.6 MB peak.  Blocked,
     # the peak is the three 800 KB outputs plus one block's temporaries,
-    # 4.23 MB measured; a margin of 0.5 MB, less than one more 800 KB array
+    # 3.66 MB measured with the products written into the outputs and the
+    # recurrence in place (4.23 MB before); a margin of 0.5 MB, less than one
+    # more 800 KB array
     sol = zero_energy_solution(0.8, 1.3, 2, 30).to_unit_norm()
     r = np.geomspace(1e-3, 80.0, 100_000)
     tracemalloc.start()
@@ -392,4 +394,4 @@ def test_deriv2_on_1e5_points_keeps_no_whole_grid_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.75e6
+    assert peak < 4.16e6

@@ -1,9 +1,14 @@
+import ast
 import math
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special
 
+from zepl import specfn
 from zepl.specfn import laguerre, laguerre_pair
 
 
@@ -63,7 +68,7 @@ def test_invalid_degree_rejected():
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 4.5])
-@pytest.mark.parametrize("n", [1, 2, 7, 40])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 11, 19, 40])  # rescaled before 11 and 19
 def test_pair_is_the_last_two_degrees(n, alpha):
     x = np.linspace(0.0, 50.0, 41)
     top, below = laguerre_pair(n, alpha, x)
@@ -134,3 +139,74 @@ def test_weighted_orthogonality(alpha):
                 lambda t: np.exp((alpha + 1.0) * t - np.exp(t)) * fm(np.exp(t)) * fn(np.exp(t)),
                 1e-11, atol=1e-12).value
             assert abs(val) < 1e-9
+
+
+KERNEL_DEGREES = [0, 1, 2, 3, 8, 9, 10, 11, 40]  # 10 and 11 straddle the first rescale
+
+
+@pytest.mark.parametrize("n", KERNEL_DEGREES)
+def test_pair_never_writes_its_argument_and_returns_fresh_arrays(n):
+    x = np.geomspace(1e-2, 30.0 * (n + 1), 101)
+    x.setflags(write=False)  # a write into x raises
+    top, below = laguerre_pair(n, 1.5, x)
+    want = top.copy(), below.copy()
+    top[:] = 7.0
+    below[:] = 7.0
+    again = laguerre_pair(n, 1.5, x)
+    assert np.array_equal(again[0], want[0]) and np.array_equal(again[1], want[1])
+    for a, b in ((top, below), (top, x), (below, x)):
+        assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("n", KERNEL_DEGREES)
+def test_pair_on_a_stack_equals_each_row_alone(n):
+    alpha = np.array([[-0.5], [0.0], [1.5], [7.25]])
+    x = np.geomspace(1e-2, 30.0 * (n + 1), 97) * np.array([[1.0], [0.5], [2.0], [1.5]])
+    top, below = laguerre_pair(n, alpha, x)
+    for i in range(len(alpha)):
+        row = laguerre_pair(n, float(alpha[i, 0]), x[i])
+        assert np.array_equal(top[i], row[0]) and np.array_equal(below[i], row[1])
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0 / 3.0, 4.5])
+@pytest.mark.parametrize("n", KERNEL_DEGREES)
+def test_pair_matches_scipy_to_1e13_of_its_peak(n, alpha):
+    x = np.geomspace(1e-3, 30.0 * (n + 1), 2001)
+    top, below = laguerre_pair(n, alpha, x)
+    for got, m in ((top, n), (below, n - 1)):
+        want = scipy.special.eval_genlaguerre(m, alpha, x) if m >= 0 else np.zeros_like(x)
+        assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1e-300)
+
+
+@pytest.mark.parametrize("mu,lam,l", [(1.5, 1.0, 1), (-2.5, 1.0, 0), (0.25, 1.0, 2)])
+def test_pair_stays_finite_up_to_degree_159_on_the_closed_forms_grids(mu, lam, l):
+    # L itself leaves the floats from n = 164 on these grids (162 with the
+    # classical recurrence); a rescale that let the buffers grow past L
+    # (dividing by the last eight k, not the next eight) overflowed from 158
+    from zepl.closedform import zero_energy_solution
+
+    for n in range(150, 160):
+        sol = zero_energy_solution(1.0 / (mu + 0.5), lam, l, n)
+        assert all(np.isfinite(v).all() for v in laguerre_pair(n, sol.order, sol.w_grid(240)))
+
+
+def test_pair_on_1e5_points_allocates_three_buffers():
+    # the 800 KB grid, then P_1, P_2 and one spare buffer: 3.2 MB.  The
+    # classical recurrence made five temporaries per degree, a 4.0 MB peak
+    tracemalloc.start()
+    try:
+        laguerre_pair(30, 1.5, np.geomspace(1e-2, 930.0, 100_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.6e6
+
+
+def test_the_kernel_imports_only_numpy_and_the_standard_library():
+    # the recurrence is to stay free of scipy, which zepl is to shed
+    tree = ast.parse(Path(specfn.__file__).read_text())
+    roots = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    roots |= {node.module.split(".")[0] for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert roots - {"__future__"} <= set(sys.stdlib_module_names) | {"numpy"}
