@@ -226,7 +226,8 @@ def _cmd_dirac(args) -> tuple:
     result = {
         "nu": fam.nu, "kappa": fam.kappa, "coupling": fam.coupling,
         "n": dirac.correspondence(fam.beta, fam.l, fam.lam).n,
-        "c_l": sol.c_l, "normalized": sol.normalized, "notes": list(sol.notes),
+        "c_l": sol.c_l, "log_c_l": sol.log_c_l, "normalized": sol.normalized,
+        "notes": list(sol.notes),
         "theta_max_rel": theta, "residual_33_max": res,
         "reduced_form_agreement": agree,
     }
@@ -245,14 +246,11 @@ def _cmd_bender(args) -> tuple:
     rows = []
     for n in range(args.n_max + 1):
         energy = halfline.spectrum(args.N, n)
-        try:  # past the floats the residual reads inf and the norm raises: refused below
-            with np.errstate(all="ignore"):
-                res = halfline.residual_41(args.N, n).max_residual
-        except OverflowError:
-            res = math.inf
+        with np.errstate(all="ignore"):  # past the floats the residual reads inf: refused below
+            res = halfline.residual_41(args.N, n).max_residual
         if not math.isfinite(res):
-            raise ValidationError(f"--N {args.N}: at n = {n} the eigenfunction's residual or "
-                                  "norm leaves the float range")
+            raise ValidationError(f"--N {args.N}: at n = {n} the eigenfunction's residual "
+                                  "leaves the float range")
         rows.append({"n": n, "energy": energy, "residual_max": res})
     return (vars_of(args, "N", "n_max"), rows, rows,
             max(r["residual_max"] for r in rows) < args.tolerance)

@@ -15,8 +15,9 @@ identities give the rest: w L' = n L_n - (n+a) L_(n-1), and Laguerre's
 equation w L'' = -(a+1-w) L' - n L.  Every equation a solution solves
 is, times r^2, a sum of powers c r^e, so the residual is checked in w and
 log r without finite differences or radii.  The squared norm is a
-Laguerre-weight integral of a polynomial, which a Gauss rule computes exactly;
-any other integral of psi is stated in u = log w by ``integrand``.
+Laguerre-weight integral of L^2, a finite sum of positive terms by Laguerre's
+connection formula; any other integral of psi is stated in u = log w by
+``integrand``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .specfn import laguerre, laguerre_pair
 
@@ -152,28 +152,29 @@ class ClosedFormSolution:
 
         With w = rate r^shape and s = (2 power + 1)/shape - 1 the integral is
         amplitude^2 rate^-(s+1) / |shape| times the integral of
-        w^s e^-w L(w)^2, which is finite iff s > -1.  L^2 has degree
-        2 degree, so the (degree+1)-node Gauss rule for the weight w^s e^-w is
-        exact.  Its nodes are the eigenvalues of the Jacobi matrix (Golub and
-        Welsch); its weights Gamma(n+s+2) / ((n+1)! x L_n^(s+1)(x)^2), n the
-        degree, keep their relative accuracy where they are tiny, which the
-        eigenvectors' first components do not (at degree 40 those put the
-        norm off by a factor of 2e7).  Everything stays in logs: the weights
-        sum to Gamma(s+1).
+        w^s e^-w L(w)^2, which is finite iff s > -1.  Laguerre's connection
+        formula (DLMF 18.18.18) writes L = L_n^a as sum_j c_(n-j) L_j^s,
+        c_m = prod_(i<m) (d+i)/(i+1) with d = a - s, so orthogonality in
+        w^s e^-w leaves sum_j c_(n-j)^2 Gamma(j+s+1)/j!, j = 0..n: positive
+        terms, nothing cancels, and no Laguerre value is formed, so any degree
+        has a finite norm.  Past the first i with d + i = 0 every c_m is 0 and
+        the sum stops there (s = a, as on the oscillator, leaves one term).
+        The terms are formed in logs with lgamma and summed by fsum relative
+        to the largest.
         """
         if not self.norm_finite:
             return math.inf
-        n = self.degree
-        s = (2.0 * self.power + 1.0) / self.shape - 1.0
-        k = np.arange(n + 1, dtype=float)
-        x = eigh_tridiagonal(2.0 * k + s + 1.0, np.sqrt(k[1:] * (k[1:] + s)),
-                             eigvals_only=True)
-        log_weights = -np.log(x) - 2.0 * np.log(np.abs(laguerre(n, s + 1.0, x)))
-        top = float(log_weights.max())
-        inner = np.exp(log_weights - top) @ laguerre(n, self.order, x) ** 2
-        return (2.0 * self.log_amplitude - (s + 1.0) * math.log(self.rate)
-                - math.log(abs(self.shape)) + math.lgamma(n + s + 2.0)
-                - math.lgamma(n + 2.0) + top + math.log(inner))
+        n, s1 = self.degree, (2.0 * self.power + 1.0) / self.shape  # s1 = s + 1
+        d = self.order - (s1 - 1.0)
+        logs, log_c = [], 0.0  # log c_m, m = n - j
+        for m in range(n + 1):
+            logs.append(2.0 * log_c + math.lgamma(n - m + s1) - math.lgamma(n - m + 1.0))
+            if d + m == 0.0:
+                break
+            log_c += math.log(abs((d + m) / (m + 1.0)))
+        top = max(logs)
+        return (2.0 * self.log_amplitude - s1 * math.log(self.rate) - math.log(abs(self.shape))
+                + top + math.log(math.fsum(math.exp(x - top) for x in logs)))
 
     def scaled(self, log_factor: float, **changes) -> "ClosedFormSolution":
         """This solution times exp(log_factor); a non-finite log factor would
@@ -184,11 +185,12 @@ class ClosedFormSolution:
 
     def to_unit_norm(self) -> "ClosedFormSolution":
         """This solution scaled by exp(-log_norm()/2), so it integrates to one;
-        OverflowError where the norm leaves the floats."""
+        OverflowError where the norm's log leaves the floats (its factors
+        rate^-(s+1) and Gamma(s+1) do together at s = 1.8e305, rate = 1e-308)."""
         if not self.norm_finite:
             raise ValueError("the norm diverges: the solution cannot be normalized")
         log_norm = self.log_norm()
-        if not math.isfinite(log_norm):  # L at the Gauss nodes leaves the floats
+        if not math.isfinite(log_norm):
             raise OverflowError("the norm leaves the float range")
         return self.scaled(-0.5 * log_norm, normalized=True)
 
@@ -215,11 +217,25 @@ class ClosedFormSolution:
         """int E(r)^2 h(w) dr, E = amplitude r^power exp(-w/2), per unit u = log w
         for ``oracle.quad_seminfinite``, with no radius formed:
         exp(2 log_amplitude + (2 power + 1)(u - log rate)/shape - e^u) h(e^u)/|shape|.
-        h defaults to L(w)^2, the squared norm of psi."""
+        h defaults to L(w)^2, the squared norm of psi.  The envelope is formed
+        first and h is evaluated only where it is positive: on the quadrature's
+        2817-point scan, typically at a dozen points.  Elsewhere it reads 0,
+        which is what the quadrature reads of 0 times h, even where h is not
+        finite."""
         h = h or (lambda w: laguerre(self.degree, self.order, w) ** 2)
         s, log_rate = (2.0 * self.power + 1.0) / self.shape, math.log(self.rate)
         log_c = 2.0 * self.log_amplitude - math.log(abs(self.shape))
-        return lambda u: np.exp(log_c + s * (u - log_rate) - np.exp(u)) * h(np.exp(u))
+
+        def f(u):
+            w = np.exp(u)
+            env = np.exp(log_c + s * (u - log_rate) - w)
+            live = env > 0.0
+            if live.all():
+                return env * h(w)
+            out = np.zeros_like(env)
+            out[live] = env[live] * h(w[live])
+            return out
+        return f
 
     def residual(self, monomials) -> "ResidualReport":
         """Relative residual of psi'' = q psi, r^2 q = sum of c r^e over the

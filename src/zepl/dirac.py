@@ -130,7 +130,8 @@ class SpinorSolution:
 
     family: DiracFamily
     phi: ClosedFormSolution
-    c_l: float | None
+    c_l: float | None  # exp(log_c_l), which reads 0.0 where C_l underflows
+    log_c_l: float | None
     normalized: bool
     notes: tuple[str, ...] = ()
 
@@ -154,7 +155,7 @@ def upper_spinor(family: DiracFamily) -> SpinorSolution:
         (log_c or 0.0) - 2.0 * kappa / beta * math.log(lam), normalized=family.normalizable,
         notes=notes)
     return SpinorSolution(family=family, phi=phi, normalized=family.normalizable, notes=notes,
-                          c_l=None if log_c is None else math.exp(log_c))
+                          c_l=None if log_c is None else math.exp(log_c), log_c_l=log_c)
 
 
 def _reduced_family(family: DiracFamily) -> powerlaw.PowerLawFamily:

@@ -121,7 +121,7 @@ def ladder_check(gamma: float, n: int) -> LadderReport:
 
     # effective raising operator is the nominal "-" combination when sigma=-1;
     # the quadrature of the raised state, E^2 bracket^2/(32 w^2), checks the L+
-    # coefficient independently; the phi norms are exact Gauss-Laguerre sums
+    # coefficient independently; the phi norms are exact connection-formula sums
     h = lambda w: _generator(sol, eta, w, 1.0, sigma)[0] ** 2 / (32.0 * w * w)
     norm_raised = math.sqrt(oracle.quad_seminfinite(sol.integrand(h), 1e-11).value)
     upper = phi(OscillatorState(gamma=gamma, n=n + 1, lam=lam))

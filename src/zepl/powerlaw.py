@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
 from numbers import Rational
 
@@ -98,9 +99,10 @@ class PowerLawFamily:
     def gamma(self) -> float:
         return -0.5 + (self.l + 0.5) * abs(self.mu_f + 0.5)
 
-    @property
+    @cached_property
     def omega(self):
-        """Degeneracy constant 2n + 1 + (2l+1)|mu + 1/2| (exact for rational mu)."""
+        """Degeneracy constant 2n + 1 + (2l+1)|mu + 1/2| (exact for rational mu),
+        formed once per family."""
         if isinstance(self.mu, Rational):
             return 2 * self.n + 1 + (2 * self.l + 1) * abs(Fraction(self.mu) + Fraction(1, 2))
         return 2 * self.n + 1 + (2 * self.l + 1) * abs(self.mu_f + 0.5)
@@ -222,9 +224,10 @@ def _unit_solution(family: PowerLawFamily) -> ClosedFormSolution:
 
 def wavefunction(family: PowerLawFamily) -> ClosedFormSolution:
     """Closed-form solution with analytic derivatives, positive at its regular
-    end (a_n > 0 and L_n(0) > 0).  Normalized by the Gauss-Laguerre norm
-    whenever that is finite (always above mu = -1/2; for l > 0 below);
-    otherwise unit amplitude, tagged unnormalized."""
+    end (a_n > 0 and L_n(0) > 0).  Normalized by the closed-form norm, a
+    connection-formula sum of positive terms, whenever that is finite (always
+    above mu = -1/2; for l > 0 below); otherwise unit amplitude, tagged
+    unnormalized."""
     unit = _unit_solution(family)
     return unit.to_unit_norm() if unit.norm_finite else unit.scaled(
         0.0, notes=("unnormalized: norm diverges for l = 0 below mu = -1/2",))
@@ -239,8 +242,8 @@ class NormResult:
 
 def norm(family: PowerLawFamily) -> NormResult:
     """Squared norm of the constructed wavefunction, re-measured by adaptive
-    quadrature, independently of the Gauss-Laguerre rule that normalized it.
-    Finiteness is that rule's (divergent exactly when mu < -1/2 and l = 0,
+    quadrature, independently of the connection-formula sum that normalized
+    it.  Finiteness is that sum's (divergent exactly when mu < -1/2 and l = 0,
     where the tail integrand tends to a constant); a divergent norm is not
     integrated."""
     sol = wavefunction(family)
@@ -442,7 +445,7 @@ def classify(family: PowerLawFamily, coupling_scale: float = 1.0) -> Classificat
     construction; mu < -1/2 with l = 0 never is (tail creeps up to zero from
     below).  Every other case is bounded exactly when V_eff has a negative
     well with a positive barrier beyond it, which is decided in closed form.
-    Normalizability follows the Gauss-Laguerre norm's rule: divergent only
+    Normalizability follows the closed-form norm's rule: divergent only
     for mu < -1/2 with l = 0.  ``coupling_scale`` scales the attractive
     coefficient so sub-quantized shapes (the condition-violated rows of the
     summary table) can be constructed and inspected with the same machinery.

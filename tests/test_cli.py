@@ -3,6 +3,7 @@ import ast
 import csv
 import io
 import json
+import math
 import re
 from importlib import resources
 from pathlib import Path
@@ -11,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from zepl import cli, dirac, oracle, verify
+from zepl import cli, dirac, halfline, oracle, powerlaw, verify
 
 
 @pytest.fixture(scope="module")
@@ -95,12 +96,13 @@ def test_bender_stops_at_the_first_degree_past_the_floats(capsys, argv):
     # the rows past that degree read residual_max null with RuntimeWarnings and
     # exit 1, or the norm's non-finite log ended in a ValueError; --n-max 10000
     # ran for minutes.  Now the first such degree is one error line, exit 2,
-    # and every degree below it passes
+    # and every degree below it passes.  The norm is finite at every degree,
+    # so the residual is what leaves the floats
     code = cli.main(["bender", *argv, "--format", "csv"])
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and len(err.splitlines()) == 1
-    match = re.fullmatch(rf"error: --N {argv[1]}: at n = (\d+) the eigenfunction's residual or "
-                         r"norm leaves the float range\n", err)
+    match = re.fullmatch(rf"error: --N {argv[1]}: at n = (\d+) the eigenfunction's residual "
+                         r"leaves the float range\n", err)
     first = int(match[1])
     assert 40 < first < int(argv[3])
     code, rows = run_csv(capsys, ["bender", argv[0], argv[1], "--n-max", str(first - 1),
@@ -110,12 +112,20 @@ def test_bender_stops_at_the_first_degree_past_the_floats(capsys, argv):
 
 
 def test_a_norm_past_the_floats_is_an_overflow():
-    # what bender refuses by degree: the Gauss-Laguerre norm of the N = 1
-    # eigenfunction leaves the floats before degree 200
-    from zepl import halfline
+    # rate^-(s+1) and Gamma(s+1) are each finite here, their product is not:
+    # s + 1 = 3(mu + 1/2) = 1.8e305 and rate = lam^2 = 1e-308
+    with pytest.raises(OverflowError, match="norm"):
+        powerlaw.wavefunction(powerlaw.PowerLawFamily(mu=6e304, lam=1e-154))
 
-    with np.errstate(all="ignore"), pytest.raises(OverflowError, match="norm"):
-        halfline.eigenfunction(1, 200)
+
+@pytest.mark.filterwarnings("error")
+def test_the_norm_is_finite_at_a_degree_bender_refuses():
+    # the Gauss-Laguerre norm of the N = 1 eigenfunction left the floats before
+    # degree 200, where L at its nodes overflowed; the connection-formula sum
+    # forms no Laguerre value, so bender's refusal there is the residual's
+    sol = halfline.eigenfunction(1, 200)
+    assert sol.normalized and math.isfinite(sol.log_amplitude)
+    assert sol.log_norm() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dirac_json(capsys, schema):
@@ -143,6 +153,19 @@ def test_dirac_where_c_l_underflows(capsys, schema):
     assert code == 0 and doc["passed"] is True
     assert doc["results"]["c_l"] == 0.0
     assert doc["results"]["norm_quadrature"] == pytest.approx(1.0, abs=1e-8)
+    jsonschema.validate(doc, schema)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta", ["0.01", "1e-3"])
+def test_dirac_reports_log_c_l_where_c_l_underflows(capsys, schema, beta):
+    # c_l read 0.0 beside "normalized": true, like a failed normalization;
+    # log C_l = log|beta|/2 - lgamma(5/beta)/2 at kappa = -2 and lam = 1
+    code, doc = run_json(capsys, ["dirac", "--beta", beta, "--l", "1"])
+    res = doc["results"]
+    expected = 0.5 * (math.log(float(beta)) - math.lgamma(5.0 / float(beta)))
+    assert code == 0 and doc["passed"] is True and res["normalized"] is True
+    assert res["c_l"] == 0.0 and res["log_c_l"] == pytest.approx(expected, rel=1e-14)
     jsonschema.validate(doc, schema)
 
 

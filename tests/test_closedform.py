@@ -4,11 +4,12 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
 
-from zepl import closedform, halfline
+from zepl import closedform, halfline, oracle
 from zepl.closedform import (ClosedFormSolution, count_sign_changes, relative_residual,
                              zero_energy_solution)
 from zepl.specfn import laguerre, laguerre_pair
@@ -198,6 +199,22 @@ def test_integrand_is_psi_squared_per_unit_log_w(shape):
                        / sol.euler(np.exp(u), False)[0] ** 2, rtol=1e-12)
 
 
+@pytest.mark.parametrize("shape,l,n", [(2.0, 1, 3), (-1.5, 2, 4), (0.5, 0, 2), (40.0, 3, 1)])
+def test_integrand_evaluates_h_at_live_points_only(shape, l, n):
+    # of the quadrature's 2817-point scan, h sees only the points where the
+    # envelope is positive; the dead ones read 0, as exp(...) * h(e^u) did
+    # there or as the quadrature made its 0 * inf, so no sample moves
+    sol = zero_energy_solution(shape, 1.3, l, n).scaled(0.4)
+    sizes = []
+    h = lambda w: sizes.append(w.size) or laguerre(n, sol.order, w) ** 2
+    s, log_rate = (2.0 * sol.power + 1.0) / sol.shape, math.log(sol.rate)
+    log_c = 2.0 * sol.log_amplitude - math.log(abs(sol.shape))
+    before = lambda u: np.exp(log_c + s * (u - log_rate) - np.exp(u)) * h(np.exp(u))
+    q = oracle.quad_seminfinite(sol.integrand(h), 1e-12)
+    assert sizes[0] < 100 and q.converged
+    assert oracle.quad_seminfinite(before, 1e-12) == q
+
+
 def test_log_norm_diverges_exactly_when_s_is_at_most_minus_one():
     # s = (2 power + 1)/shape - 1
     for power, shape, finite in ((1.0, 2.0, True), (0.0, -1.0, False), (-1.0, -1.0, True),
@@ -222,6 +239,58 @@ def test_log_norm_matches_scipy_gauss_laguerre(params):
     inner = w @ scipy.special.eval_genlaguerre(sol.degree, sol.order, x) ** 2
     ref = sol.amplitude**2 * sol.rate ** (-(s + 1.0)) / abs(sol.shape) * inner
     assert sol.log_norm() == pytest.approx(math.log(ref), abs=1e-11)
+
+
+def _connection_sum(sol: ClosedFormSolution) -> float:
+    """log_norm at 50 digits: sum_m c_m^2 Gamma(n-m+s+1)/(n-m)!, c_m = (d)_m/m!,
+    d = order - s, times amplitude^2 rate^-(s+1)/|shape|; c_m is exactly 0 from
+    the first m with d + m - 1 = 0 on."""
+    with mpmath.workdps(50):
+        n, s = sol.degree, (2 * mpmath.mpf(sol.power) + 1) / mpmath.mpf(sol.shape) - 1
+        d, total, c, m = mpmath.mpf(sol.order) - s, mpmath.mpf(0), mpmath.mpf(1), 0
+        while c and m <= n:
+            total += c**2 * mpmath.gamma(n - m + s + 1) / mpmath.factorial(n - m)
+            c, m = c * (d + m) / (m + 1), m + 1
+        return float(mpmath.log(total) + 2 * mpmath.mpf(sol.log_amplitude)
+                     - (s + 1) * mpmath.log(sol.rate) - mpmath.log(abs(sol.shape)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1000, 10_000])
+def test_log_norm_at_any_degree(n):
+    # the Gauss-Laguerre rule read nan with an overflow warning at degree 1000,
+    # from L at its nodes; the connection-formula sum forms no Laguerre value
+    family = zero_energy_solution(0.5, 1.0, 1, n)  # (mu, lam, l) = (3/2, 1, 1): d = -3
+    assert family.log_norm() == pytest.approx(_connection_sum(family), rel=1e-12)
+    # the oscillator's s equals its order: one term, Gamma(n+s+1)/n!
+    osc = zero_energy_solution(2.0, 1.3, 1, n).scaled(0.4)
+    s = osc.order
+    exact = (math.lgamma(n + s + 1.0) - math.lgamma(n + 1.0) + 2.0 * osc.log_amplitude
+             - (s + 1.0) * math.log(osc.rate) - math.log(2.0))
+    assert osc.log_norm() == pytest.approx(exact, rel=1e-12)
+    for sol in (family, osc):
+        unit = sol.to_unit_norm()
+        assert unit.normalized and unit.log_norm() == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("params", [
+    dict(log_amplitude=0.0, power=-1.0, rate=0.8, shape=-1.5, degree=30, order=2.0),
+    dict(log_amplitude=0.3, power=1.0, rate=1.4, shape=0.1, degree=12, order=0.3),
+    dict(log_amplitude=0.0, power=0.5, rate=2.0, shape=3.0, degree=60, order=1.5),
+])
+def test_log_norm_is_the_connection_sum_at_50_digits(params):
+    sol = ClosedFormSolution(**params)
+    assert sol.log_norm() == pytest.approx(_connection_sum(sol), rel=1e-13)
+
+
+def test_closedform_imports_nothing_from_scipy():
+    # norms are a finite sum: the closed forms need numpy and math alone
+    tree = ast.parse(Path(closedform.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[0] != "scipy"
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "scipy" for a in node.names)
 
 
 @pytest.mark.parametrize("module", [closedform, halfline], ids=lambda m: m.__name__)

@@ -101,6 +101,25 @@ def test_quad_budget_that_cannot_be_met_is_unconverged():
     assert 0 < q.panels <= 30_000 and q.error > 1e-10 * abs(q.value)
 
 
+@pytest.mark.parametrize("h,tol", [
+    (lambda t: np.exp(t - np.exp(t)), 1e-13),
+    (lambda t: np.exp(t - np.exp(t)) * np.cos(40.0 * np.exp(t)) ** 2, 1e-12),
+    (lambda t: np.exp(t - np.exp(t)) * np.abs(t - 0.3), 1e-10),
+    (lambda t: np.ones_like(t), 1e-8),
+    (powerlaw.wavefunction(powerlaw.PowerLawFamily(-0.58, 1.0, 1, 5)).integrand(), 1e-10),
+], ids=["exponential", "oscillating", "kink-budget", "truncated", "norm"])
+def test_quad_halvings_taken_ahead_change_no_bit(monkeypatch, h, tol):
+    # one call of h evaluates three halvings; one halving per call, as the
+    # rule took them before, gives the same value, error and panels to the bit
+    calls = []
+    batched = oracle.quad_seminfinite(lambda t: calls.append(t.size) or h(t), tol)
+    assert calls[0] == oracle._SCAN.size and sum(calls[1:]) <= oracle._MAX_SAMPLES
+    monkeypatch.setattr(oracle, "_AHEAD", 1)
+    assert oracle.quad_seminfinite(h, tol) == batched
+    # only the last call's halvings may go unused
+    assert batched.panels <= sum(calls[1:]) < batched.panels + calls[-1]
+
+
 def test_quad_result_holds_python_scalars():
     # the JSON envelope and perfbench's counters serialize these fields
     for q in (oracle.quad_seminfinite(lambda t: np.exp(t - np.exp(t)), 1e-10),

@@ -397,6 +397,14 @@ def test_degenerate_pairs_examples():
     assert pl.degenerate_pairs(mu, 10, 4) == set()
 
 
+def test_omega_is_formed_once_per_family():
+    # map_parameters, bound_condition and degenerate_pairs each read it
+    fam = pl.PowerLawFamily(Fraction(3, 2), 1.0, 1, 2)
+    assert fam.omega == 11 and fam.omega is fam.omega and "omega" in vars(fam)
+    assert fam == pl.PowerLawFamily(Fraction(3, 2), 1.0, 1, 2)
+    assert replace(fam, n=3).omega == 13
+
+
 @pytest.mark.parametrize("mu,omega", [
     (Fraction(3, 2), 11), (Fraction(3, 2), 13), (Fraction(3, 2), 10),
     (Fraction(-3, 2), 8), (Fraction(1, 6), Fraction(23, 3)),
