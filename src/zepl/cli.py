@@ -218,26 +218,29 @@ def _cmd_potential(args) -> tuple:
 
 
 def _cmd_dirac(args) -> tuple:
-    fam = dirac.DiracFamily(beta=args.beta, lam=args.lam, l=args.l, alpha_fs=args.alpha_fs)
+    fam = dirac.DiracFamily(beta=args.beta, lam=args.lam, l=args.l)
     agree = dirac.reduced_form_agreement(fam)  # first: it refuses |beta| > 1e3
-    sol = dirac.upper_spinor(fam)
+    phi = dirac.upper_spinor(fam)
     theta = dirac.lower_component_relative(fam)
     res = dirac.residual_33(fam).max_residual
+    log_c = fam.log_c_l
+    try:  # C_l reads 0.0 where it underflows and inf (null) where it overflows
+        c_l = None if log_c is None else math.exp(log_c)
+    except OverflowError:
+        c_l = math.inf
     result = {
-        "nu": fam.nu, "kappa": fam.kappa, "coupling": fam.coupling,
-        "n": dirac.correspondence(fam.beta, fam.l, fam.lam).n,
-        "c_l": sol.c_l, "log_c_l": sol.log_c_l, "normalized": sol.normalized,
-        "notes": list(sol.notes),
+        "nu": fam.nu, "kappa": fam.kappa, "coupling": fam.coupling, "n": fam.n,
+        "c_l": c_l, "log_c_l": log_c, "normalized": phi.normalized, "notes": list(phi.notes),
         "theta_max_rel": theta, "residual_33_max": res,
         "reduced_form_agreement": agree,
     }
-    if sol.normalized:  # a quadrature miss is no norm: null, with its note
+    if phi.normalized:  # a quadrature miss is no norm: null, with its note
         quad = dirac.spinor_norm(fam)
         result["norm_quadrature"] = quad.value if quad.converged else None
         if not quad.converged:
             result["notes"].append(quad.note)
     passed = theta < verify.THETA_TOL and res < args.tolerance and agree < verify.REDUCED_FORM_TOL
-    return vars_of(args, "beta", "lam", "l", "alpha_fs"), result, [_row(result)], passed
+    return vars_of(args, "beta", "lam", "l"), result, [_row(result)], passed
 
 
 def _cmd_bender(args) -> tuple:
@@ -419,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=finite_float, required=True)
     sp.add_argument("--lambda", dest="lam", type=finite_float, default=1.0)
     sp.add_argument("--l", type=int, default=0)
-    sp.add_argument("--alpha-fs", type=finite_float, default=dirac.FINE_STRUCTURE_DEFAULT)
     sp.add_argument("--tolerance", type=positive_float, default=verify.RESIDUAL_TOL)
 
     sp = command("bender", _cmd_bender, "half-line monomial spectrum E_n = (2n+1)|N+2|+1")

@@ -259,9 +259,18 @@ def zero_energy_solution(shape: float, lam: float, l: float, n: int) -> ClosedFo
     """The paper's solution at unit amplitude: r^(l+1) for shape > 0, r^-l for
     shape < 0, times exp(-w/2) L_n^((2l+1)/|shape|)(w), w = lam^2 r^shape.
     l need not be an integer (the oscillator's is 2 gamma + 1/2).  shape,
-    lam and l may be (m, 1) columns: a stack of m solutions of degree n."""
+    lam and l may be (m, 1) columns: a stack of m solutions of degree n.
+    A rate lam^2 of 0 or inf is an OverflowError: every log of psi takes
+    log rate.  A subnormal rate is a rate."""
+    try:
+        rate = lam**2
+    except OverflowError:  # a float's pow raises where numpy's square reads inf
+        rate = math.inf
+    ok = (rate > 0.0) & (rate < math.inf)
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):  # np.all costs 5 us on a bool
+        raise OverflowError(f"the rate lam^2 leaves the floats at lam = {lam}")
     return ClosedFormSolution(log_amplitude=0.0, power=(l + 1.0) * (shape > 0) - l * (shape < 0),
-                              rate=lam**2, shape=1.0 * shape, degree=n,
+                              rate=rate, shape=1.0 * shape, degree=n,
                               order=(2.0 * l + 1.0) / abs(shape))
 
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import ClosedFormSolution, ResidualReport, zero_energy_solution
+from .specfn import check_index
 
 __all__ = ["HalfLineProblem", "spectrum", "eigenfunction", "residual_41"]
 
@@ -43,10 +44,9 @@ class HalfLineProblem:
     n: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.N, (int, np.integer)) or self.N == -2:
+        if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)) or self.N == -2:
             raise ValueError(f"N must be an integer different from -2, got {self.N!r}")
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 0):
-            raise ValueError("n must be a non-negative integer")
+        check_index(self.n, "n")
 
     @property
     def mu(self) -> float:

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import oracle
 from .closedform import ClosedFormSolution, ResidualReport, zero_energy_solution
+from .specfn import check_index
 
 __all__ = ["OscillatorState", "phi", "residual_a5", "ladder_check", "eigenvalue_term",
            "LadderReport"]
@@ -46,8 +47,7 @@ class OscillatorState:
     def __post_init__(self):
         if not self.gamma >= -0.5:
             raise ValueError(f"representation label gamma must be >= -1/2, got {self.gamma}")
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 0):
-            raise ValueError(f"state index must be a non-negative integer, got {self.n}")
+        check_index(self.n, "state index")
         if not self.lam > 0:
             raise ValueError("oscillator strength must be positive")
 

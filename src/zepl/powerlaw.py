@@ -40,7 +40,7 @@ __all__ = [
     "PowerLawFamily", "PotentialTerms", "MappedParameters", "BoundCondition",
     "Well", "ClassificationReport", "NormResult",
     "map_parameters", "potential_eval", "effective_potential_eval",
-    "effective_potential_beta_form", "exponent_pair", "wavefunction",
+    "exponent_pair", "wavefunction",
     "schrodinger_residual", "pct_identity_check", "schrodinger_residual_maxima",
     "pct_identity_maxima", "bound_condition",
     "classify", "degenerate_pairs", "norm",
@@ -70,10 +70,8 @@ class PowerLawFamily:
         _validate_mu(self.mu)
         if not self.lam > 0:
             raise ValueError("lam must be positive")
-        for name in ("l", "n"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, np.integer)) and v >= 0):
-                raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
+        specfn.check_index(self.l, "l")
+        specfn.check_index(self.n, "n")
 
     @property
     def mu_f(self) -> float:
@@ -200,17 +198,6 @@ def effective_potential_eval(family: PowerLawFamily, r, coupling_scale: float = 
     return _dominant_beyond_floats(v, r, ((ll, -2.0),
                                           (2.0 * t.repulsive_coeff, t.repulsive_exponent),
                                           (-2.0 * t.attractive_coeff, t.attractive_exponent)))
-
-
-def effective_potential_beta_form(family: PowerLawFamily, r):
-    """Same quantity written in the tail parameter beta; must agree pointwise
-    with the mu form for every valid family."""
-    r = positive_radii(r)
-    b, lam, l, n = family.beta, family.lam, family.l, family.n
-    omega_b = 2 * n + 1 + (2 * l + 1) / b
-    s = r**b if family.above else r**(-b)
-    return (l * (l + 1) + (b**2 * lam**4 / 4.0) * s**2
-            - (b**2 * lam**2 / 2.0) * omega_b * s) / r**2
 
 
 # ---------------------------------------------------------------------------

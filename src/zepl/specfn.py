@@ -38,15 +38,17 @@ import math
 
 import numpy as np
 
-__all__ = ["laguerre", "laguerre_pair"]
+__all__ = ["laguerre", "laguerre_pair", "check_index"]
 
 _RESCALE = 8  # degrees between rescales of the monic pair
 
 
-def _check_degree(n) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"Laguerre degree must be a non-negative integer, got {n!r}")
-    return int(n)
+def check_index(value, name: str) -> int:
+    """value as an int where it is a non-negative integer, which a bool is not:
+    the one check of every degree, state index and angular momentum."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def laguerre_pair(n, alpha, x):
@@ -59,7 +61,7 @@ def laguerre_pair(n, alpha, x):
     docstring runs in place, and the pair is restored as
     L_k = (-1)^k P_k/f_k, f_k the part of k! that P_k still carries.
     """
-    n = _check_degree(n)
+    n = check_index(n, "Laguerre degree")
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("Laguerre argument must be finite")

@@ -186,14 +186,14 @@ def suite_oracle_coupling() -> list[CheckResult]:
 
 def suite_dirac() -> list[CheckResult]:
     pairs = ((0.5, 0), (0.5, 1), (3.0, 1), (-0.5, 1))
-    worst_theta = worst_res = worst_norm = worst_reduced = 0.0
+    worst_theta = worst_res = worst_norm = worst_reduced = worst_n = 0.0
     for beta, l in pairs:
-        fam = dirac.DiracFamily(beta=beta, lam=1.0, l=l, alpha_fs=1.0)
+        fam = dirac.DiracFamily(beta=beta, lam=1.0, l=l)
         worst_theta = max(worst_theta, dirac.lower_component_relative(fam))
         worst_res = max(worst_res, dirac.residual_33(fam).max_residual)
         worst_reduced = max(worst_reduced, dirac.reduced_form_agreement(fam))
         worst_norm = max(worst_norm, abs(dirac.spinor_norm(fam).value - 1.0))
-    worst_n = max(abs(dirac.correspondence(beta, l).n) for beta, l in pairs)
+        worst_n = max(worst_n, abs(fam.n))
     return [
         CheckResult.from_max("dirac.lower_component[theta == 0]", worst_theta, THETA_TOL),
         CheckResult.from_max("dirac.residual_33[matrix]", worst_res, RESIDUAL_TOL),

@@ -129,9 +129,9 @@ def test_the_norm_is_finite_at_a_degree_bender_refuses():
 
 
 def test_dirac_json(capsys, schema):
-    code, doc = run_json(capsys, ["dirac", "--beta", "0.5", "--l", "1",
-                                  "--alpha-fs", "1.0"])
+    code, doc = run_json(capsys, ["dirac", "--beta", "0.5", "--l", "1"])
     assert code == 0 and doc["passed"] is True
+    assert doc["parameters"] == {"beta": 0.5, "lambda": 1.0, "l": 1}
     assert doc["results"]["kappa"] == -2
     assert doc["results"]["n"] == 0
     assert doc["results"]["norm_quadrature"] == pytest.approx(1.0, abs=1e-8)
@@ -166,6 +166,18 @@ def test_dirac_reports_log_c_l_where_c_l_underflows(capsys, schema, beta):
     expected = 0.5 * (math.log(float(beta)) - math.lgamma(5.0 / float(beta)))
     assert code == 0 and doc["passed"] is True and res["normalized"] is True
     assert res["c_l"] == 0.0 and res["log_c_l"] == pytest.approx(expected, rel=1e-14)
+    jsonschema.validate(doc, schema)
+
+
+@pytest.mark.filterwarnings("error")
+def test_dirac_where_c_l_overflows(capsys, schema):
+    # log C_l = 10806: math.exp raised OverflowError, and the command exited 2
+    # with "the problem's numbers leave the float range"; c_l is inf, written null
+    code, doc = run_json(capsys, ["dirac", "--beta", "0.01", "--lambda", "1e50"])
+    res = doc["results"]
+    assert code == 0 and doc["passed"] is True and res["normalized"] is True
+    assert res["c_l"] is None and res["log_c_l"] == pytest.approx(10806.02, abs=0.01)
+    assert res["residual_33_max"] < 1e-12 and abs(res["norm_quadrature"] - 1.0) < 1e-9
     jsonschema.validate(doc, schema)
 
 
@@ -295,7 +307,7 @@ def test_oracle_csv_header(capsys):
     ["classify", "--mu", "3/2", "--lambda", "inf"],
     ["classify", "--mu", "3/2", "--coupling-scale", "inf"],
     ["potential", "--mu", "3/2", "--r-max", "1e400"],
-    ["dirac", "--beta", "0.5", "--l", "1", "--alpha-fs", "inf"],
+    ["dirac", "--beta", "0.5", "--l", "1", "--alpha-fs", "inf"],  # no such option
     ["bender", "--N", "1", "--tolerance", "inf"],
     ["verify", "--suite", "specfn", "--tolerance-scale", "inf"],
     ["oracle", "--mu", "1e10", "--count", "1"],

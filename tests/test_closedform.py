@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from zepl import closedform, halfline, oracle
+from zepl import closedform, halfline, oracle, powerlaw
 from zepl.closedform import (ClosedFormSolution, count_sign_changes, relative_residual,
                              zero_energy_solution)
 from zepl.specfn import laguerre, laguerre_pair
@@ -304,6 +305,23 @@ def test_closed_forms_import_nothing_from_the_oracle(module):
         else:
             continue
         assert "oracle" not in names
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [1e-200, 1e200, math.inf])
+def test_a_rate_of_zero_or_inf_is_refused_by_name(lam):
+    # at lam^2 = 0 the norm's math.log(rate) raised a bare "math domain error"
+    with pytest.raises(OverflowError, match=re.escape(f"lam = {lam}")):
+        powerlaw.wavefunction(powerlaw.PowerLawFamily(1.5, lam=lam))
+
+
+def test_a_subnormal_rate_is_a_rate():
+    # so the norm of (6e304, 1e-154, 0, 0) reaches to_unit_norm's own refusal
+    assert 0.0 < zero_energy_solution(0.5, 1e-160, 1, 0).rate < 2.3e-308
+    shape, l = np.array([[0.5], [2.0]]), 1
+    assert zero_energy_solution(shape, np.array([[1.0], [1e-160]]), l, 0).rate[1, 0] > 0.0
+    with pytest.raises(OverflowError, match="lam = "):  # a stack with one rate of 0
+        zero_energy_solution(shape, np.array([[1.0], [1e-200]]), l, 0)
 
 
 @pytest.mark.parametrize("shape,l,power", [(2.0, 1, 2.0), (-1.5, 2, -2.0), (3.0, 0, 1.0),

@@ -5,7 +5,35 @@ import pytest
 
 from zepl import dirac
 from zepl import powerlaw as pl
+from zepl.closedform import positive_radii
 from zepl.verify import REDUCED_FORM_TOL, RESIDUAL_TOL, THETA_TOL
+
+
+# The paper's other forms of the branch, used here as oracles.
+
+def odd_potential(family, r):
+    """W(r) = (lam^2 beta/2) r^(beta-1); independent of l by construction."""
+    return family.coupling * positive_radii(r) ** (family.beta - 1.0)
+
+
+def odd_potential_nu_form(family, r):
+    """Equivalent form A / r^((nu-1/2)/(nu+1/2)); must agree pointwise with
+    the beta form."""
+    nu = family.nu
+    return family.coupling / positive_radii(r) ** ((nu - 0.5) / (nu + 0.5))
+
+
+def lower_component(family, r, w=odd_potential):
+    """theta(r) = (alpha/2)(W + kappa/r + d/dr) phi(r) at alpha = 1; identically
+    zero for the exact upper component."""
+    r = positive_radii(r)
+    val, d1, _ = dirac.upper_spinor(family)._derivs(r)
+    return 0.5 * ((w(family, r) + family.kappa / r) * val + d1)
+
+
+def reduced_potential(family, r):
+    """V(r) of the reduced equation's Schroedinger form: the family (nu, lam, l, 0)'s."""
+    return pl.potential_eval(pl.PowerLawFamily(mu=family.nu, lam=family.lam, l=family.l), r)
 
 
 def test_family_validation():
@@ -18,16 +46,16 @@ def test_family_validation():
 
 def test_odd_potential_value():
     fam = dirac.DiracFamily(beta=0.5, lam=1.0, l=0)
-    assert dirac.odd_potential(fam, 4.0) == pytest.approx(0.125, rel=1e-14)
+    assert odd_potential(fam, 4.0) == pytest.approx(0.125, rel=1e-14)
     with pytest.raises(ValueError):
-        dirac.odd_potential(fam, -1.0)
+        odd_potential(fam, -1.0)
 
 
 def test_odd_potential_forms_agree():
     fam = dirac.DiracFamily(beta=0.5, lam=1.3, l=2)
     r = np.geomspace(0.1, 10.0, 120)
-    a = dirac.odd_potential(fam, r)
-    b = dirac.odd_potential_nu_form(fam, r)
+    a = odd_potential(fam, r)
+    b = odd_potential_nu_form(fam, r)
     assert np.max(np.abs(a - b) / np.abs(a)) < 1e-12
 
 
@@ -38,23 +66,23 @@ def test_beta_nu_exponent_map():
 
 
 def test_correspondence_branches():
-    c = dirac.correspondence(0.5, 1)
+    c = dirac.DiracFamily(0.5, l=1)
     assert (c.nu, c.kappa, c.n) == (pytest.approx(1.5), -2, pytest.approx(0.0, abs=1e-12))
-    c = dirac.correspondence(-0.5, 1)
+    c = dirac.DiracFamily(-0.5, l=1)
     assert (c.nu, c.kappa, c.n) == (pytest.approx(-2.5), 1, pytest.approx(0.0, abs=1e-12))
 
 
 @pytest.mark.parametrize("beta,l", [(0.5, 0), (3.0, 2), (-0.5, 1), (-3.0, 0)])
 def test_index_always_zero(beta, l):
     # n is derived from the r^(beta-2) coefficient, so it is zero to rounding
-    assert abs(dirac.correspondence(beta, l).n) < 1e-12
+    assert abs(dirac.DiracFamily(beta, l=l).n) < 1e-12
 
 
 def test_correspondence_detector_fires(monkeypatch):
     # on the other branch's kappa (l instead of -l-1 at beta > 0) the index
     # the map derives is -6, far outside the verify row's |n| < 1e-12
     monkeypatch.setattr(dirac.DiracFamily, "kappa", property(lambda self: self.l))
-    assert dirac.correspondence(0.5, 1).n == pytest.approx(-6.0, abs=1e-12)
+    assert dirac.DiracFamily(0.5, l=1).n == pytest.approx(-6.0, abs=1e-12)
 
 
 def test_spinor_norm_matches_constant():
@@ -66,8 +94,9 @@ def test_spinor_norm_matches_constant():
 @pytest.mark.filterwarnings("error")
 def test_unnormalizable_branch_flagged():
     # kappa = 0 is in the domain: the notes flag it, and no warning is raised
-    sol = dirac.upper_spinor(dirac.DiracFamily(beta=-1.0, lam=1.0, l=0))
-    assert not sol.normalized and sol.c_l is None
+    fam = dirac.DiracFamily(beta=-1.0, lam=1.0, l=0)
+    sol = dirac.upper_spinor(fam)
+    assert not sol.normalized and fam.log_c_l is None
     assert any("kappa = 0" in note for note in sol.notes)
 
 
@@ -75,8 +104,8 @@ def test_spinor_log_form():
     fam = dirac.DiracFamily(beta=0.5, lam=1.2, l=1)
     sol = dirac.upper_spinor(fam)
     r = np.geomspace(0.3, 30.0, 30)
-    lhs = np.log(sol.phi.value(r))
-    rhs = (math.log(sol.c_l) - fam.kappa * np.log(fam.lam ** (2.0 / fam.beta) * r)
+    lhs = np.log(sol.value(r))
+    rhs = (fam.log_c_l - fam.kappa * np.log(fam.lam ** (2.0 / fam.beta) * r)
            - 0.5 * fam.lam**2 * r**fam.beta)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -121,7 +150,7 @@ def test_residual_detector_fires():
     # kappa = -l-1, so the l = 0 family carries kappa + 1 of the l = 1 one
     fam = dirac.DiracFamily(beta=0.5, lam=1.0, l=1)
     shifted = dirac.DiracFamily(beta=0.5, lam=1.0, l=0)
-    phi = dirac.upper_spinor(fam).phi
+    phi = dirac.upper_spinor(fam)
     k = shifted.kappa
     assert phi.residual([(k * (k + 1.0), 0.0),
                          *dirac.bracket_monomials(shifted)]).max_residual > 1e-2
@@ -136,24 +165,20 @@ def test_operator_and_reduced_potential_agree():
 
 
 def test_lower_component_vanishes():
-    fam = dirac.DiracFamily(beta=0.5, lam=1.0, l=0, alpha_fs=1.0)
-    sol = dirac.upper_spinor(fam)
-    assert dirac.lower_component(fam, sol, 1.0) == pytest.approx(0.0, abs=1e-14)
+    fam = dirac.DiracFamily(beta=0.5, lam=1.0, l=0)
+    assert lower_component(fam, 1.0) == pytest.approx(0.0, abs=1e-14)
     assert dirac.lower_component_relative(fam) < 1e-12
 
 
-def test_lower_component_detector_fires(monkeypatch):
+def test_lower_component_detector_fires():
     # doubling W breaks the cancellation
-    fam = dirac.DiracFamily(beta=0.5, lam=1.0, l=0, alpha_fs=1.0)
-    sol = dirac.upper_spinor(fam)
-    odd_potential = dirac.odd_potential
-    monkeypatch.setattr(dirac, "odd_potential", lambda f, r: 2.0 * odd_potential(f, r))
-    assert abs(dirac.lower_component(fam, sol, 1.0)) > 1e-3
+    fam = dirac.DiracFamily(beta=0.5, lam=1.0, l=0)
+    assert abs(lower_component(fam, 1.0, w=lambda f, r: 2.0 * odd_potential(f, r))) > 1e-3
 
 
 def test_odd_potential_independent_of_l():
     r = np.geomspace(0.1, 50.0, 80)
-    w = [dirac.odd_potential(dirac.DiracFamily(beta=0.5, lam=1.3, l=l), r)
+    w = [odd_potential(dirac.DiracFamily(beta=0.5, lam=1.3, l=l), r)
          for l in (0, 1, 2, 5)]
     for other in w[1:]:
         assert np.array_equal(w[0], other)
@@ -165,9 +190,9 @@ def test_bridge_to_nonrelativistic_family():
     fam = dirac.DiracFamily(beta=0.5, lam=1.1, l=1)
     pw = pl.PowerLawFamily(mu=fam.nu, lam=fam.lam, l=fam.l, n=0)
     r = np.geomspace(0.5, 100.0, 150)
-    assert np.max(np.abs(dirac.reduced_potential(fam, r) - pl.potential_eval(pw, r))
+    assert np.max(np.abs(reduced_potential(fam, r) - pl.potential_eval(pw, r))
                   / np.abs(pl.potential_eval(pw, r))) < 1e-12
-    ratio = dirac.upper_spinor(fam).phi.value(r) / pl.wavefunction(pw).value(r)
+    ratio = dirac.upper_spinor(fam).value(r) / pl.wavefunction(pw).value(r)
     assert ratio.std() / abs(ratio.mean()) < 1e-10
     assert fam.kappa * (fam.kappa + 1) == fam.l * (fam.l + 1)
 
@@ -177,8 +202,7 @@ def test_log_form_constant_where_gamma_overflows(beta, lam, l):
     # C_l = lam^(1/beta) sqrt(|beta| / Gamma((1 - 2 kappa)/beta)); at (0.05, 3, 5)
     # the Gamma argument is 260 and Gamma alone overflows a float
     fam = dirac.DiracFamily(beta=beta, lam=lam, l=l)
-    sol = dirac.upper_spinor(fam)
     arg = (1.0 - 2.0 * fam.kappa) / beta
     log_c = math.log(lam) / beta + 0.5 * (math.log(abs(beta)) - math.lgamma(arg))
-    assert 0.0 < sol.c_l and math.log(sol.c_l) == pytest.approx(log_c, rel=1e-13)
+    assert 0.0 < math.exp(fam.log_c_l) and fam.log_c_l == pytest.approx(log_c, rel=1e-13)
     assert dirac.residual_33(fam).max_residual < 1e-8

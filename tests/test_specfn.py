@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from zepl import specfn
+from zepl import dirac, halfline, oscillator, powerlaw, specfn
 from zepl.specfn import laguerre, laguerre_pair
 
 
@@ -92,6 +92,22 @@ def test_pair_refuses_what_laguerre_refuses(n, x):
     for f in (laguerre, laguerre_pair):
         with pytest.raises(ValueError):
             f(n, 0.0, x)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: powerlaw.PowerLawFamily(1.5, l=True),
+    lambda: powerlaw.PowerLawFamily(1.5, n=True),
+    lambda: dirac.DiracFamily(0.5, l=True),
+    lambda: halfline.HalfLineProblem(1, n=True),
+    lambda: halfline.HalfLineProblem(True),
+    lambda: oscillator.OscillatorState(0.0, True),
+], ids=["powerlaw-l", "powerlaw-n", "dirac-l", "halfline-n", "halfline-N",
+        "oscillator-n"])
+def test_every_index_refuses_a_bool(make):
+    # True is an int to isinstance, so these took it as 1; the Laguerre degree,
+    # refused above, goes through the same check
+    with pytest.raises(ValueError, match="got True"):
+        make()
 
 
 @pytest.mark.parametrize("n", [0, 2])
