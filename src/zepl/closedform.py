@@ -12,7 +12,11 @@ formed in logs, as exp(log amplitude + power log r - w/2) times L(w), and
 its derivatives are stated once, in Euler form r^j d^j/dr^j, as functions of
 w.  One recurrence gives L = L_n^a(w) and L_(n-1)^a(w), and Laguerre's own
 identities give the rest: w L' = n L_n - (n+a) L_(n-1), and Laguerre's
-equation w L'' = -(a+1-w) L' - n L.  Every equation a solution solves
+equation w L'' = -(a+1-w) L' - n L.  With p = power, k = shape and
+rg = p - k w/2, that equation collapses the cross term of psi'' to
+g r L_r - k^2 n w L, g = 2p - k a - 1, which is 0 for the paper's choice of
+prefactor and order: r^2 psi''/E = (rg^2 - (rg + k^2 (n + 1/2) w)) L + g r L_r
+(``euler``).  Every equation a solution solves
 is, times r^2, a sum of powers c r^e, so the residual is checked in w and
 log r without finite differences or radii.  The squared norm is a
 Laguerre-weight integral of L^2, a finite sum of positive terms by Laguerre's
@@ -66,19 +70,45 @@ class ClosedFormSolution:
 
     def euler(self, w, derivs: bool):
         """[L, r psi'/E, r^2 psi''/E] at w, psi = E L(w): functions of w alone.
-        With g = d log E/dr, r g = power - shape w/2 and
-        r^2 g' = -power - shape (shape-1) w/2; r L_r = shape w L' and
-        r^2 L_rr = shape^2 w^2 L'' + shape (shape-1) w L'.  From one
-        recurrence's L_n and L_(n-1): w L' = n L_n - (n+a) L_(n-1), and
-        Laguerre's equation w L'' = -(a+1-w) L' - n L_n.  On a stack, w is
-        (m, num) against the (m, 1) fields."""
+        With p = power, k = shape, a = order, h = L_n^a(w) and
+        h1 = L_(n-1)^a(w) from one recurrence, rg = r E'/E = p - k w/2 and
+        d1 = r L_r = k w L' = k (n h - (n+a) h1) (DLMF 18.9.14), so
+        r psi'/E = rg h + d1.  Laguerre's equation turns r^2 L_rr plus the
+        cross term 2 rg d1 into g d1 - k^2 n w h, g = 2p - k a - 1, so
+            r^2 psi''/E = (rg^2 - p - (k(k-1)/2 + k^2 n) w) h + g d1
+                        = (rg^2 - (rg + k^2 (n + 1/2) w)) h + g d1.
+        The paper's solutions have g = 0 (p = l+1, k a = 2l+1 for k > 0;
+        p = -l, k a = -(2l+1) for k < 0), so the two large terms that cancel
+        to g d1 are never formed; g d1 is kept, since other fields are
+        allowed.  The bracket is taken in its second form, which forms no
+        difference of p and k w/2: at small k those cancel where psi peaks,
+        and the first form read 1.1e-12 relative at (mu, l) = (1e5, 60).
+        After the recurrence every step writes into h1 or one of three
+        buffers.  On a stack, w is (m, num) against the (m, 1) fields; at a
+        scalar w the terms are 0-d."""
         n, a, p, k = self.degree, self.order, self.power, self.shape
         if not derivs:
             return [laguerre(n, a, w)]
-        h, h1 = laguerre_pair(n, a, w)
-        rg, d1 = p - 0.5 * k * w, k * (n * h - (n + a) * h1)
-        d2 = (k - 1.0) * d1 - k * ((a + 1.0 - w) * d1 + k * n * w * h)
-        return [h, rg * h + d1, (rg * rg - p - 0.5 * k * (k - 1.0) * w) * h + 2.0 * rg * d1 + d2]
+        shape = np.broadcast(w, a, p, k).shape  # w's own, except on a stack over l alone
+        if np.shape(w) != shape:
+            w = np.broadcast_to(w, shape)
+        h, h1 = map(np.asarray, laguerre_pair(n, a, w))  # fresh, 0-d at a scalar w
+        rg = np.multiply(w, -0.5 * k, out=np.empty(shape))
+        rg += p
+        d1 = np.multiply(h, n, out=np.empty(shape))
+        h1 *= n + a
+        d1 -= h1
+        d1 *= k
+        first = np.multiply(rg, h, out=h1)  # h1 is spent
+        first += d1
+        d1 *= 2.0 * p - k * a - 1.0  # g d1
+        t = np.multiply(w, k * k * (n + 0.5))
+        t += rg
+        second = np.multiply(rg, rg, out=rg)  # rg is spent
+        second -= t
+        second *= h
+        second += d1
+        return [h, first, second]
 
     def _terms(self, r, derivs: bool = True):
         """[psi, psi', psi''], or [psi] alone (floats at a scalar r).  An r whose
@@ -86,9 +116,9 @@ class ClosedFormSolution:
         blocks of that axis.  The outputs are allocated once, at the shape r
         broadcasts to against the float fields, and each block writes its
         products straight into their slices, with no per-block product or copy.
-        In one pass over a 1e5-point grid each of the ~16 temporaries is
-        800 KB, 12.8 MB in all, far past a 2 MB L2 cache; at 16384 points they
-        take 2.1 MB and the recurrence's three buffers far less.  Of 4096,
+        In one pass over a 1e5-point grid each array is 800 KB, and the peak
+        holds 8 of them (it held ~16 when the block size was chosen), far past
+        a 2 MB L2 cache; at 16384 points they take 1 MB.  Of 4096,
         8192, 16384 and 32768 points, 16384 was fastest on a Xeon with 2 MB of
         L2 per core, with the recurrence in place as well as before it:
         smaller blocks pay numpy's per-call cost more often.  Every step is

@@ -26,6 +26,7 @@ set).
 
 from __future__ import annotations
 
+import importlib
 import math
 import sys
 import warnings
@@ -33,9 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import ODEintWarning, odeint
-# not called here: perfbench/tracing.py wraps oracle.solve_ivp by name
-from scipy.integrate import solve_ivp  # noqa: F401
 
 __all__ = [
     "QuadResult",
@@ -50,6 +48,23 @@ __all__ = [
     "build_halfline_ode",
     "coupling_mismatch",
 ]
+
+# loaded from scipy.integrate on first use, so that importing zepl takes numpy
+# alone; solve_ivp is not called here, but perfbench/tracing.py wraps it by name
+_SCIPY_NAMES = ("odeint", "ODEintWarning", "solve_ivp")
+
+
+def __getattr__(name: str):
+    """The scipy.integrate names above, imported at the first read of one of
+    them (PEP 562) and stored in the module's globals, where later reads and
+    monkeypatching find them.  A name already set there is kept."""
+    if name not in _SCIPY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    integrate = importlib.import_module("scipy.integrate")
+    for lazy in _SCIPY_NAMES:
+        globals().setdefault(lazy, getattr(integrate, lazy))
+    return globals()[name]
+
 
 _T_CAP = 704.0  # exp() stays finite
 _SCAN = np.linspace(-_T_CAP, _T_CAP, 2817)  # step 0.5 in sigma
@@ -216,6 +231,7 @@ def integrate_radial(ode: RadialODE, coupling: float | tuple[float, ...],
     else:
         t_from, start_slope = t_outer, ode.outer_slope
     theta0 = [math.atan2(scale, start_slope(t_from, c)) % math.pi for c in (c1, c2)]
+    odeint = globals().get("odeint") or __getattr__("odeint")  # also loads ODEintWarning
 
     terms, sin, cos, inv = ode.terms, math.sin, math.cos, 1.0 / scale
     dtheta = np.empty(2)

@@ -133,11 +133,16 @@ class PotentialTerms:
             raise ValueError("both term coefficients must be positive")
 
     def value(self, r):
-        """c1 r^p1 - c2 r^p2, or the larger term's inf where that is not finite."""
+        """c1 r^p1 - c2 r^p2, or the larger term's inf where that is not finite:
+        formed in one output with one spare buffer."""
         r, c1, c2 = positive_radii(r), self.repulsive_coeff, self.attractive_coeff
         p1, p2 = self.repulsive_exponent, self.attractive_exponent
         with np.errstate(over="ignore", invalid="ignore"):
-            v = c1 * r**p1 - c2 * r**p2
+            v = r**p1
+            v *= c1
+            spare = r**p2
+            spare *= c2
+            v -= spare
         return _dominant_beyond_floats(v, r, ((c1, p1), (-c2, p2)))
 
     def scaled(self, coupling_scale: float) -> "PotentialTerms":
@@ -189,12 +194,17 @@ def potential_eval(family: PowerLawFamily, r):
 def effective_potential_eval(family: PowerLawFamily, r, coupling_scale: float = 1.0):
     """Centrifugal term plus twice the potential: the coefficient of psi in
     psi'' = [l(l+1)/r^2 + 2 V(r)] psi at zero energy, or the largest term's
-    inf where that is not finite; at l = 0 the centrifugal term is exactly 0."""
+    inf where that is not finite; at l = 0 the centrifugal term is exactly 0.
+    Formed in the potential's output with one spare buffer."""
     r = positive_radii(r)
     t = map_parameters(family).terms.scaled(coupling_scale)
     ll = family.l * (family.l + 1.0)
+    v = np.asarray(t.value(r))  # its own output, 0-d at a scalar r
     with np.errstate(all="ignore"):
-        v = (ll / r**2 if ll else 0.0) + 2.0 * t.value(r)
+        v *= 2.0
+        if ll:
+            spare = np.square(r, out=np.empty(r.shape))
+            v += np.divide(ll, spare, out=spare)
     return _dominant_beyond_floats(v, r, ((ll, -2.0),
                                           (2.0 * t.repulsive_coeff, t.repulsive_exponent),
                                           (-2.0 * t.attractive_coeff, t.attractive_exponent)))
@@ -363,6 +373,7 @@ def bound_condition(family: PowerLawFamily, coupling_scale: float = 1.0) -> Boun
 class Well:
     found_negative_minimum: bool
     r_min: float | None
+    log_r_min: float | None  # finite wherever a well is found, also where r_min is None
     v_min: float | None
     barrier_reaches_positive: bool | None
 
@@ -394,14 +405,15 @@ def _well(terms: PotentialTerms, l: int, k: float) -> Well:
     exactly when that quadratic does, B^2 > 2A l(l+1), and then the well is
     the stationary point, a root of A p1 t^2 - B p2 t - l(l+1) = 0, where the
     quadratic is negative; the other root is the positive barrier beyond it.
-    The well is formed in logs: r_min is None where |log r| >= 709 (r would
-    overflow or underflow), v_min is -inf where its magnitude overflows.
+    The well is formed in logs: log_r_min is its log r, and r_min is None
+    where |log r| >= 709 (r would overflow or underflow); v_min is -inf where
+    its magnitude overflows.
     """
     a, p1 = terms.repulsive_coeff, terms.repulsive_exponent
     b, p2 = terms.attractive_coeff, terms.attractive_exponent
     c = l * (l + 1)
     if not b * b > 2.0 * a * c:
-        return Well(False, None, None, None)
+        return Well(False, None, None, None, None)
     # p1, p2 < 0 here, so both roots are positive; stable quadratic formula
     q = 0.5 * (-b * p2 + math.sqrt((b * p2) ** 2 + 4.0 * a * p1 * c))
     # at a stationary point r^2 V_eff = (k/2) t d(r^2 V_eff)/dt = k t (2A t - B),
@@ -409,7 +421,7 @@ def _well(terms: PotentialTerms, l: int, k: float) -> Well:
     r2v, t = min((k * t * (2.0 * a * t - b), t) for t in (-q / (a * p1), c / q))
     log_r = math.log(t) / k
     log_v = math.log(-r2v) - 2.0 * log_r
-    return Well(True, math.exp(log_r) if abs(log_r) < 709.0 else None,
+    return Well(True, math.exp(log_r) if abs(log_r) < 709.0 else None, log_r,
                 -math.exp(log_v) if log_v < 709.0 else -math.inf, True)
 
 

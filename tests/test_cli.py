@@ -4,7 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -31,6 +34,16 @@ def run_csv(capsys, argv):
     code = cli.main(argv)
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     return code, rows
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # the oracle imports scipy.integrate at its first sweep, so a command that
+    # does not shoot starts on numpy alone; a fresh interpreter shows it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, zepl.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_degeneracy_example(capsys, schema):
@@ -386,6 +399,8 @@ def test_classify_reports_a_well_at_mu_beyond_4e15(capsys, schema, mu, l):
     code, doc = run_json(capsys, ["classify", "--mu", mu, "--l", l])
     well = doc["results"]["well"]
     assert code == 0 and well["found_negative_minimum"] and well["r_min"] is None
+    # r_min is past the floats, and its log is reported in its place
+    assert math.isfinite(well["log_r_min"]) and abs(well["log_r_min"]) >= 709.0
     jsonschema.validate(doc, schema)
 
 

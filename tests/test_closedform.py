@@ -35,27 +35,43 @@ def test_derivatives_match_finite_differences(params):
     assert np.allclose(sol.deriv2(r), d2_fd, rtol=1e-3, atol=1e-3 * scale)
 
 
+def laguerre_longdouble(n, a, x):
+    """L_n^a(x) by the classical three-term recurrence in np.longdouble."""
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    for j in range(1, n + 1):
+        prev, cur = cur, ((2 * j - 1 + a - x) * cur - (j - 1 + a) * prev) / j
+    return cur
+
+
 def test_derivatives_from_one_recurrence_match_the_three_recurrence_forms():
     # euler takes psi' and psi'' from L_n and L_(n-1) through w L' = n L_n -
     # (n+a) L_(n-1) and Laguerre's equation; the reference takes them from
-    # L' = -L_(n-1)^(a+1) and L'' = L_(n-2)^(a+2), two more recurrences.  Each
-    # term is weighted by E over its peak, as residual() weights it.
+    # L' = -L_(n-1)^(a+1) and L'' = L_(n-2)^(a+2), two more recurrences, in
+    # np.longdouble (64-bit mantissa on x86) on the solution's own float
+    # fields and grid; a float64 reference was itself off by 9.7e-13 at
+    # (1e5, 60, 0).  Each term is weighted by E over its peak, as residual()
+    # weights it.
     worst = 0.0
     for mu, l, n, lam in itertools.product([-1e5, 1e5, -0.5001, -0.49999, -2.5, 1.5],
                                            [0, 60], [0, 1, 2, 40], [1e-3, 30.0]):
         sol = zero_energy_solution(1.0 / (mu + 0.5), lam, l, n)
-        a, p, k = sol.order, sol.power, sol.shape
         w = sol.w_grid(400)
-        log_env = p * (np.log(w) - math.log(sol.rate)) / k - 0.5 * w
+        log_env = sol.power * (np.log(w) - math.log(sol.rate)) / sol.shape - 0.5 * w
         weight = np.exp(log_env - log_env.max())
-        h = laguerre(n, a, w)
-        rg, d1 = p - 0.5 * k * w, k * w * (-laguerre(n - 1, a + 1.0, w) if n else 0.0)
-        d2 = (k - 1.0) * d1 + (k * k * w * w * laguerre(n - 2, a + 2.0, w) if n > 1 else 0.0)
-        ref = [rg * h + d1, (rg * rg - p - 0.5 * k * (k - 1.0) * w) * h + 2.0 * rg * d1 + d2]
+        a, p, k = (np.longdouble(v) for v in (sol.order, sol.power, sol.shape))
+        x = w.astype(np.longdouble)
+        h = laguerre_longdouble(n, a, x)
+        rg = p - k * x / 2
+        d1 = -k * x * laguerre_longdouble(n - 1, a + 1, x) if n else 0 * x
+        d2 = (k - 1) * d1 + (k * k * x * x * laguerre_longdouble(n - 2, a + 2, x) if n > 1 else 0)
+        ref = [rg * h + d1, (rg * rg - p - k * (k - 1) * x / 2) * h + 2 * rg * d1 + d2]
         for got, want in zip(sol.euler(w, derivs=True)[1:], ref):
+            want = want.astype(float)
             err = np.abs(weight * (got - want)).max() / np.abs(weight * want).max()
             worst = max(worst, err)
-    assert worst < 1e-12  # 1.0e-13 measured, at (-2.5, 0, 40)
+    # 8.2e-13 measured, psi'' at (1e5, 60, 2), where psi' reads 7.0e-13; the
+    # first bracket of psi'' as rg^2 - p - (k(k-1)/2 + k^2 n) w read 1.1e-12
+    assert worst < 1e-12
 
 
 def test_positive_domain_enforced():
@@ -433,6 +449,17 @@ def test_a_scalar_radius_still_gives_floats(monkeypatch):
     assert_bit_for_bit(whole, blocked)
 
 
+@pytest.mark.parametrize("n", [0, 3])
+def test_a_stack_over_l_alone_gives_each_members_terms(n):
+    # rate and shape are scalars, so w = rate r^shape is one row against the
+    # (3, 1) power and order; euler broadcasts it to the stack's shape
+    r = np.geomspace(0.05, 6.0, 50)
+    stack = zero_energy_solution(2.0, 1.1, np.array([[0.0], [1.0], [3.0]]), n)._terms(r)
+    for i, l in enumerate([0, 1, 3]):
+        for got, want in zip(stack, zero_energy_solution(2.0, 1.1, l, n)._terms(r)):
+            assert got.shape == (3, r.size) and np.array_equal(got[i], want)
+
+
 def test_blocks_of_a_stack_equal_one_pass_bit_for_bit(monkeypatch):
     # cut as 3 blocks of _BLOCK and one of 17 points, the last block took
     # numpy's SIMD power on the (3, 1) shapes: one value a last bit off
@@ -470,9 +497,10 @@ def test_a_radius_in_the_last_block_that_is_not_positive_is_refused(monkeypatch,
 def test_deriv2_on_1e5_points_keeps_no_whole_grid_temporaries():
     # one pass held ~16 temporaries of 800 KB at once: a 9.6 MB peak.  Blocked,
     # the peak is the three 800 KB outputs plus one block's temporaries,
-    # 3.66 MB measured with the products written into the outputs and the
-    # recurrence in place (4.23 MB before); a margin of 0.5 MB, less than one
-    # more 800 KB array
+    # 3.20 MB measured with the products written into the outputs, the
+    # recurrence in place and euler's algebra in three buffers (3.66 MB with
+    # euler's ~12 temporaries, 4.23 MB with the recurrence's too); a margin of
+    # 0.5 MB, less than one more 800 KB array
     sol = zero_energy_solution(0.8, 1.3, 2, 30).to_unit_norm()
     r = np.geomspace(1e-3, 80.0, 100_000)
     tracemalloc.start()
@@ -481,4 +509,4 @@ def test_deriv2_on_1e5_points_keeps_no_whole_grid_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.16e6
+    assert peak < 3.70e6

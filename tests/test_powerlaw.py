@@ -292,6 +292,15 @@ def test_stacked_pass_is_the_one_family_check_bit_for_bit(check, maxima):
     assert maxima(fams[::-1]).tolist() == one_by_one[::-1]
 
 
+def test_the_matrix_residual_is_below_1e_13():
+    # 2.4e-14 measured over the 315 families, at (5/2, 0.7, 0, 0); r^2 psi''/E
+    # formed with the cross term 2 rg d1 + d2, whose two large parts cancel
+    # to g d1, read 1.9e-13 at (1/6, 1, 0, 3)
+    from zepl.verify import _families
+
+    assert pl.schrodinger_residual_maxima(list(_families())).max() < 1e-13
+
+
 @pytest.mark.parametrize("suite", ["zero_energy", "pct_identity"])
 @pytest.mark.parametrize("index", [0, 137, 314])
 def test_stacked_pass_fails_at_exactly_the_perturbed_family(monkeypatch, suite, index):
@@ -512,6 +521,7 @@ def test_classify_reports_a_well_beyond_float_range_in_t():
     rep = pl.classify(pl.PowerLawFamily(mu=50, lam=1e-3, l=60, n=40))
     assert rep.bounded and rep.normalizable
     assert rep.well.r_min is None and rep.well.v_min == 0.0
+    assert rep.well.log_r_min == pytest.approx(1130.0, abs=1.0)
 
 
 def test_turning_scale_takes_k_exactly():
@@ -555,6 +565,7 @@ def test_analytic_well_matches_a_numerical_scan(mu, lam, l, n, scale):
     i = int(np.argmin(v))
     assert 0 < i < r.size - 1
     assert abs(np.log(r[i] / well.r_min) * k) < 1e-4
+    assert well.log_r_min == pytest.approx(math.log(well.r_min), rel=1e-15, abs=1e-15)
     assert v[i] == pytest.approx(well.v_min, rel=1e-7)
     assert np.any(v[i:] > 0)
 
