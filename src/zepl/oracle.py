@@ -16,12 +16,12 @@ which Langer-WKB is exact, so the estimate is the quantized level to rounding;
 yet the level reported is always the shooting root, the secant root of the
 phase across that pair, read to lsoda's noise floor and not certified below it
 (an estimate moved 1e-6 off gives the same levels).  That floor is about 1e-10
-relative over the whole domain: at lam = 1 and two levels, at most 1.05e-10 at
-l <= 1 and mu = +-1e5, +-1e4, -50, -5/2, -0.6, 1/4, 3/2 and 50 (4.6e-11 but at
-mu = -0.6, l = 0), and at most 2.7e-10 at l <= 2 and mu from -0.4 to -0.49999
-and from -0.500005 to -0.51.  Levels up to the 20th, the most one search
-shoots, stay within these floors on the same families (1.6e-10 on the first
-set).
+relative over the whole domain: at lam = 1 and two levels, at most 2.5e-11 at
+l <= 1 and mu = +-1e5, +-1e4, -50, -5/2, -0.6, 1/4, 3/2 and 50, and at most
+4.1e-11 at l <= 2 and mu from -0.4 to -0.499995 and from -0.500005 to -0.51;
+at three levels, at most 1.5e-10 over mu from -1e5 to 1e5 and l in {0, 1, 2,
+20} (at mu = 1e5, l = 20).  Levels up to the 20th, the most one search shoots,
+stay within 5.2e-11 on the first two sets.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ _LOG3 = math.log(3.0)
 # lsoda's step budget for one sweep.  The longest sweep of the tests, `zepl
 # verify --all` and perfbench's oracle_sweep takes 5143 steps (a pair at
 # (1e7, 1, 10)), but for the tests' sweeps 2.5x and 3x past level 0 of
-# (-50, 1, 2), near levels 186 and 248, which take up to 17 388 (odeint's
+# (-50, 1, 2), near levels 186 and 248, which take up to 17 573 (odeint's
 # default budget is 500).  A sweep that needs more than this has lost the
 # problem, say to a huge r^2 q, and raises instead of running on.
 _MAX_STEPS = 20_000
@@ -83,6 +83,9 @@ _MAX_COUNT = 20
 # pairs of sweeps per level: 1 on the probe path, 5 where the phase is steep at
 # (1e7, 1, 10), and up to 13 from the tests' guesses off by a factor
 _MAX_PAIRS = 40
+# the largest N the half line shoots at every count: the 20th level of
+# N = 1.5e101 is not read within _MAX_PAIRS pairs, nor level 0 of 5e101
+_N_REACH = 10**101
 
 
 @dataclass(frozen=True)
@@ -279,13 +282,22 @@ def _two_term_ode(k: float, a: float, b: float, l: int) -> RadialODE:
     """u'' = q u with r^2 q = l(l+1) + x (a x - b c), x = r^k, a, b > 0 and
     the shooting parameter c > 0: the power-law family's radial problem.
 
-    The end where x -> 0 is a regular singular point: there the sweep starts
-    on the bare power (r^(l+1) at the origin for k > 0, r^(-l) at infinity
-    for k < 0) at x = 1e-12/(1 + b c), where both potential terms are below
-    1e-12, negligible in the Euler-scaled equations, and the regular
-    solution has no zero beyond the start.  The other end starts on WKB decay at
-    x = max(36|k|/sqrt(a), 6 b c/a), which gives both a ~36 decay budget and
-    clear dominance of the repulsive term.  The sides match at the bottom of
+    The end where x -> 0 is a regular singular point, and the sweep starts
+    there on the Frobenius series of the stated pencil (Pryce 1993; SLEIGN2
+    starts a regular singular end the same way): u = r^s sum alpha_j x^j with
+    s = l+1 (the origin, k > 0) or -l (infinity, k < 0), alpha_0 = 1 and
+    D_j alpha_j = a alpha_(j-2) - b c alpha_(j-1), D_j = |k| j (2l+1 + |k| j)
+    > 0, at x = 0.3 min(1, |k|)^4/(1 + b c/D_1 + sqrt(a/D_1)).  There every
+    correction alpha_j x^j is at most about 0.3, so the regular solution has
+    no zero beyond the start, and the sweep skips the decades of x where
+    nothing happens.  The factor min(1, |k|)^4 keeps the start as flat in t
+    as the bare power r^s at x = 1e-12 was where |k| is small: over the long
+    stretch of t that a small |k| makes, an angle that drifts from the start
+    can hold lsoda in its nonstiff method on steps bounded by stability until
+    it runs out of them (35 of 3000 families with |mu| from 100 to 1e5 at a
+    start of 1e-2/(...), none with the factor).  The other end starts on WKB
+    decay at x = max(36|k|/sqrt(a), 6 b c/a), which gives both a ~36 decay
+    budget and clear dominance of the repulsive term.  The sides match at the bottom of
     r^2 q, x = b c/(2a), kept log 3 in log x above the regular start.  The
     angle's scale S = max(1, |k|, sqrt(-r^2 q at the match)) is the
     wavenumber at the bottom of the well, where most of the oscillation
@@ -295,15 +307,30 @@ def _two_term_ode(k: float, a: float, b: float, l: int) -> RadialODE:
     (Langer 1937), are closed forms; in x the problem is the 3D oscillator,
     for which that estimate is exact."""
     ll = l * (l + 1.0)
+    kk, s = abs(float(k)), (l + 1.0 if k > 0 else -float(l))
+    d1 = kk * (2 * l + 1 + kk)
 
     def terms(t):
         x = math.exp(k * t)
         return ll + a * x * x, b * x
 
+    def frobenius_slope(t, c):
+        # r u'/u of the series, s + k sum j tau_j / sum tau_j, tau_j = alpha_j x^j
+        # summed until two terms in a row are below 1e-17 of the sum
+        x = math.exp(k * t)
+        older, last, total, moment, j = 0.0, 1.0, 1.0, 0.0, 0
+        while abs(older) + abs(last) > 1e-17 * abs(total):
+            j += 1
+            d_j = kk * j * (2 * l + 1 + kk * j)
+            older, last = last, (a * x * older - b * c * last) * x / d_j
+            total, moment = total + last, moment + j * last
+        return s + k * moment / total
+
     def ends(c):
         # in log x: the regular start, the bottom of r^2 q at b c/(2 a), kept
         # log 3 above that start, and the WKB start, at least 12x the bottom
-        log_regular = math.log(1e-12 / (1.0 + b * abs(c)))
+        log_regular = math.log(0.3 * min(1.0, kk) ** 4
+                               / (1.0 + b * abs(c) / d1 + math.sqrt(a / d1)))
         log_match = max(math.log(b * c / (2.0 * a)), log_regular + _LOG3)
         log_wkb = math.log(max(36.0 * abs(k) / math.sqrt(a), 6.0 * b * c / a))
         t_ends = (log_regular / k, log_match / k, log_wkb / k)
@@ -326,8 +353,8 @@ def _two_term_ode(k: float, a: float, b: float, l: int) -> RadialODE:
         return slope
 
     if k > 0:
-        return RadialODE(terms, ends, lambda t, c: l + 1.0, wkb_slope(-1.0), guess)
-    return RadialODE(terms, ends, wkb_slope(+1.0), lambda t, c: -float(l), guess)
+        return RadialODE(terms, ends, frobenius_slope, wkb_slope(-1.0), guess)
+    return RadialODE(terms, ends, wkb_slope(+1.0), frobenius_slope, guess)
 
 
 def build_powerlaw_ode(mu: float, lam: float, l: int) -> RadialODE:
@@ -449,7 +476,11 @@ def build_halfline_ode(n_power: int) -> RadialODE:
 
 def shoot_energy_bender(n_power: int, count: int = 2) -> ShootingResult:
     """Recover the first ``count`` quantized E values of the half-line
-    monomial-potential problem from the phase of the matched solution."""
+    monomial-potential problem from the phase of the matched solution.  An
+    N beyond 10**101, the measured reach of shooting, is refused before any
+    sweep."""
     if not 1 <= count <= _MAX_COUNT:
         raise ValueError(f"count must lie in 1..{_MAX_COUNT}, got {count}")
+    if n_power > _N_REACH:
+        raise ValueError(f"N = {n_power} lies beyond the reach of shooting, N <= 10**101")
     return _shoot(build_halfline_ode(n_power), count)

@@ -195,10 +195,24 @@ def test_a_pair_sweeps_as_its_couplings_do_alone(mu, lam, l, direction):
 
 
 def test_a_sweep_that_meets_an_infinite_angle_raises():
-    # math.sin of the angle raised "ValueError: math domain error" from the
+    # r^2 q = -inf from log r = -3 on turns the angle infinite inside lsoda,
+    # where math.sin of it raised "ValueError: math domain error" from the
     # right-hand side
+    ode = dataclasses.replace(_constant_ode(0.0),
+                              terms=lambda t: (-math.inf if t > -3.0 else 0.0, 0.0))
     with pytest.raises(RuntimeError, match=r"non-finite angle \(math domain error\)"):
-        oracle.shoot_energy_bender(10**110, 1)
+        oracle.integrate_radial(ode, 0.0, "outward")
+
+
+@pytest.mark.filterwarnings("error")
+def test_energy_mode_refuses_n_beyond_its_reach():
+    # N = 10**110 ran into an infinite angle, and 10**102 to 10**108 spent 40
+    # pairs of sweeps on level 0; 10**101 shoots at every count up to 20
+    for n_power in (10**101 + 1, 10**110):
+        with pytest.raises(ValueError, match=rf"N = {n_power} lies beyond the reach"):
+            oracle.shoot_energy_bender(n_power, 1)
+    res = oracle.shoot_energy_bender(10**101, 1)
+    assert res.values[0] == pytest.approx(10**101 + 3, rel=1e-9) and res.node_counts == [0]
 
 
 def test_a_pair_that_cannot_finish_raises_as_one_sweep_does():
@@ -280,6 +294,69 @@ def test_shoot_energy_at_any_n(n_power):
     for got, want in zip(res.values, expected, strict=True):
         assert got == pytest.approx(want, rel=1e-9)
     assert res.node_counts == [0, 1, 2, 3]
+
+
+# --- the regular start ----------------------------------------------------------
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu, l", [(mu, l) for mu in (-1e5, -50.0, -2.5, -0.75, -0.5001, 0.25,
+                                                      1.5, 1e5) for l in (0, 2, 20)]
+                         + [(None, n_power) for n_power in (-1, 0, 3)])
+def test_the_frobenius_start_states_the_ode(mu, l):
+    # the regular end starts on the series of the stated pencil, not on the
+    # bare power r^s at x = 1e-12/(1 + b c).  From there r u'/u obeys the
+    # Riccati form of u'' = q u in t = log r, s' = r^2 q + s - s^2, stable
+    # toward the series start; at rtol 1e-13 it lands within 1.3e-12 of the
+    # series' angle (the angle's own equation carries 5e-11 near mu = -1/2)
+    odeint = oracle.odeint
+    if mu is None:
+        ode, k, b, l = oracle.build_halfline_ode(l), l + 2, 1.0, 0
+    else:
+        ode, k, b = oracle.build_powerlaw_ode(mu, 1.0, l), 1.0 / (mu + 0.5), 2.0
+    for c in (ode.guess(0), 3.0 * ode.guess(2)):
+        t_inner, _, t_outer, scale = ode.ends(c)
+        t_start, slope = (t_inner, ode.inner_slope) if k > 0 else (t_outer, ode.outer_slope)
+        x_start = math.exp(k * t_start)
+        assert x_start <= 0.3
+        bare = 1e-12 * min(1.0, x_start) / (1.0 + b * c)
+
+        def riccati(t, y):
+            q0, w = ode.terms(t)
+            return [q0 - c * w + y[0] - y[0] ** 2]
+
+        y = odeint(riccati, [l + 1.0 if k > 0 else -float(l)], [math.log(bare) / k, t_start],
+                   rtol=1e-13, atol=1e-13, mxstep=50_000, tfirst=True)
+        assert math.atan2(scale, slope(t_start, c)) == pytest.approx(
+            math.atan2(scale, y[-1][0]), abs=1e-11)
+
+
+def test_the_frobenius_start_takes_floats_of_a_huge_int_k():
+    # the half line passes the int k = N + 2: D_j formed in ints overflowed
+    # the float conversion ("int too large to convert to float") at N = 10**200
+    ode = oracle.build_halfline_ode(10**200)
+    t_inner = ode.ends(ode.guess(0))[0]
+    assert math.isfinite(ode.inner_slope(t_inner, ode.guess(0)))
+
+
+def test_the_shooting_work_is_pinned():
+    # lsoda's callbacks are deterministic: oracle_sweep's five problems at
+    # lam = 1 and verify's three shooting calls took 30 869 from the bare power
+    # at x = 1e-12 (20 625 + 10 244) and take 23 623 from the series
+    calls = [(oracle.shoot_coupling, (mu, 1.0, l, 3))
+             for mu, l in ((-0.75, 1), (-1.5, 1), (-2.5, 2), (0.25, 0), (1.5, 1))]
+    calls += [(oracle.shoot_energy_bender, (n_power, 2)) for n_power in (1, 0, -1)]
+    assert sum(shoot(*args).diagnostics["rhs_evals"] for shoot, args in calls) <= 24_800
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu, l", [(-0.500005, 0), (-0.5001, 0), (-0.5001, 1), (-0.5001, 2)])
+def test_levels_next_to_minus_half_reach_1e_10(mu, l):
+    # from the bare power these read 2.65e-10 to 2.67e-10; from the series
+    # at most 1.4e-11
+    res = oracle.shoot_coupling(mu, 1.0, l, count=2)
+    for got, want in zip(res.values, _coupling_levels(mu, 1.0, l, 2), strict=True):
+        assert got == pytest.approx(want, rel=1e-10)
+    assert res.node_counts == [0, 1]
 
 
 # --- Pruefer-angle search ------------------------------------------------------
