@@ -11,8 +11,12 @@ estimate with Langer's (l+1/2)^2, whose action the stated r^2 q gives in
 closed form.  Every sweep is a pair of probes around a centre, one lsoda call
 per side with both Pruefer angles in its state; the first pair is centred on
 the estimate, and later ones on Newton steps of the monotone phase, until a
-pair brackets the level itself.  The problem is an oscillator in disguise, for
-which Langer-WKB is exact, so the estimate is the quantized level to rounding;
+pair brackets the level itself.  A problem is four numbers, the pencil
+r^2 q = l(l+1) + a x^2 - c b x in x = r^k, and lsoda's one callback into
+Python writes that pencil out: a sweep costs about 1.0 us per callback, of
+which the callback's own arithmetic is about 0.55 us (2-core x86_64).  The
+problem is an oscillator in disguise, for which Langer-WKB is exact, so the
+estimate is the quantized level to rounding;
 yet the level reported is always the shooting root, the secant root of the
 phase across that pair, read to lsoda's noise floor and not certified below it
 (an estimate moved 1e-6 off gives the same levels).  That floor is about 1e-10
@@ -168,11 +172,13 @@ def _halvings(g, lo: int, step: float, intervals: int, budget: int) -> list:
 
 @dataclass(frozen=True)
 class RadialODE:
-    """u'' = q(r, c) u on r > 0, stated in t = log r.
+    """u'' = q(r, c) u on r > 0, stated in t = log r as the pencil
 
-    ``terms(t)`` gives (q0, w), the pencil r^2 q = q0 - c w that the
-    Euler-scaled Pruefer equations evaluate; ``c`` is the shooting parameter
-    (attractive coupling or spectral value).  ``ends(c)`` gives the sweep's
+        r^2 q = q0 - c w,   q0 = ll + a x^2,   w = b x,   x = r^k = e^(k t),
+
+    whose four numbers ``k, a, b, ll`` the Euler-scaled Pruefer equations
+    evaluate; ``c`` is the shooting parameter (attractive coupling or spectral
+    value), and ``terms(t)`` gives (q0, w).  ``ends(c)`` gives the sweep's
     frame (t_inner, t_match, t_outer, S): the match inside the two starts,
     and the scale S > 0 that weighs u against r u' in the angle.
     ``inner_slope`` and ``outer_slope`` give r u'/u at the start of each
@@ -181,11 +187,18 @@ class RadialODE:
     estimates the n-th level; shooting only starts its search there.
     """
 
-    terms: Callable[[float], tuple[float, float]]
+    k: float
+    a: float
+    b: float
+    ll: float
     ends: Callable[[float], tuple[float, float, float, float]]
     inner_slope: Callable[[float, float], float]
     outer_slope: Callable[[float, float], float]
     guess: Callable[[int], float]
+
+    def terms(self, t: float) -> tuple[float, float]:
+        x = math.exp(self.k * t)
+        return self.ll + self.a * x * x, self.b * x
 
 
 @dataclass(frozen=True)
@@ -207,17 +220,21 @@ def integrate_radial(ode: RadialODE, coupling: float | tuple[float, ...],
     Euler-scaled Pruefer angle theta, S u = rho sin(theta),
     r u' = rho cos(theta) with t = log r and S the scale of the sweep's frame:
 
-        theta' = S cos^2 - sin cos - ((q0 - c w)/S) sin^2,   (q0, w) = terms(t)
+        theta' = S cos^2 - sin cos - ((q0 - c w)/S) sin^2,   (q0, w) = ode.terms(t)
 
     from atan2(S, r u'/u) at the start.  The angle passes a multiple of pi at
     each zero of u, whatever S, and alone carries the node count and the
     match: its equation does not involve rho, so one call covers the whole
     side with no renormalisation; lsoda's step loop runs in Fortran and calls
-    back only for the right-hand side, which makes one ``terms(t)`` call and
-    writes into one array that the sweep allocates and odeint copies at once.
-    Every call sweeps a pair, two angles in one state that lsoda steps
-    together; one coupling, a float or a 1-tuple, is swept as (c, c), and
-    the result matches ``coupling``: one ``Trajectory`` or a tuple of them.
+    back only for the right-hand side.  That callback writes the pencil out,
+    one ``exp`` and the arithmetic of ``ode.terms`` in the same operations,
+    and writes both angles' rates through a memoryview into one array that
+    the sweep allocates and odeint copies at once.  The angles are uncoupled,
+    and lsoda is told so (a banded Jacobian of width 0), so a Jacobian costs
+    it one extra callback, not two.  Every call sweeps a pair, two angles in
+    one state that lsoda steps together; one coupling, a float or a 1-tuple,
+    is swept as (c, c), and the result matches ``coupling``: one
+    ``Trajectory`` or a tuple of them.
     A pair takes its frame, ends and scale, from ``ode.ends`` at its first
     coupling, so it should be two close couplings, such as a level's probes.
     A sweep that stops early (more than 20 000 steps, or any other lsoda
@@ -234,27 +251,34 @@ def integrate_radial(ode: RadialODE, coupling: float | tuple[float, ...],
     else:
         t_from, start_slope = t_outer, ode.outer_slope
     theta0 = [math.atan2(scale, start_slope(t_from, c)) % math.pi for c in (c1, c2)]
-    odeint = globals().get("odeint") or __getattr__("odeint")  # also loads ODEintWarning
+    odeint, odeint_warning = (globals().get(name) or __getattr__(name)
+                              for name in ("odeint", "ODEintWarning"))
 
-    terms, sin, cos, inv = ode.terms, math.sin, math.cos, 1.0 / scale
+    # the pencil written out, in the operations and order of ``ode.terms``;
+    # a memoryview writes a float without numpy's scalar conversion
+    k, a, b, ll = ode.k, ode.a, ode.b, ode.ll
+    exp, sin, cos, inv = math.exp, math.sin, math.cos, 1.0 / scale
     dtheta = np.empty(2)
+    out = memoryview(dtheta)
 
     def rhs(t, y):
-        q0, w = terms(t)
-        a, b = y.tolist()
-        sa, ca, sb, cb = sin(a), cos(a), sin(b), cos(b)
-        dtheta[0] = (scale * ca - sa) * ca - (q0 - c1 * w) * inv * sa * sa
-        dtheta[1] = (scale * cb - sb) * cb - (q0 - c2 * w) * inv * sb * sb
+        x = exp(k * t)
+        q0, w = ll + a * x * x, b * x
+        y1, y2 = y.tolist()
+        s1, co1, s2, co2 = sin(y1), cos(y1), sin(y2), cos(y2)
+        out[0] = (scale * co1 - s1) * co1 - (q0 - c1 * w) * inv * s1 * s1
+        out[1] = (scale * co2 - s2) * co2 - (q0 - c2 * w) * inv * s2 * s2
         return dtheta
 
     # the angle's global error grows with each oscillation; rtol 1e-12 keeps
     # the 20th level within about 3e-10 of its value
     failed = f"radial integration failed on log r in [{t_from:g}, {t_match:g}]"
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ODEintWarning)  # reported below instead
+        warnings.simplefilter("ignore", odeint_warning)  # reported below instead
         try:
-            y, info = odeint(rhs, theta0, (t_from, t_match), rtol=1e-12, atol=1e-12,
-                             mxstep=_MAX_STEPS, full_output=True, tfirst=True)
+            # ml = mu = 0: the Jacobian of two uncoupled angles is diagonal
+            y, info = odeint(rhs, theta0, (t_from, t_match), ml=0, mu=0, rtol=1e-12,
+                             atol=1e-12, mxstep=_MAX_STEPS, full_output=True, tfirst=True)
         except ValueError as exc:  # math.sin of an infinite angle
             raise RuntimeError(f"{failed}: the right-hand side met a non-finite angle "
                                f"({exc}).") from exc
@@ -310,10 +334,6 @@ def _two_term_ode(k: float, a: float, b: float, l: int) -> RadialODE:
     kk, s = abs(float(k)), (l + 1.0 if k > 0 else -float(l))
     d1 = kk * (2 * l + 1 + kk)
 
-    def terms(t):
-        x = math.exp(k * t)
-        return ll + a * x * x, b * x
-
     def frobenius_slope(t, c):
         # r u'/u of the series, s + k sum j tau_j / sum tau_j, tau_j = alpha_j x^j
         # summed until two terms in a row are below 1e-17 of the sum
@@ -334,7 +354,7 @@ def _two_term_ode(k: float, a: float, b: float, l: int) -> RadialODE:
         log_match = max(math.log(b * c / (2.0 * a)), log_regular + _LOG3)
         log_wkb = math.log(max(36.0 * abs(k) / math.sqrt(a), 6.0 * b * c / a))
         t_ends = (log_regular / k, log_match / k, log_wkb / k)
-        q0, w = terms(t_ends[1])
+        q0, w = ode.terms(t_ends[1])
         scale = max(1.0, abs(k), math.sqrt(max(c * w - q0, 0.0)))
         return (*(t_ends if k > 0 else t_ends[::-1]), scale)
 
@@ -347,14 +367,17 @@ def _two_term_ode(k: float, a: float, b: float, l: int) -> RadialODE:
         # r u'/u of u = Q^(-1/4) exp(sign int sqrt(Q) dt), Q = r^2 q = q0 - c w
         # and Q' = dQ/dt = k (2 a x^2 - b c x); x >= 6 b c/a keeps Q >= 5 a x^2/6
         def slope(t, c):
-            q0, w = terms(t)
+            q0, w = ode.terms(t)
             big_q = q0 - c * w
             return sign * math.sqrt(big_q) + 0.5 - k * (2.0 * (q0 - ll) - c * w) / (4.0 * big_q)
         return slope
 
+    # ends and the WKB slope read the pencil through this ode's terms
     if k > 0:
-        return RadialODE(terms, ends, frobenius_slope, wkb_slope(-1.0), guess)
-    return RadialODE(terms, ends, wkb_slope(+1.0), frobenius_slope, guess)
+        ode = RadialODE(float(k), a, b, ll, ends, frobenius_slope, wkb_slope(-1.0), guess)
+    else:
+        ode = RadialODE(float(k), a, b, ll, ends, wkb_slope(+1.0), frobenius_slope, guess)
+    return ode
 
 
 def build_powerlaw_ode(mu: float, lam: float, l: int) -> RadialODE:

@@ -1,6 +1,9 @@
 import ast
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -130,7 +133,8 @@ def test_quad_result_holds_python_scalars():
 # --- radial integration ---------------------------------------------------------
 
 def _constant_ode(r2q):
-    return oracle.RadialODE(terms=lambda t: (r2q, 0.0),
+    # the pencil r^2 q = ll + x (a x - b c) at a = b = 0, ll = r2q
+    return oracle.RadialODE(k=1.0, a=0.0, b=0.0, ll=r2q,
                             ends=lambda c: (math.log(1e-3), 0.0, math.log(10.0), 1.0),
                             inner_slope=lambda t, c: 1.0, outer_slope=lambda t, c: 0.0,
                             guess=lambda n: 1.0)
@@ -147,7 +151,8 @@ def test_free_particle_log_derivative():
 def test_inward_direction_and_renormalization():
     # u'' = u from the decaying outer start u = e^(-r), whose r u'/u is -r:
     # the angle carries no amplitude, so 59 units of decay need no rescaling
-    ode = oracle.RadialODE(terms=lambda t: (math.exp(2.0 * t), 0.0),
+    # r^2 q = r^2 is the pencil at k = a = 1, b = ll = 0
+    ode = oracle.RadialODE(k=1.0, a=1.0, b=0.0, ll=0.0,
                            ends=lambda c: (math.log(0.1), 0.0, math.log(60.0), 1.0),
                            inner_slope=lambda t, c: 1.0,
                            outer_slope=lambda t, c: -math.exp(t), guess=lambda n: 1.0)
@@ -195,11 +200,12 @@ def test_a_pair_sweeps_as_its_couplings_do_alone(mu, lam, l, direction):
 
 
 def test_a_sweep_that_meets_an_infinite_angle_raises():
-    # r^2 q = -inf from log r = -3 on turns the angle infinite inside lsoda,
-    # where math.sin of it raised "ValueError: math domain error" from the
-    # right-hand side
-    ode = dataclasses.replace(_constant_ode(0.0),
-                              terms=lambda t: (-math.inf if t > -3.0 else 0.0, 0.0))
+    # r^2 q = -r^400 is 0 to the floats below log r = -2 and -inf from 1.77
+    # (x^2 overflows) to 3.55 (x does).  The angle sits still at its start,
+    # so lsoda's steps grow until one lands at log r = 2.28, past the match:
+    # the angle turns infinite inside lsoda, where math.sin of it raised
+    # "ValueError: math domain error" from the right-hand side
+    ode = dataclasses.replace(_constant_ode(0.0), k=200.0, a=-1.0)
     with pytest.raises(RuntimeError, match=r"non-finite angle \(math domain error\)"):
         oracle.integrate_radial(ode, 0.0, "outward")
 
@@ -233,6 +239,53 @@ def test_a_sweep_takes_one_coupling_or_a_pair():
     for couplings in ((), (0.0, 0.5, 1.0)):
         with pytest.raises(ValueError):
             oracle.integrate_radial(ode, couplings, "outward")
+
+
+@pytest.mark.parametrize("ode", [
+    oracle.build_powerlaw_ode(1.5, 1.0, 1), oracle.build_powerlaw_ode(-2.5, 0.858201, 2),
+    oracle.build_powerlaw_ode(0.25, 1.123718, 0), oracle.build_halfline_ode(1)],
+    ids=["3/2-1-1", "-5/2-0.858201-2", "1/4-1.123718-0", "N=1"])
+def test_the_written_out_pencil_is_the_pruefer_equation_of_its_terms(monkeypatch, ode):
+    # integrate_radial writes r^2 q out in its right-hand side.  The Pruefer
+    # equation theta' = S cos^2 - sin cos - (r^2 q/S) sin^2 built on
+    # ode.terms, in the same floating-point operations, swept by odeint with
+    # the arguments integrate_radial passed, ends on the same angles with the
+    # same callbacks, to the bit
+    odeint, passed = oracle.odeint, []
+
+    def recording(rhs, y0, t, **kwargs):
+        passed.append((y0, t, kwargs))
+        return odeint(rhs, y0, t, **kwargs)
+
+    monkeypatch.setattr(oracle, "odeint", recording)
+    for n in range(3):
+        pair = (ode.guess(n) / (1.0 + 1e-8), ode.guess(n) * (1.0 + 1e-8))
+        scale = ode.ends(pair[0])[3]
+
+        def pruefer(t, y):
+            q0, w = ode.terms(t)
+            return [(scale * math.cos(theta) - math.sin(theta)) * math.cos(theta)
+                    - (q0 - c * w) * (1.0 / scale) * math.sin(theta) * math.sin(theta)
+                    for theta, c in zip(y, pair)]
+
+        for direction in ("outward", "inward"):
+            swept = oracle.integrate_radial(ode, pair, direction)
+            y0, t, kwargs = passed.pop()
+            y, info = odeint(pruefer, y0, t, **kwargs)
+            assert [traj.end_theta for traj in swept] == y[-1].tolist()
+            assert swept[0].nfev == info["nfe"][-1]
+
+
+def test_a_first_sweep_through_an_odeint_set_beforehand_runs():
+    # integrate_radial read ODEintWarning as a global that only the module
+    # __getattr__ loads: with odeint set first, as a monkeypatch or a tracer
+    # sets it, the first sweep of a fresh interpreter raised NameError
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    code = ("from scipy.integrate import odeint; from zepl import oracle\n"
+            "oracle.odeint = odeint; oracle.shoot_coupling(1.5, 1.0, 1, count=1)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 # --- coupling shooting -----------------------------------------------------------
@@ -341,7 +394,8 @@ def test_the_frobenius_start_takes_floats_of_a_huge_int_k():
 def test_the_shooting_work_is_pinned():
     # lsoda's callbacks are deterministic: oracle_sweep's five problems at
     # lam = 1 and verify's three shooting calls took 30 869 from the bare power
-    # at x = 1e-12 (20 625 + 10 244) and take 23 623 from the series
+    # at x = 1e-12 (20 625 + 10 244), 23 623 from the series, and take 23 326
+    # with lsoda told that the two angles are uncoupled
     calls = [(oracle.shoot_coupling, (mu, 1.0, l, 3))
              for mu, l in ((-0.75, 1), (-1.5, 1), (-2.5, 2), (0.25, 0), (1.5, 1))]
     calls += [(oracle.shoot_energy_bender, (n_power, 2)) for n_power in (1, 0, -1)]
