@@ -119,10 +119,10 @@ class ClosedFormSolution:
         In one pass over a 1e5-point grid each array is 800 KB, and the peak
         holds 8 of them (it held ~16 when the block size was chosen), far past
         a 2 MB L2 cache; at 16384 points they take 1 MB.  Of 4096,
-        8192, 16384 and 32768 points, 16384 was fastest on a Xeon with 2 MB of
-        L2 per core, with the recurrence in place as well as before it:
-        smaller blocks pay numpy's per-call cost more often.  Every step is
-        pointwise, so the blocks' outputs equal one pass's to the bit,
+        8192, 16384 and 32768 points, 16384 was fastest, with the recurrence
+        in place as well as before it: smaller blocks pay numpy's per-call
+        cost more often.  Every step is pointwise, so the blocks' outputs
+        equal one pass's to the bit,
         provided no block is short: on rows of up to 2730 points numpy
         buffers a broadcast exponent, as a stack's shape is, into its SIMD
         power, which differs from its scalar power in the last bit.  So the

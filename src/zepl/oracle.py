@@ -11,21 +11,21 @@ estimate with Langer's (l+1/2)^2, whose action the stated r^2 q gives in
 closed form.  Every sweep is a pair of probes around a centre, one lsoda call
 per side with both Pruefer angles in its state; the first pair is centred on
 the estimate, and later ones on Newton steps of the monotone phase, until a
-pair brackets the level itself.  A problem is four numbers, the pencil
-r^2 q = l(l+1) + a x^2 - c b x in x = r^k, and lsoda's one callback into
-Python writes that pencil out: a sweep costs about 1.0 us per callback, of
-which the callback's own arithmetic is about 0.55 us (2-core x86_64).  The
-problem is an oscillator in disguise, for which Langer-WKB is exact, so the
-estimate is the quantized level to rounding;
-yet the level reported is always the shooting root, the secant root of the
-phase across that pair, read to lsoda's noise floor and not certified below it
-(an estimate moved 1e-6 off gives the same levels).  That floor is about 1e-10
-relative over the whole domain: at lam = 1 and two levels, at most 2.5e-11 at
-l <= 1 and mu = +-1e5, +-1e4, -50, -5/2, -0.6, 1/4, 3/2 and 50, and at most
-4.1e-11 at l <= 2 and mu from -0.4 to -0.499995 and from -0.500005 to -0.51;
-at three levels, at most 1.5e-10 over mu from -1e5 to 1e5 and l in {0, 1, 2,
-20} (at mu = 1e5, l = 20).  Levels up to the 20th, the most one search shoots,
-stay within 5.2e-11 on the first two sets.
+pair brackets the level itself.  A problem is four numbers, k, a, b and l
+of the pencil r^2 q = l(l+1) + a x^2 - c b x in x = r^k, from which it works
+out its frame, start slopes and estimate, and lsoda's one callback into
+Python writes that pencil out.  The problem is an oscillator in disguise,
+for which Langer-WKB is exact, so the estimate is the quantized level to
+rounding; yet the level reported is always the shooting root, the secant
+root of the phase across that pair, read to lsoda's noise floor and not
+certified below it (an estimate moved 1e-6 off gives the same levels).
+That floor is about 1e-10 relative over the whole domain: at lam = 1 and
+two levels, at most 2.5e-11 at l <= 1 and mu = +-1e5, +-1e4, -50, -5/2,
+-0.6, 1/4, 3/2 and 50, and at most 4.1e-11 at l <= 2 and mu from -0.4 to
+-0.499995 and from -0.500005 to -0.51; at three levels, at most 1.5e-10 over
+mu from -1e5 to 1e5 and l in {0, 1, 2, 20} (at mu = 1e5, l = 20).  Levels
+up to the 20th, the most one search shoots, stay within 5.2e-11 on the
+first two sets.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -172,33 +171,105 @@ def _halvings(g, lo: int, step: float, intervals: int, budget: int) -> list:
 
 @dataclass(frozen=True)
 class RadialODE:
-    """u'' = q(r, c) u on r > 0, stated in t = log r as the pencil
+    """u'' = q u on r > 0, stated in t = log r as the pencil
 
-        r^2 q = q0 - c w,   q0 = ll + a x^2,   w = b x,   x = r^k = e^(k t),
+        r^2 q = q0 - c w,   q0 = l(l+1) + a x^2,   w = b x,   x = r^k = e^(k t),
 
-    whose four numbers ``k, a, b, ll`` the Euler-scaled Pruefer equations
-    evaluate; ``c`` is the shooting parameter (attractive coupling or spectral
-    value), and ``terms(t)`` gives (q0, w).  ``ends(c)`` gives the sweep's
-    frame (t_inner, t_match, t_outer, S): the match inside the two starts,
-    and the scale S > 0 that weighs u against r u' in the angle.
+    with a, b > 0 and the shooting parameter c > 0 (attractive coupling or
+    spectral value): the power-law family's radial problem, and the half
+    line's at k = N+2, a = b = 1 and l = 0.  The four numbers are the whole
+    problem: the Euler-scaled Pruefer equations evaluate them, and every
+    method works from them.  ``terms(t)`` gives (q0, w).  ``ends(c)`` gives
+    the sweep's frame (t_inner, t_match, t_outer, S): the match inside the
+    two starts, and the scale S > 0 that weighs u against r u' in the angle.
     ``inner_slope`` and ``outer_slope`` give r u'/u at the start of each
     sweep, in closed form.  A start must have no zero of u beyond it (on its
     side of the domain): the sweep counts zeros from there.  ``guess(n)``
     estimates the n-th level; shooting only starts its search there.
+
+    The end where x -> 0 is a regular singular point, and the sweep starts
+    there on the Frobenius series of the stated pencil (Pryce 1993; SLEIGN2
+    starts a regular singular end the same way): u = r^s sum alpha_j x^j with
+    s = l+1 (the origin, k > 0) or -l (infinity, k < 0), alpha_0 = 1 and
+    D_j alpha_j = a alpha_(j-2) - b c alpha_(j-1), D_j = |k| j (2l+1 + |k| j)
+    > 0, at x = 0.3 min(1, |k|)^4/(1 + b c/D_1 + sqrt(a/D_1)).  There every
+    correction alpha_j x^j is at most about 0.3, so the regular solution has
+    no zero beyond the start, and the sweep skips the decades of x where
+    nothing happens.  The factor min(1, |k|)^4 keeps the start as flat in t
+    as the bare power r^s at x = 1e-12 was where |k| is small: over the long
+    stretch of t that a small |k| makes, an angle that drifts from the start
+    can hold lsoda in its nonstiff method on steps bounded by stability until
+    it runs out of them (35 of 3000 families with |mu| from 100 to 1e5 at a
+    start of 1e-2/(...), none with the factor).  The other end starts on WKB
+    decay at x = max(36|k|/sqrt(a), 6 b c/a), which gives both a ~36 decay
+    budget and clear dominance of the repulsive term.  The sides match at the
+    bottom of r^2 q, x = b c/(2a), kept log 3 in log x above the regular
+    start.  The angle's scale S = max(1, |k|, sqrt(-r^2 q at the match)) is
+    the wavenumber at the bottom of the well, where most of the oscillation
+    happens, and at least that of log x where |k| > 1 (S = |k| below 1
+    outruns lsoda's steps at |mu| = 1e5).  The WKB start's slope and the
+    guess, the Bohr-Sommerfeld estimate with Langer's l(l+1) -> (l+1/2)^2
+    (Langer 1937), are closed forms; in x the problem is the 3D oscillator,
+    for which that estimate is exact.
     """
 
     k: float
     a: float
     b: float
-    ll: float
-    ends: Callable[[float], tuple[float, float, float, float]]
-    inner_slope: Callable[[float, float], float]
-    outer_slope: Callable[[float, float], float]
-    guess: Callable[[int], float]
+    l: int
+
+    @property
+    def ll(self) -> float:
+        return self.l * (self.l + 1.0)
 
     def terms(self, t: float) -> tuple[float, float]:
         x = math.exp(self.k * t)
         return self.ll + self.a * x * x, self.b * x
+
+    def ends(self, c: float) -> tuple[float, float, float, float]:
+        # in log x: the regular start, the bottom of r^2 q at b c/(2 a), kept
+        # log 3 above that start, and the WKB start, at least 12x the bottom
+        k, a, b, kk = self.k, self.a, self.b, abs(self.k)
+        d1 = kk * (2 * self.l + 1 + kk)
+        log_regular = math.log(0.3 * min(1.0, kk) ** 4
+                               / (1.0 + b * abs(c) / d1 + math.sqrt(a / d1)))
+        log_match = max(math.log(b * c / (2.0 * a)), log_regular + _LOG3)
+        log_wkb = math.log(max(36.0 * kk / math.sqrt(a), 6.0 * b * c / a))
+        t_ends = (log_regular / k, log_match / k, log_wkb / k)
+        q0, w = self.terms(t_ends[1])
+        scale = max(1.0, kk, math.sqrt(max(c * w - q0, 0.0)))
+        return (*(t_ends if k > 0 else t_ends[::-1]), scale)
+
+    def inner_slope(self, t: float, c: float) -> float:
+        return self._frobenius_slope(t, c) if self.k > 0 else self._wkb_slope(t, c, 1.0)
+
+    def outer_slope(self, t: float, c: float) -> float:
+        return self._wkb_slope(t, c, -1.0) if self.k > 0 else self._frobenius_slope(t, c)
+
+    def guess(self, n: int) -> float:
+        # the action (1/|k|) int sqrt(b c x - a x^2 - (l+1/2)^2) dx/x between
+        # the turning points, pi (b c/(2 sqrt(a)) - (l+1/2))/|k|, is (n+1/2) pi
+        return math.sqrt(self.a) * ((2 * self.l + 1) + (2 * n + 1) * abs(self.k)) / self.b
+
+    def _frobenius_slope(self, t: float, c: float) -> float:
+        # r u'/u of the series, s + k sum j tau_j / sum tau_j, tau_j = alpha_j x^j
+        # summed until two terms in a row are below 1e-17 of the sum
+        k, a, b, l, kk = self.k, self.a, self.b, self.l, abs(self.k)
+        x = math.exp(k * t)
+        older, last, total, moment, j = 0.0, 1.0, 1.0, 0.0, 0
+        while abs(older) + abs(last) > 1e-17 * abs(total):
+            j += 1
+            d_j = kk * j * (2 * l + 1 + kk * j)
+            older, last = last, (a * x * older - b * c * last) * x / d_j
+            total, moment = total + last, moment + j * last
+        return (l + 1.0 if k > 0 else -float(l)) + k * moment / total
+
+    def _wkb_slope(self, t: float, c: float, sign: float) -> float:
+        # r u'/u of u = Q^(-1/4) exp(sign int sqrt(Q) dt), Q = r^2 q = q0 - c w
+        # and Q' = dQ/dt = k (2 a x^2 - b c x); x >= 6 b c/a keeps Q >= 5 a x^2/6
+        q0, w = self.terms(t)
+        big_q, q_prime = q0 - c * w, self.k * (2.0 * (q0 - self.ll) - c * w)
+        return sign * math.sqrt(big_q) + 0.5 - q_prime / (4.0 * big_q)
 
 
 @dataclass(frozen=True)
@@ -302,84 +373,6 @@ class ShootingResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _two_term_ode(k: float, a: float, b: float, l: int) -> RadialODE:
-    """u'' = q u with r^2 q = l(l+1) + x (a x - b c), x = r^k, a, b > 0 and
-    the shooting parameter c > 0: the power-law family's radial problem.
-
-    The end where x -> 0 is a regular singular point, and the sweep starts
-    there on the Frobenius series of the stated pencil (Pryce 1993; SLEIGN2
-    starts a regular singular end the same way): u = r^s sum alpha_j x^j with
-    s = l+1 (the origin, k > 0) or -l (infinity, k < 0), alpha_0 = 1 and
-    D_j alpha_j = a alpha_(j-2) - b c alpha_(j-1), D_j = |k| j (2l+1 + |k| j)
-    > 0, at x = 0.3 min(1, |k|)^4/(1 + b c/D_1 + sqrt(a/D_1)).  There every
-    correction alpha_j x^j is at most about 0.3, so the regular solution has
-    no zero beyond the start, and the sweep skips the decades of x where
-    nothing happens.  The factor min(1, |k|)^4 keeps the start as flat in t
-    as the bare power r^s at x = 1e-12 was where |k| is small: over the long
-    stretch of t that a small |k| makes, an angle that drifts from the start
-    can hold lsoda in its nonstiff method on steps bounded by stability until
-    it runs out of them (35 of 3000 families with |mu| from 100 to 1e5 at a
-    start of 1e-2/(...), none with the factor).  The other end starts on WKB
-    decay at x = max(36|k|/sqrt(a), 6 b c/a), which gives both a ~36 decay
-    budget and clear dominance of the repulsive term.  The sides match at the bottom of
-    r^2 q, x = b c/(2a), kept log 3 in log x above the regular start.  The
-    angle's scale S = max(1, |k|, sqrt(-r^2 q at the match)) is the
-    wavenumber at the bottom of the well, where most of the oscillation
-    happens, and at least that of log x where |k| > 1 (S = |k| below 1
-    outruns lsoda's steps at |mu| = 1e5).  The WKB start's slope and the
-    guess, the Bohr-Sommerfeld estimate with Langer's l(l+1) -> (l+1/2)^2
-    (Langer 1937), are closed forms; in x the problem is the 3D oscillator,
-    for which that estimate is exact."""
-    ll = l * (l + 1.0)
-    kk, s = abs(float(k)), (l + 1.0 if k > 0 else -float(l))
-    d1 = kk * (2 * l + 1 + kk)
-
-    def frobenius_slope(t, c):
-        # r u'/u of the series, s + k sum j tau_j / sum tau_j, tau_j = alpha_j x^j
-        # summed until two terms in a row are below 1e-17 of the sum
-        x = math.exp(k * t)
-        older, last, total, moment, j = 0.0, 1.0, 1.0, 0.0, 0
-        while abs(older) + abs(last) > 1e-17 * abs(total):
-            j += 1
-            d_j = kk * j * (2 * l + 1 + kk * j)
-            older, last = last, (a * x * older - b * c * last) * x / d_j
-            total, moment = total + last, moment + j * last
-        return s + k * moment / total
-
-    def ends(c):
-        # in log x: the regular start, the bottom of r^2 q at b c/(2 a), kept
-        # log 3 above that start, and the WKB start, at least 12x the bottom
-        log_regular = math.log(0.3 * min(1.0, kk) ** 4
-                               / (1.0 + b * abs(c) / d1 + math.sqrt(a / d1)))
-        log_match = max(math.log(b * c / (2.0 * a)), log_regular + _LOG3)
-        log_wkb = math.log(max(36.0 * abs(k) / math.sqrt(a), 6.0 * b * c / a))
-        t_ends = (log_regular / k, log_match / k, log_wkb / k)
-        q0, w = ode.terms(t_ends[1])
-        scale = max(1.0, abs(k), math.sqrt(max(c * w - q0, 0.0)))
-        return (*(t_ends if k > 0 else t_ends[::-1]), scale)
-
-    def guess(n):
-        # the action (1/|k|) int sqrt(b c x - a x^2 - (l+1/2)^2) dx/x between
-        # the turning points, pi (b c/(2 sqrt(a)) - (l+1/2))/|k|, is (n+1/2) pi
-        return math.sqrt(a) * ((2 * l + 1) + (2 * n + 1) * abs(k)) / b
-
-    def wkb_slope(sign):
-        # r u'/u of u = Q^(-1/4) exp(sign int sqrt(Q) dt), Q = r^2 q = q0 - c w
-        # and Q' = dQ/dt = k (2 a x^2 - b c x); x >= 6 b c/a keeps Q >= 5 a x^2/6
-        def slope(t, c):
-            q0, w = ode.terms(t)
-            big_q = q0 - c * w
-            return sign * math.sqrt(big_q) + 0.5 - k * (2.0 * (q0 - ll) - c * w) / (4.0 * big_q)
-        return slope
-
-    # ends and the WKB slope read the pencil through this ode's terms
-    if k > 0:
-        ode = RadialODE(float(k), a, b, ll, ends, frobenius_slope, wkb_slope(-1.0), guess)
-    else:
-        ode = RadialODE(float(k), a, b, ll, ends, wkb_slope(+1.0), frobenius_slope, guess)
-    return ode
-
-
 def build_powerlaw_ode(mu: float, lam: float, l: int) -> RadialODE:
     """Zero-energy radial problem of the two-term power-law family with the
     attractive coefficient c left free as the shooting parameter: in
@@ -393,7 +386,7 @@ def build_powerlaw_ode(mu: float, lam: float, l: int) -> RadialODE:
     a = (lam * k / 2.0) ** 2 * lam**2
     if not a >= sys.float_info.min:  # a subnormal a keeps too few digits to shoot
         raise OverflowError(f"the repulsive coefficient underflows at mu = {mu:g}, lam = {lam:g}")
-    return _two_term_ode(k, a, 2.0, l)
+    return RadialODE(k, a, 2.0, l)
 
 
 def coupling_mismatch(ode: RadialODE, coupling: float | tuple[float, ...]):
@@ -429,7 +422,10 @@ def _shoot(ode: RadialODE, count: int) -> ShootingResult:
     of the two angles interpolated there; the estimate only places the
     first pair.  A level is read to lsoda's noise floor, which the module
     docstring states, and not certified below it.  One not read within
-    _MAX_PAIRS pairs raises ``RuntimeError``."""
+    _MAX_PAIRS pairs raises ``RuntimeError``, and a count outside
+    1.._MAX_COUNT ``ValueError``."""
+    if not 1 <= count <= _MAX_COUNT:
+        raise ValueError(f"count must lie in 1..{_MAX_COUNT}, got {count}")
     # c -> (phase, theta_out, theta_in), over every level's sweeps
     sweeps: dict[float, tuple[float, float, float]] = {}
     values, nodes, pairs, rhs_evals, widest = [], [], 0, 0, 0.0
@@ -470,9 +466,8 @@ def _shoot(ode: RadialODE, count: int) -> ShootingResult:
         nodes.append(math.floor((out_a + w * (out_b - out_a)) / math.pi)
                      - math.floor((in_a + w * (in_b - in_a)) / math.pi))
         widest = max(widest, b / a - 1.0)
-    diagnostics = {"mismatch_evals": 2 * pairs, "ode_sweeps": 2 * pairs,
-                   "rhs_evals": rhs_evals, "fallback_sweeps": pairs - count,
-                   "widest_bracket": widest}
+    diagnostics = {"mismatch_evals": 2 * pairs, "rhs_evals": rhs_evals,
+                   "fallback_sweeps": pairs - count, "widest_bracket": widest}
     return ShootingResult(values, nodes, diagnostics)
 
 
@@ -481,11 +476,7 @@ def shoot_coupling(mu, lam: float, l: int, count: int = 3) -> ShootingResult:
     two-term power-law problem at zero energy, holding the repulsive
     coefficient fixed at (lam k/2)^2 lam^2 / 2, k = 1/(mu + 1/2).  Node counts
     come from the Pruefer angles of the matched double-sided solution."""
-    if not 1 <= count <= _MAX_COUNT:
-        raise ValueError(f"count must lie in 1..{_MAX_COUNT}, got {count}")
-    mu, lam = float(mu), float(lam)
-    ode = build_powerlaw_ode(mu, lam, l)
-    return _shoot(ode, count)
+    return _shoot(build_powerlaw_ode(mu, float(lam), l), count)
 
 
 def build_halfline_ode(n_power: int) -> RadialODE:
@@ -494,7 +485,7 @@ def build_halfline_ode(n_power: int) -> RadialODE:
     l = 0 with the energy E as the shooting parameter."""
     if n_power < -1:
         raise ValueError("shooting supports N >= -1 (regular origin; N = -2 is excluded)")
-    return _two_term_ode(int(n_power) + 2, 1.0, 1.0, 0)
+    return RadialODE(float(int(n_power) + 2), 1.0, 1.0, 0)
 
 
 def shoot_energy_bender(n_power: int, count: int = 2) -> ShootingResult:
@@ -502,8 +493,6 @@ def shoot_energy_bender(n_power: int, count: int = 2) -> ShootingResult:
     monomial-potential problem from the phase of the matched solution.  An
     N beyond 10**101, the measured reach of shooting, is refused before any
     sweep."""
-    if not 1 <= count <= _MAX_COUNT:
-        raise ValueError(f"count must lie in 1..{_MAX_COUNT}, got {count}")
     if n_power > _N_REACH:
         raise ValueError(f"N = {n_power} lies beyond the reach of shooting, N <= 10**101")
     return _shoot(build_halfline_ode(n_power), count)

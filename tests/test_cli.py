@@ -621,6 +621,6 @@ def test_oracle_json_carries_shooting_diagnostics(capsys, schema):
     code, doc = run_json(capsys, ["oracle", "--N", "-1", "--count", "1"])
     assert code == 0
     diag = doc["results"]["diagnostics"]
-    for key in ("mismatch_evals", "ode_sweeps", "rhs_evals"):
+    for key in ("mismatch_evals", "rhs_evals"):
         assert isinstance(diag[key], int) and diag[key] > 0
     jsonschema.validate(doc, schema)

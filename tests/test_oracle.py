@@ -132,12 +132,21 @@ def test_quad_result_holds_python_scalars():
 
 # --- radial integration ---------------------------------------------------------
 
+class _FixedEnds(oracle.RadialODE):
+    # a pencil swept on ends of its own, from the start slopes of u = r and u = 1
+    def ends(self, c):
+        return math.log(1e-3), 0.0, math.log(10.0), 1.0
+
+    def inner_slope(self, t, c):
+        return 1.0
+
+    def outer_slope(self, t, c):
+        return 0.0
+
+
 def _constant_ode(r2q):
-    # the pencil r^2 q = ll + x (a x - b c) at a = b = 0, ll = r2q
-    return oracle.RadialODE(k=1.0, a=0.0, b=0.0, ll=r2q,
-                            ends=lambda c: (math.log(1e-3), 0.0, math.log(10.0), 1.0),
-                            inner_slope=lambda t, c: 1.0, outer_slope=lambda t, c: 0.0,
-                            guess=lambda n: 1.0)
+    # the pencil r^2 q = l(l+1) + x (a x - b c) at k = 0, a = r2q, b = l = 0
+    return _FixedEnds(k=0.0, a=r2q, b=0.0, l=0)
 
 
 def test_free_particle_log_derivative():
@@ -151,12 +160,15 @@ def test_free_particle_log_derivative():
 def test_inward_direction_and_renormalization():
     # u'' = u from the decaying outer start u = e^(-r), whose r u'/u is -r:
     # the angle carries no amplitude, so 59 units of decay need no rescaling
-    # r^2 q = r^2 is the pencil at k = a = 1, b = ll = 0
-    ode = oracle.RadialODE(k=1.0, a=1.0, b=0.0, ll=0.0,
-                           ends=lambda c: (math.log(0.1), 0.0, math.log(60.0), 1.0),
-                           inner_slope=lambda t, c: 1.0,
-                           outer_slope=lambda t, c: -math.exp(t), guess=lambda n: 1.0)
-    traj = oracle.integrate_radial(ode, 0.0, "inward")
+    # r^2 q = r^2 is the pencil at k = a = 1, b = l = 0
+    class Decaying(oracle.RadialODE):
+        def ends(self, c):
+            return math.log(0.1), 0.0, math.log(60.0), 1.0
+
+        def outer_slope(self, t, c):
+            return -math.exp(t)
+
+    traj = oracle.integrate_radial(Decaying(k=1.0, a=1.0, b=0.0, l=0), 0.0, "inward")
     assert 1.0 / math.tan(traj.end_theta) == pytest.approx(-1.0, rel=1e-6)
 
 
@@ -186,10 +198,15 @@ def test_a_pair_sweeps_as_its_couplings_do_alone(mu, lam, l, direction):
     # 1.1e-9 at (-50, 1, 2), where a sweep is itself about 3e-9 from one at
     # rtol 1e-13
     ode = oracle.build_powerlaw_ode(mu, lam, l)
+
+    class Shared(oracle.RadialODE):  # any coupling on the frame of the pair's first
+        def ends(self, c):
+            return super().ends(pair[0])
+
+    shared = Shared(**dataclasses.asdict(ode))
     for n in range(3):
         g = ode.guess(n)
         pair = (g / (1.0 + 1e-8), g * (1.0 + 1e-8))
-        shared = dataclasses.replace(ode, ends=lambda c, e=ode.ends(pair[0]): e)
         swept = oracle.integrate_radial(ode, pair, direction)
         assert isinstance(swept, tuple) and len(swept) == 2
         assert swept[0].nfev == swept[1].nfev
@@ -339,6 +356,17 @@ def test_shoot_energy_validation():
         oracle.shoot_energy_bender(0, count=21)
 
 
+def test_a_problem_changed_in_one_number_is_the_new_problem_throughout():
+    # the frame, start slopes and estimate are worked out from k, a, b and l,
+    # so the half line of N = 1 moved to k = 4 is that of N = 2.  When they
+    # were closures over the builder's own copy of the numbers, this swept
+    # N = 2's right-hand side on N = 1's frame and estimate and read 4.872
+    # and 12.68, with no error
+    res = oracle._shoot(dataclasses.replace(oracle.build_halfline_ode(1), k=4.0), 2)
+    assert res.values == pytest.approx([5.0, 13.0], abs=1e-9)
+    assert res.node_counts == [0, 1]
+
+
 @pytest.mark.parametrize("n_power", [2, 50, 100_000])
 def test_shoot_energy_at_any_n(n_power):
     # in log x the half line is one problem for every N >= -1
@@ -470,16 +498,15 @@ def test_mismatch_is_the_scaled_wronskian(mu, l, coupling):
 def test_shooting_diagnostics_count_the_work():
     res = oracle.shoot_energy_bender(0, count=2)
     diag = res.diagnostics
-    assert set(diag) == {"mismatch_evals", "ode_sweeps", "rhs_evals", "fallback_sweeps",
-                         "widest_bracket"}
+    assert set(diag) == {"mismatch_evals", "rhs_evals", "fallback_sweeps", "widest_bracket"}
     widest = diag.pop("widest_bracket")
     assert isinstance(widest, float) and 0.0 < widest <= 3e-8
     assert all(isinstance(v, int) for v in diag.values())
     assert diag["mismatch_evals"] > 0 and diag["fallback_sweeps"] == 0
     # every level is on the probe path: its two couplings take one paired
     # odeint call per side
-    assert diag["ode_sweeps"] == diag["mismatch_evals"]
-    assert diag["rhs_evals"] > diag["ode_sweeps"]
+    assert diag["mismatch_evals"] == 4
+    assert diag["rhs_evals"] > diag["mismatch_evals"]
 
 
 @pytest.mark.parametrize("args, most_evals, worst", [
@@ -510,8 +537,11 @@ def test_a_sweep_deep_in_the_spectrum_finishes(factor, most_evals):
 
 
 def _off_guess(mu, lam, l, f):
-    ode = oracle.build_powerlaw_ode(mu, lam, l)
-    return dataclasses.replace(ode, guess=lambda n: f * ode.guess(n))
+    class OffGuess(oracle.RadialODE):
+        def guess(self, n):
+            return f * super().guess(n)
+
+    return OffGuess(**dataclasses.asdict(oracle.build_powerlaw_ode(mu, lam, l)))
 
 
 @pytest.mark.parametrize("shoot, args, calls", [
@@ -541,7 +571,7 @@ def test_a_level_on_the_probe_path_takes_one_paired_call_per_side(monkeypatch, s
     diag = shoot(*args).diagnostics
     calls = calls or len(states)
     assert states == [2] * calls and calls % 2 == 0
-    assert diag["ode_sweeps"] == diag["mismatch_evals"] == calls
+    assert diag["mismatch_evals"] == calls
     assert diag["rhs_evals"] == callbacks
     assert diag["fallback_sweeps"] == calls // 2 - args[-1]
 
@@ -606,9 +636,11 @@ def test_oracle_imports_nothing_from_the_package():
 
 
 def test_one_builder_states_every_shooting_problem():
-    # the power-law and half-line problems are both _two_term_ode's, which
-    # states its estimate and start slopes in closed form, and the search
-    # reads every level from its own pairs of sweeps: no root finder anywhere
+    # the power-law and half-line problems are both RadialODE's four numbers,
+    # from which it states its frame, estimate and start slopes in closed
+    # form, and the search reads every level from its own pairs of sweeps: no
+    # root finder anywhere
+    assert [f.name for f in dataclasses.fields(oracle.RadialODE)] == ["k", "a", "b", "l"]
     tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
     builders, called = set(), {}
     for fn in ast.walk(tree):
@@ -618,7 +650,7 @@ def test_one_builder_states_every_shooting_problem():
             called[fn.name] = names
             if "RadialODE" in names:
                 builders.add(fn.name)
-    assert builders == {"_two_term_ode"}
+    assert builders == {"build_powerlaw_ode", "build_halfline_ode"}
     root_finders = {"brentq", "brenth", "bisect", "newton", "root_scalar", "fsolve",
                     "ridder", "toms748", "root"}
     assert not set().union(*called.values()) & root_finders
