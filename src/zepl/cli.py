@@ -202,13 +202,11 @@ def _cmd_potential(args) -> tuple:
     if args.points < 1:
         raise ValidationError("--points must be at least 1")
     r = np.geomspace(args.r_min, args.r_max, args.points)
-    v = powerlaw.potential_eval(fam, r)
+    v = fam.terms.value(r)
     veff = powerlaw.effective_potential_eval(fam, r)
-    mapped = powerlaw.map_parameters(fam)
     rows = [{"r": float(a), "v": float(b), "v_eff": float(c)}
             for a, b, c in zip(r, v, veff)]
-    result = {"gamma": mapped.gamma, "energy": mapped.energy,
-              "terms": asdict(mapped.terms), "samples": rows}
+    result = {"gamma": fam.gamma, "energy": 0.0, "terms": asdict(fam.terms), "samples": rows}
     beyond = int(np.count_nonzero(~(np.isfinite(v) & np.isfinite(veff))))
     if beyond:  # written as null in JSON
         result["note"] = (f"v or v_eff is null on {beyond} of {len(rows)} samples: there it is "
@@ -266,9 +264,9 @@ def _cmd_oracle(args) -> tuple:
     if coupling_mode:
         args.lam = 1.0 if args.lam is None else args.lam
         args.l = 0 if args.l is None else args.l
-        predicted = [powerlaw.map_parameters(powerlaw.PowerLawFamily(
-            mu=args.mu, lam=args.lam, l=args.l, n=n)).terms.attractive_coeff
-            for n in range(args.count)]
+        predicted = [powerlaw.PowerLawFamily(mu=args.mu, lam=args.lam, l=args.l,
+                                             n=n).terms.attractive_coeff
+                     for n in range(args.count)]
         params = vars_of(args, "mu", "lam", "l", "count")
         named = f"--mu {float(args.mu):g} --l {args.l}"
     else:
@@ -297,7 +295,7 @@ def _cmd_oracle(args) -> tuple:
 
 def _veff_rows(case: str, fam: powerlaw.PowerLawFamily, scale: float,
                points: int) -> list[dict]:
-    r0 = powerlaw.map_parameters(fam).terms.scaled(scale).turning_scale(fam.k)
+    r0 = fam.terms.scaled(scale).turning_scale(fam.k)
     lo, hi = r0 * 1e-3, r0 * 1e3
     if not (lo > 0.0 and hi < math.inf):
         raise OverflowError("the figure's radii leave the floats")
@@ -307,14 +305,12 @@ def _veff_rows(case: str, fam: powerlaw.PowerLawFamily, scale: float,
 
 
 def _subcritical_scale(fam: powerlaw.PowerLawFamily) -> float:
+    """0.9 of the coupling scale that takes Omega to omega(mu, l, rhs), where
+    n_eff meets the condition's rhs: an Omega > 0 at l > 0, exactly 0 at l = 0."""
     cond = powerlaw.bound_condition(fam)
-    if cond.rhs is None:
+    if not cond.applicable:  # |mu| < 1/2 or l = 0, which figures 2 and 4 refuse first
         raise ValidationError("no well-existence condition in this regime")
-    omega_crit = 2 * cond.rhs + 1 + (2 * fam.l + 1) / fam.beta
-    if omega_crit <= 0:
-        raise ValidationError(
-            f"condition cannot be violated for l = {fam.l}: critical coupling is negative")
-    return 0.9 * omega_crit / fam.omega
+    return 0.9 * powerlaw.omega(fam.mu, fam.l, cond.rhs) / fam.omega
 
 
 def _cmd_figures(args) -> tuple:

@@ -136,7 +136,7 @@ def reduced_form_agreement(family: DiracFamily) -> float:
         raise ValueError(f"|beta| > 1e3: nu keeps 1/beta to "
                          f"{2.0**-54 * abs(family.beta):.0e} only")
     (a2, e_a), (b1, e_b), (c1, _) = bracket_monomials(family)
-    t = powerlaw.map_parameters(powerlaw.PowerLawFamily(family.nu, family.lam, family.l)).terms
+    t = powerlaw.PowerLawFamily(family.nu, family.lam, family.l).terms
     k, l, lam2 = family.kappa, family.l, family.lam**2
     rows = [[k * (k + 1.0), -l * (l + 1.0)],
             [b1 / lam2, c1 / lam2, 2.0 * t.attractive_coeff / lam2],

@@ -483,6 +483,8 @@ def build_halfline_ode(n_power: int) -> RadialODE:
     """Half-line problem -psi'' + x^(2N+2) psi = E x^N psi with psi(0) = 0:
     in X = x^(N+2), x^2 q = X (X - E), the power-law problem at k = N+2 and
     l = 0 with the energy E as the shooting parameter."""
+    if isinstance(n_power, bool) or not isinstance(n_power, (int, np.integer)):
+        raise ValueError(f"N must be an integer, got {n_power!r}")
     if n_power < -1:
         raise ValueError("shooting supports N >= -1 (regular origin; N = -2 is excluded)")
     return RadialODE(float(int(n_power) + 2), 1.0, 1.0, 0)

@@ -37,9 +37,9 @@ from .closedform import (ClosedFormSolution, ResidualReport, count_sign_changes,
                          positive_radii, relative_residual, zero_energy_solution)
 
 __all__ = [
-    "PowerLawFamily", "PotentialTerms", "MappedParameters", "BoundCondition",
+    "PowerLawFamily", "PotentialTerms", "BoundCondition",
     "Well", "ClassificationReport", "NormResult",
-    "map_parameters", "potential_eval", "effective_potential_eval",
+    "omega", "state_index", "effective_potential_eval",
     "exponent_pair", "wavefunction",
     "schrodinger_residual", "pct_identity_check", "schrodinger_residual_maxima",
     "pct_identity_maxima", "bound_condition",
@@ -78,11 +78,6 @@ class PowerLawFamily:
         return float(self.mu)
 
     @property
-    def above(self) -> bool:
-        """True on the mu > -1/2 branch (regular r^(l+1) prefactor)."""
-        return self.mu_f > -0.5
-
-    @property
     def beta(self) -> float:
         """Positive tail parameter: mu = -1/2 + 1/beta above, -1/2 - 1/beta below."""
         return 1.0 / abs(self.mu_f + 0.5)
@@ -99,11 +94,41 @@ class PowerLawFamily:
 
     @cached_property
     def omega(self):
-        """Degeneracy constant 2n + 1 + (2l+1)|mu + 1/2| (exact for rational mu),
-        formed once per family."""
-        if isinstance(self.mu, Rational):
-            return 2 * self.n + 1 + (2 * self.l + 1) * abs(Fraction(self.mu) + Fraction(1, 2))
-        return 2 * self.n + 1 + (2 * self.l + 1) * abs(self.mu_f + 0.5)
+        """Degeneracy constant ``omega(mu, l, n)``, formed once per family."""
+        return omega(self.mu, self.l, self.n)
+
+    @cached_property
+    def terms(self) -> PotentialTerms:
+        """The two terms the coordinate map r = x^(2 mu + 1) makes of the oscillator
+        at zero energy; OverflowError where a coefficient leaves the floats."""
+        mu, lam = self.mu_f, self.lam
+        p1, p2 = exponent_pair(mu)
+        unit = (lam / (2.0 * mu + 1.0)) ** 2
+        a, b = unit * lam**2 / 2.0, unit * self.omega
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+            raise OverflowError(f"the potential's coefficients leave the floats at mu = {mu:g}, "
+                                f"lam = {lam:g}")
+        return PotentialTerms(repulsive_coeff=a, repulsive_exponent=p1,
+                              attractive_coeff=b, attractive_exponent=p2)
+
+
+def _abs_shift(mu):
+    """|mu + 1/2|, exact for a rational mu."""
+    return abs(Fraction(mu) + Fraction(1, 2)) if isinstance(mu, Rational) else abs(float(mu) + 0.5)
+
+
+def omega(mu, l: int, n):
+    """Omega = 2n + 1 + (2l+1)|mu + 1/2|, the constant that every (l, n) on one
+    potential shares: exact for a rational mu, a float otherwise."""
+    return 2 * n + 1 + (2 * l + 1) * _abs_shift(mu)
+
+
+def state_index(mu, l: int, omega):
+    """n = (Omega - 1 - (2l+1)|mu + 1/2|)/2, the inverse of ``omega``, not
+    rounded: exact for a rational mu and Omega, a float otherwise."""
+    if isinstance(mu, Rational) and isinstance(omega, Rational):
+        return (Fraction(omega) - 1 - (2 * l + 1) * _abs_shift(mu)) / 2
+    return 0.5 * (float(omega) - 1.0 - (2 * l + 1) * _abs_shift(float(mu)))
 
 
 def _dominant_beyond_floats(v, r, monomials):
@@ -158,37 +183,11 @@ class PotentialTerms:
         return r
 
 
-@dataclass(frozen=True)
-class MappedParameters:
-    energy: float
-    gamma: float
-    terms: PotentialTerms
-
-
 def exponent_pair(mu) -> tuple[float, float]:
     """Exponents (p1, p2) of the repulsive and attractive terms; both tend to
     -2 as |mu| grows, and are undefined at mu in {0, +1/2, -1/2}."""
     mu_f = _validate_mu(mu)
     return (-2.0 * (mu_f - 0.5) / (mu_f + 0.5), -2.0 * mu_f / (mu_f + 0.5))
-
-
-def map_parameters(family: PowerLawFamily) -> MappedParameters:
-    """Physical parameters produced by the coordinate map r = x^(2 mu + 1):
-    zero energy, the representation label gamma, and the potential terms."""
-    mu, lam = family.mu_f, family.lam
-    p1, p2 = exponent_pair(mu)
-    unit = (lam / (2.0 * mu + 1.0)) ** 2
-    a, b = unit * lam**2 / 2.0, unit * family.omega
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-        raise OverflowError(f"the potential's coefficients leave the floats at mu = {mu:g}, "
-                            f"lam = {lam:g}")
-    terms = PotentialTerms(repulsive_coeff=a, repulsive_exponent=p1,
-                           attractive_coeff=b, attractive_exponent=p2)
-    return MappedParameters(energy=0.0, gamma=family.gamma, terms=terms)
-
-
-def potential_eval(family: PowerLawFamily, r):
-    return map_parameters(family).terms.value(r)
 
 
 def effective_potential_eval(family: PowerLawFamily, r, coupling_scale: float = 1.0):
@@ -197,7 +196,7 @@ def effective_potential_eval(family: PowerLawFamily, r, coupling_scale: float = 
     inf where that is not finite; at l = 0 the centrifugal term is exactly 0.
     Formed in the potential's output with one spare buffer."""
     r = positive_radii(r)
-    t = map_parameters(family).terms.scaled(coupling_scale)
+    t = family.terms.scaled(coupling_scale)
     ll = family.l * (family.l + 1.0)
     v = np.asarray(t.value(r))  # its own output, 0-d at a scalar r
     with np.errstate(all="ignore"):
@@ -256,7 +255,7 @@ def norm(family: PowerLawFamily) -> NormResult:
 
 def _residual_inputs(family: PowerLawFamily) -> tuple:
     """(k, lam, l, 2A, -2B) of r^2 q = l(l+1) + 2A r^(2k) - 2B r^k, k = 1/(mu + 1/2)."""
-    t = map_parameters(family).terms
+    t = family.terms
     return (family.k, family.lam, family.l,
             2.0 * t.repulsive_coeff, -2.0 * t.attractive_coeff)
 
@@ -293,9 +292,8 @@ def pct_identity_check(family: PowerLawFamily) -> ResidualReport:
 
 
 def _pct_inputs(family: PowerLawFamily) -> tuple:
-    mapped = map_parameters(family)
-    t = mapped.terms
-    return (family.lam, family.l, family.n, mapped.gamma, 2.0 * family.mu_f + 1.0,
+    t = family.terms
+    return (family.lam, family.l, family.n, family.gamma, 2.0 * family.mu_f + 1.0,
             t.repulsive_coeff, t.attractive_coeff, t.repulsive_exponent, t.attractive_exponent)
 
 
@@ -364,8 +362,7 @@ def bound_condition(family: PowerLawFamily, coupling_scale: float = 1.0) -> Boun
     sign = -1.0 if mu > 0.5 else +1.0  # (1 -+ beta), (2 -+ beta)
     one, two = 1.0 + sign * b, 2.0 + sign * b
     rhs = (2.0 * math.sqrt(l * (l + 1) * one) / (b * two) - (l + 0.5) / b - 0.5)
-    omega_eff = coupling_scale * family.omega
-    n_eff = 0.5 * (omega_eff - 1.0 - (2 * l + 1) / b)
+    n_eff = state_index(family.mu, l, coupling_scale * family.omega)
     return BoundCondition(rhs=rhs, satisfied=bool(n_eff > rhs), applicable=l > 0)
 
 
@@ -450,7 +447,7 @@ def classify(family: PowerLawFamily, coupling_scale: float = 1.0) -> Classificat
     summary table) can be constructed and inspected with the same machinery.
     """
     mu, l = family.mu_f, family.l
-    terms = map_parameters(family).terms.scaled(coupling_scale)
+    terms = family.terms.scaled(coupling_scale)
     lim0, liminf = _effective_limits(terms, l)
     condition = bound_condition(family, coupling_scale)
     well = None
@@ -475,7 +472,7 @@ def classify(family: PowerLawFamily, coupling_scale: float = 1.0) -> Classificat
 # ---------------------------------------------------------------------------
 
 def degenerate_pairs(mu, omega, l_max: int) -> set[tuple[int, int]]:
-    """All (l <= l_max, n >= 0) with 2n + 1 + (2l+1)|mu+1/2| equal to omega.
+    """All (l <= l_max, n >= 0) whose ``omega(mu, l, n)`` equals omega.
 
     Exact rational arithmetic whenever mu (and omega) are rational; floats
     fall back to a 1e-12 tolerance on the match.
@@ -483,21 +480,14 @@ def degenerate_pairs(mu, omega, l_max: int) -> set[tuple[int, int]]:
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
     _validate_mu(mu)
-    pairs: set[tuple[int, int]] = set()
     exact = isinstance(mu, Rational) and isinstance(omega, Rational)
-    if exact:
-        q = abs(Fraction(mu) + Fraction(1, 2))
-        for l in range(l_max + 1):
-            n2 = Fraction(omega) - 1 - (2 * l + 1) * q
-            if n2 >= 0 and (n2 / 2).denominator == 1:
-                pairs.add((l, int(n2 / 2)))
-        return pairs
-    q = abs(float(mu) + 0.5)
+    slack = 0 if exact else 1e-12 * max(1.0, abs(float(omega)))
+    pairs: set[tuple[int, int]] = set()
     for l in range(l_max + 1):
-        n_real = 0.5 * (float(omega) - 1.0 - (2 * l + 1) * q)
-        n_int = round(n_real)
-        if n_int >= 0 and abs(n_real - n_int) <= 1e-12 * max(1.0, abs(float(omega))):
-            pairs.add((l, int(n_int)))
+        n = state_index(mu, l, omega)
+        n_int = round(n)
+        if n_int >= 0 and abs(n - n_int) <= slack:
+            pairs.add((l, n_int))
     return pairs
 
 

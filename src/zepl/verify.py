@@ -146,7 +146,7 @@ def suite_special_case() -> list[CheckResult]:
             fam = powerlaw.PowerLawFamily(mu=1.5, lam=lam, l=l, n=n)
             z = lam**4 / 32.0
             r = np.geomspace(0.5, 50.0, 200) / z
-            v = powerlaw.potential_eval(fam, r)
+            v = fam.terms.value(r)
             v_ref = z / r - math.sqrt(z / 2.0) * (2 * l + n + 1.5) / r**1.5
             worst_v = max(worst_v, float(np.max(np.abs(v - v_ref) / np.abs(v_ref))))
             psi = powerlaw.wavefunction(fam).value(r)

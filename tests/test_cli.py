@@ -221,6 +221,15 @@ def test_potential_csv(capsys):
     assert len(rows) == 10
 
 
+def test_potential_writes_the_maps_parameters(capsys):
+    code, doc = run_json(capsys, ["potential", "--mu", "3/2", "--lambda", "2", "--l", "1",
+                                  "--n", "2"])
+    res = doc["results"]
+    assert code == 0 and res["gamma"] == 2.5 and res["energy"] == 0.0
+    assert res["terms"] == {"repulsive_coeff": 0.5, "repulsive_exponent": -1.0,
+                            "attractive_coeff": 2.75, "attractive_exponent": -1.5}
+
+
 @pytest.mark.filterwarnings("error")
 def test_potential_takes_the_dominant_term_where_both_leave_the_floats(capsys):
     # p1 = -20002 and p2 = -10002: below r = 1 both terms overflow, and

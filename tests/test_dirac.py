@@ -33,7 +33,7 @@ def lower_component(family, r, w=odd_potential):
 
 def reduced_potential(family, r):
     """V(r) of the reduced equation's Schroedinger form: the family (nu, lam, l, 0)'s."""
-    return pl.potential_eval(pl.PowerLawFamily(mu=family.nu, lam=family.lam, l=family.l), r)
+    return pl.PowerLawFamily(mu=family.nu, lam=family.lam, l=family.l).terms.value(r)
 
 
 def test_family_validation():
@@ -190,8 +190,8 @@ def test_bridge_to_nonrelativistic_family():
     fam = dirac.DiracFamily(beta=0.5, lam=1.1, l=1)
     pw = pl.PowerLawFamily(mu=fam.nu, lam=fam.lam, l=fam.l, n=0)
     r = np.geomspace(0.5, 100.0, 150)
-    assert np.max(np.abs(reduced_potential(fam, r) - pl.potential_eval(pw, r))
-                  / np.abs(pl.potential_eval(pw, r))) < 1e-12
+    assert np.max(np.abs(reduced_potential(fam, r) - pw.terms.value(r))
+                  / np.abs(pw.terms.value(r))) < 1e-12
     ratio = dirac.upper_spinor(fam).value(r) / pl.wavefunction(pw).value(r)
     assert ratio.std() / abs(ratio.mean()) < 1e-10
     assert fam.kappa * (fam.kappa + 1) == fam.l * (fam.l + 1)

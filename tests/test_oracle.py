@@ -352,6 +352,9 @@ def test_shoot_energy_quartic_plus_linear():
 def test_shoot_energy_validation():
     with pytest.raises(ValueError):
         oracle.shoot_energy_bender(-3, count=2)  # N = -2 and below: no regular origin
+    for n_power in (1.5, True):  # int() shot N = 1 for both
+        with pytest.raises(ValueError, match=rf"^N must be an integer, got {n_power!r}$"):
+            oracle.shoot_energy_bender(n_power, count=2)
     with pytest.raises(ValueError):
         oracle.shoot_energy_bender(0, count=21)
 

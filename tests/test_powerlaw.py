@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from zepl import cli
 from zepl import powerlaw as pl
 from zepl.specfn import laguerre
 from zepl.verify import PCT_TOL, RESIDUAL_TOL
@@ -45,14 +47,16 @@ def test_gamma_above_lower_bound(mu, l, n, lam):
     assert fam.beta > 0
 
 
-def test_map_parameters_gamma_examples():
-    assert pl.map_parameters(pl.PowerLawFamily(mu=1.5, l=0)).gamma == pytest.approx(0.5)
-    assert pl.map_parameters(pl.PowerLawFamily(mu=-0.75, l=1)).gamma == pytest.approx(-0.125)
-    assert pl.map_parameters(pl.PowerLawFamily(mu=1.5, l=0)).energy == 0.0
+def test_map_parameters_gamma_examples(capsys):
+    assert pl.PowerLawFamily(mu=1.5, l=0).gamma == pytest.approx(0.5)
+    assert pl.PowerLawFamily(mu=-0.75, l=1).gamma == pytest.approx(-0.125)
+    # the map's energy is zero by construction: only `zepl potential` states it
+    assert cli.main(["potential", "--mu", "1.5", "--l", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["energy"] == 0.0
 
 
 def test_map_parameters_terms_example():
-    terms = pl.map_parameters(pl.PowerLawFamily(mu=1.5, lam=2.0, l=0, n=0)).terms
+    terms = pl.PowerLawFamily(mu=1.5, lam=2.0, l=0, n=0).terms
     assert terms.repulsive_coeff == pytest.approx(0.5, rel=1e-14)
     assert terms.repulsive_exponent == pytest.approx(-1.0)
     assert terms.attractive_coeff == pytest.approx(0.75, rel=1e-14)
@@ -61,16 +65,16 @@ def test_map_parameters_terms_example():
 
 def test_potential_value_example():
     fam = pl.PowerLawFamily(mu=1.5, lam=2.0, l=0, n=0)
-    assert pl.potential_eval(fam, 1.0) == pytest.approx(-0.25, rel=1e-14)
+    assert fam.terms.value(1.0) == pytest.approx(-0.25, rel=1e-14)
     with pytest.raises(ValueError):
-        pl.potential_eval(fam, 0.0)
+        fam.terms.value(0.0)
 
 
 def test_effective_potential_reduces_to_2v_at_l0():
     fam = pl.PowerLawFamily(mu=-0.75, lam=1.3, l=0, n=2)
     r = np.geomspace(0.1, 10, 50)
     assert np.allclose(pl.effective_potential_eval(fam, r),
-                       2.0 * pl.potential_eval(fam, r), rtol=1e-15)
+                       2.0 * fam.terms.value(r), rtol=1e-15)
 
 
 @pytest.mark.filterwarnings("error")
@@ -79,7 +83,7 @@ def test_effective_potential_beyond_the_floats_is_the_dominant_terms_inf():
     # elsewhere a sum that leaves the floats takes the sign of its largest term
     r = np.geomspace(1e-300, 1e300, 601)
     fam = pl.PowerLawFamily(mu=2.5, lam=1.0, l=0, n=0)
-    assert np.array_equal(pl.effective_potential_eval(fam, r), 2.0 * pl.potential_eval(fam, r))
+    assert np.array_equal(pl.effective_potential_eval(fam, r), 2.0 * fam.terms.value(r))
     fam = pl.PowerLawFamily(mu=7 / 3, lam=1.0, l=100_000, n=0)
     v_eff = pl.effective_potential_eval(fam, r)
     assert not np.isnan(v_eff).any() and np.all(v_eff[r < 1e-150] == np.inf)
@@ -91,7 +95,7 @@ def effective_potential_beta_form(family, r):
     pointwise with the mu form for every valid family."""
     b, lam, l, n = family.beta, family.lam, family.l, family.n
     omega_b = 2 * n + 1 + (2 * l + 1) / b
-    s = r**b if family.above else r**(-b)
+    s = r**b if family.mu_f > -0.5 else r**(-b)
     return (l * (l + 1) + (b**2 * lam**4 / 4.0) * s**2
             - (b**2 * lam**2 / 2.0) * omega_b * s) / r**2
 
@@ -208,7 +212,7 @@ def test_residual_detector_fires():
     # l = 0: the same check with the attractive coefficient scaled by 1.001 fails
     fam = pl.PowerLawFamily(mu=1.5, lam=1.0, l=0, n=0)
     sol = pl.wavefunction(fam)
-    terms = pl.map_parameters(fam).terms
+    terms = fam.terms
     k = 1.0 / (fam.mu_f + 0.5)
     for scale, ok in ((1.0, True), (1.001, False)):
         t = terms.scaled(scale)
@@ -309,13 +313,13 @@ def test_stacked_pass_fails_at_exactly_the_perturbed_family(monkeypatch, suite, 
     from zepl import verify
 
     fams = list(verify._families())
-    target, map_parameters = fams[index], pl.map_parameters
+    target, terms = fams[index], pl.PowerLawFamily.terms
 
     def perturbed(fam):
-        mapped = map_parameters(fam)
-        return replace(mapped, terms=mapped.terms.scaled(1.001)) if fam == target else mapped
+        t = terms.func(fam)
+        return t.scaled(1.001) if fam == target else t
 
-    monkeypatch.setattr(pl, "map_parameters", perturbed)
+    monkeypatch.setattr(pl.PowerLawFamily, "terms", property(perturbed))
     check, maxima, tol = STACKED[suite]
     assert np.flatnonzero(maxima(fams) >= tol).tolist() == [index]
     [row] = verify.run_suite(suite)
@@ -417,7 +421,7 @@ def test_degenerate_pairs_examples():
 
 
 def test_omega_is_formed_once_per_family():
-    # map_parameters, bound_condition and degenerate_pairs each read it
+    # terms, bound_condition and degenerate_pairs each read it
     fam = pl.PowerLawFamily(Fraction(3, 2), 1.0, 1, 2)
     assert fam.omega == 11 and fam.omega is fam.omega and "omega" in vars(fam)
     assert fam == pl.PowerLawFamily(Fraction(3, 2), 1.0, 1, 2)
@@ -427,9 +431,15 @@ def test_omega_is_formed_once_per_family():
 @pytest.mark.parametrize("mu,omega", [
     (Fraction(3, 2), 11), (Fraction(3, 2), 13), (Fraction(3, 2), 10),
     (Fraction(-3, 2), 8), (Fraction(1, 6), Fraction(23, 3)),
+    (Fraction(-17, 4), Fraction(139, 4)),
 ])
 def test_degenerate_pairs_against_enumeration(mu, omega):
     assert pl.degenerate_pairs(mu, omega, 8) == brute_force_pairs(mu, omega, 8)
+    for l in range(9):  # omega and state_index are each other's inverse, exactly
+        for n in range(4):
+            fam = pl.PowerLawFamily(mu, 1.0, l, n)
+            assert pl.state_index(mu, l, pl.omega(mu, l, n)) == n
+            assert isinstance(pl.omega(mu, l, n), Fraction) and pl.omega(mu, l, n) == fam.omega
 
 
 def test_degenerate_pairs_float_tolerance():
@@ -440,7 +450,7 @@ def test_degenerate_pairs_float_tolerance():
 def test_degenerate_states_share_potential_but_not_wavefunction():
     mu = Fraction(3, 2)
     pairs = sorted(pl.degenerate_pairs(mu, 11, 4))
-    terms = [pl.map_parameters(pl.PowerLawFamily(mu=mu, lam=1.0, l=l, n=n)).terms
+    terms = [pl.PowerLawFamily(mu=mu, lam=1.0, l=l, n=n).terms
              for l, n in pairs]
     for t in terms[1:]:
         assert t == terms[0]
@@ -527,12 +537,12 @@ def test_classify_reports_a_well_beyond_float_range_in_t():
 def test_turning_scale_takes_k_exactly():
     # 1/(p1 - p2) divided by zero from |mu| ~ 4.5e15 on, where p1 - p2 cancels
     fam = pl.PowerLawFamily(mu=1.5, l=1)
-    t = pl.map_parameters(fam).terms
+    t = fam.terms
     assert t.turning_scale(fam.k) == (t.attractive_coeff / t.repulsive_coeff) ** 2  # k = 1/2
     for mu in (1e40, -1e40, -300):
         fam = pl.PowerLawFamily(mu=mu, l=1)
         with pytest.raises(OverflowError):
-            pl.map_parameters(fam).terms.turning_scale(fam.k)
+            fam.terms.turning_scale(fam.k)
 
 
 def test_bound_condition_is_the_stationary_point_discriminant():
@@ -543,7 +553,7 @@ def test_bound_condition_is_the_stationary_point_discriminant():
             for n in (0, 1, 3, 8):
                 for scale in (0.5, 0.7, 0.78, 1.0, 1.5):
                     fam = pl.PowerLawFamily(mu=mu, lam=1.3, l=l, n=n)
-                    t = pl.map_parameters(fam).terms.scaled(scale)
+                    t = fam.terms.scaled(scale)
                     disc = (t.attractive_coeff * t.attractive_exponent) ** 2 + (
                         4.0 * t.repulsive_coeff * t.repulsive_exponent * l * (l + 1))
                     assert pl.bound_condition(fam, scale).satisfied == (disc > 0)
