@@ -60,14 +60,6 @@ def finite_float(text: str) -> float:
     return value
 
 
-def positive_float(text: str) -> float:
-    """The type of --tolerance and --tolerance-scale."""
-    value = finite_float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
-    return value
-
-
 def parse_rational(text: str):
     """'3/2' parses exactly (Fraction); plain integers stay exact; anything
     else is a finite_float."""
@@ -156,17 +148,11 @@ def _row(result: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> tuple:
-    scale = args.tolerance_scale
     names = args.suite or verify.suite_names()
-    checks = [c for name in names for c in verify.run_suite(name)]
-    # flags and the runtime limit keep their own tolerance and verdict
-    rows = [{"name": c.name, "value": c.value,
-             "tolerance": c.tolerance * scale if c.scales else c.tolerance,
-             "passed": bool(c.value < c.tolerance * scale) if c.scales else c.passed,
-             "detail": c.detail}
-            for c in checks]
-    return ({"suites": names, "tolerance_scale": scale}, rows, rows,
-            all(r["passed"] for r in rows))
+    rows = [{"name": c.name, "value": c.value, "tolerance": c.tolerance,
+             "passed": c.passed, "detail": c.detail}
+            for name in names for c in verify.run_suite(name)]
+    return {"suites": names}, rows, rows, all(r["passed"] for r in rows)
 
 
 def _family_from(args) -> powerlaw.PowerLawFamily:
@@ -237,7 +223,8 @@ def _cmd_dirac(args) -> tuple:
         result["norm_quadrature"] = quad.value if quad.converged else None
         if not quad.converged:
             result["notes"].append(quad.note)
-    passed = theta < verify.THETA_TOL and res < args.tolerance and agree < verify.REDUCED_FORM_TOL
+    passed = (theta < verify.THETA_TOL and res < verify.RESIDUAL_TOL
+              and agree < verify.REDUCED_FORM_TOL)
     return vars_of(args, "beta", "lam", "l"), result, [_row(result)], passed
 
 
@@ -254,7 +241,7 @@ def _cmd_bender(args) -> tuple:
                                   "leaves the float range")
         rows.append({"n": n, "energy": energy, "residual_max": res})
     return (vars_of(args, "N", "n_max"), rows, rows,
-            max(r["residual_max"] for r in rows) < args.tolerance)
+            max(r["residual_max"] for r in rows) < verify.RESIDUAL_TOL)
 
 
 def _cmd_oracle(args) -> tuple:
@@ -285,7 +272,7 @@ def _cmd_oracle(args) -> tuple:
             for i, (got, pred, nodes)
             in enumerate(zip(res.values, predicted, res.node_counts, strict=True))]
     worst = max(r["rel_err"] for r in rows)
-    passed = worst < args.tolerance and res.node_counts == list(range(args.count))
+    passed = worst < verify.ORACLE_TOL and res.node_counts == list(range(args.count))
     result = {"mode": "coupling" if coupling_mode else "energy",
               "levels": rows, "diagnostics": res.diagnostics}
     return params, result, rows, passed
@@ -396,8 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     suites.add_argument("--suite", action="append", choices=verify.suite_names(),
                         help="run only this suite (repeatable); default: every suite")
     suites.add_argument("--all", action="store_true", help="run every suite (the default)")
-    sp.add_argument("--tolerance-scale", type=positive_float, default=1.0,
-                    help="multiply every check tolerance by this factor")
 
     sp = command("classify", _cmd_classify, "boundedness/normalizability report", [family])
     sp.add_argument("--coupling-scale", type=finite_float, default=1.0,
@@ -418,12 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=finite_float, required=True)
     sp.add_argument("--lambda", dest="lam", type=finite_float, default=1.0)
     sp.add_argument("--l", type=int, default=0)
-    sp.add_argument("--tolerance", type=positive_float, default=verify.RESIDUAL_TOL)
 
     sp = command("bender", _cmd_bender, "half-line monomial spectrum E_n = (2n+1)|N+2|+1")
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--n-max", type=int, default=3)
-    sp.add_argument("--tolerance", type=positive_float, default=verify.RESIDUAL_TOL)
 
     sp = command("oracle", _cmd_oracle, "shooting recovery of couplings or energies")
     sp.add_argument("--mu", type=parse_rational, help="coupling mode")
@@ -432,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="coupling mode only (default 1)")
     sp.add_argument("--l", type=int, help="coupling mode only (default 0)")
     sp.add_argument("--count", type=int, default=3)
-    sp.add_argument("--tolerance", type=positive_float, default=verify.ORACLE_TOL)
 
     sp = command("figures", _cmd_figures, "curve data for the four summary figures")
     sp.add_argument("--which", type=int, required=True, choices=(1, 2, 3, 4))

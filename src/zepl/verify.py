@@ -24,7 +24,7 @@ __all__ = ["CheckResult", "ACCEPTANCE", "run_suite", "suite_names"]
 
 RESIDUAL_TOL = 1e-8
 PCT_TOL = 1e-10
-ORACLE_TOL = 1e-6
+ORACLE_TOL = 1e-9
 NORM_TOL = 1e-8
 ORTHO_TOL = 1e-9
 LADDER_TOL = 1e-6
@@ -39,25 +39,25 @@ LAMBDA_MATRIX = (0.7, 1.0, 2.0)
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One verdict.  ``scales`` is False for rows whose tolerance is not an
-    accuracy: pass/fail flags (value 0 or 1 against 0.5) and the runtime
-    limit, which ``verify --tolerance-scale`` must leave alone."""
+    """One verdict: passed where value < tolerance.  A pass/fail flag is a
+    value of 0 or 1 against 0.5."""
 
     name: str
     value: float
     tolerance: float
-    passed: bool
     detail: str = ""
-    scales: bool = True
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.value < self.tolerance)
 
     @staticmethod
-    def from_max(name, value, tolerance, detail="", scales=True):
-        return CheckResult(name, float(value), float(tolerance),
-                           bool(value < tolerance), detail, scales)
+    def from_max(name, value, tolerance, detail=""):
+        return CheckResult(name, float(value), float(tolerance), detail)
 
     @staticmethod
     def flag(name, ok, detail=""):
-        return CheckResult(name, float(not ok), 0.5, bool(ok), detail, scales=False)
+        return CheckResult(name, float(not ok), 0.5, detail)
 
 
 def _families():
@@ -125,7 +125,7 @@ def suite_table1() -> list[CheckResult]:
             if abs(mu) > 0.5 and l > 0 and rep.condition.status != "satisfied":
                 mismatches.append((mu, l, "condition", rep.condition.status))
     checks.append(CheckResult("powerlaw.classify[table-grid]", float(len(mismatches)),
-                              0.5, not mismatches, detail=str(mismatches), scales=False))
+                              0.5, detail=str(mismatches)))
     # condition-violated sub-rows, constructed with a sub-quantized coupling
     for mu, scale in ((1.5, 0.7), (-1.5, 0.6)):
         fam = powerlaw.PowerLawFamily(mu=mu, lam=1.0, l=1, n=0)
@@ -179,8 +179,7 @@ def suite_oracle_coupling() -> list[CheckResult]:
                          detail=str(res.node_counts)),
         CheckResult.from_max("oracle.shoot_coupling[spacing 2(lam/(2mu+1))^2]",
                              spacing_err, ORACLE_TOL),
-        CheckResult.from_max("oracle.shoot_coupling[runtime s]", elapsed, 60.0,
-                             scales=False),
+        CheckResult.from_max("oracle.shoot_coupling[runtime s]", elapsed, 60.0),
     ]
 
 
@@ -257,8 +256,7 @@ def suite_exceptional() -> list[CheckResult]:
     fam = powerlaw.PowerLawFamily(mu=-1.5, lam=1.0, l=1, n=0)
     nr = powerlaw.norm(fam)
     checks = [CheckResult("powerlaw.norm[mu=-3/2 l=1 finite]",
-                          abs((nr.value or math.inf) - 1.0), 1e-9,
-                          bool(nr.finite and abs(nr.value - 1.0) < 1e-9))]
+                          abs((nr.value or math.inf) - 1.0), 1e-9)]
     rep = powerlaw.classify(fam)
     ok_quantized = rep.bounded and rep.normalizable and rep.condition.status == "satisfied"
     checks.append(CheckResult.flag("powerlaw.classify[mu=-3/2 l=1 quantized]",

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -77,6 +78,15 @@ def test_figures_case_blocks(capsys):
     assert code == 0
     assert list(rows[0].keys()) == ["case", "r", "v_eff"]
     assert {r["case"] for r in rows} == {"a", "b", "c"}
+
+
+def test_figure_3_default_run(capsys, schema):
+    # past its --l check: case (a) at mu = 1/6, (b) at --mu-negative -0.25,
+    # (c) at mu = 1/6 and l = 1, each on the default 400 points
+    code, doc = run_json(capsys, ["figures", "--which", "3"])
+    cases = [row["case"] for row in doc["results"]]
+    assert code == 0 and cases == ["a"] * 400 + ["b"] * 400 + ["c"] * 400
+    jsonschema.validate(doc, schema)
 
 
 def test_figures_regime_validation(capsys):
@@ -206,11 +216,39 @@ def test_verify_suite_and_schema(capsys, schema):
     assert all(row["passed"] for row in doc["results"])
 
 
-def test_verify_failure_exit_code(capsys):
-    code, doc = run_json(capsys, ["verify", "--suite", "specfn",
-                                  "--tolerance-scale", "1e-20"])
+def test_verify_failure_exit_code(capsys, monkeypatch):
+    failed = [verify.CheckResult.flag("suite.flag", False),
+              verify.CheckResult.from_max("suite.residual", 2e-8, 1e-8)]
+    monkeypatch.setattr(verify, "run_suite", lambda name: failed)
+    code, doc = run_json(capsys, ["verify", "--suite", "specfn"])
     assert code == 1
     assert doc["passed"] is False
+    rows = {r["name"]: r for r in doc["results"]}
+    assert rows["suite.flag"]["passed"] is False
+    assert rows["suite.flag"]["tolerance"] == 0.5
+    assert rows["suite.residual"]["passed"] is False
+
+
+_RESIDUAL_2E_8 = lambda report: dataclasses.replace(report, max_residual=2e-8)
+
+
+@pytest.mark.parametrize("argv, module, name, perturb", [
+    (["dirac", "--beta", "0.5", "--l", "1"], dirac, "residual_33", _RESIDUAL_2E_8),
+    (["bender", "--N", "0"], halfline, "residual_41", _RESIDUAL_2E_8),
+    (["oracle", "--mu", "3/2", "--l", "1"], oracle, "shoot_coupling",
+     lambda res: dataclasses.replace(res, values=[v * (1.0 + 1e-7) for v in res.values])),
+    (["oracle", "--N", "0"], oracle, "shoot_energy_bender",
+     lambda res: dataclasses.replace(res, node_counts=res.node_counts[::-1])),
+], ids=["dirac-residual-2e-8", "bender-residual-2e-8", "oracle-level-shifted-1e-7",
+        "oracle-node-counts-swapped"])
+def test_a_checking_command_exits_1_where_the_library_result_fails(capsys, monkeypatch,
+                                                                   argv, module, name, perturb):
+    # each verdict is taken at verify's pinned tolerance: RESIDUAL_TOL = 1e-8
+    # for the residuals, ORACLE_TOL = 1e-9 for a level (1e-7 passed at 1e-6)
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: perturb(original(*a, **kw)))
+    code, doc = run_json(capsys, argv)
+    assert code == 1 and doc["passed"] is False
 
 
 def test_potential_csv(capsys):
@@ -311,13 +349,6 @@ def test_oracle_csv_header(capsys):
     ["bender", "--N", "0", "--n-max", "-1"],
     ["potential", "--mu", "3/2", "--points", "0"],
     ["figures", "--which", "2", "--points", "0"],
-    ["oracle", "--mu", "3/2", "--tolerance", "-1"],
-    ["bender", "--N", "0", "--tolerance", "0"],
-    ["dirac", "--beta", "0.5", "--tolerance", "-1"],
-    ["oracle", "--mu", "3/2", "--tolerance", "-1e-8"],
-    ["dirac", "--beta", "0.5", "--tolerance", "-1e-8"],
-    ["bender", "--N", "0", "--tolerance", "-1e-8"],
-    ["verify", "--suite", "specfn", "--tolerance-scale", "-1e-3"],
     ["verify", "--all", "--suite", "specfn"],
     ["dirac", "--beta", "1e6"],
     ["dirac", "--beta", "1e17"],
@@ -330,8 +361,6 @@ def test_oracle_csv_header(capsys):
     ["classify", "--mu", "3/2", "--coupling-scale", "inf"],
     ["potential", "--mu", "3/2", "--r-max", "1e400"],
     ["dirac", "--beta", "0.5", "--l", "1", "--alpha-fs", "inf"],  # no such option
-    ["bender", "--N", "1", "--tolerance", "inf"],
-    ["verify", "--suite", "specfn", "--tolerance-scale", "inf"],
     ["oracle", "--mu", "1e10", "--count", "1"],
     ["oracle", "--mu", "-1e10", "--l", "1", "--count", "1"],
     ["figures", "--which", "2", "--l", "-3"],
@@ -343,36 +372,41 @@ def test_oracle_csv_header(capsys):
     ["bender", "--N", "-2"],
     ["figures", "--which", "1", "--mu-range", "-4:4:1e-12"],
     ["figures", "--which", "1", "--mu-range", "0:1e300:1e-300"],
+    ["figures", "--which", "1", "--mu-range", "1:1:0.1"],
+    ["figures", "--which", "3", "--mu", "0.7"],
+    ["figures", "--which", "3", "--mu-negative", "-0.6"],
+    ["potential", "--mu", "3/2", "--r-min", "2", "--r-max", "1"],
+    ["degeneracy", "--mu", "3/2", "--omega", "11", "--l-max", "-1"],
 ], ids=["oracle-count-21", "oracle-energy-count-21", "oracle-negative-l",
         "bender-negative-n-max", "potential-zero-points", "figures-zero-points",
-        "oracle-negative-tolerance", "bender-zero-tolerance", "dirac-negative-tolerance",
-        "oracle-exponent-tolerance", "dirac-exponent-tolerance",
-        "bender-exponent-tolerance", "verify-exponent-tolerance-scale",
         "verify-all-with-suite", "dirac-beta-1e6", "dirac-beta-1e17",
         "classify-mu-not-a-number", "classify-mu-1-over-0",
         "classify-negative-coupling-scale", "oracle-lambda-1e300", "degeneracy-omega-1e400",
         "classify-lambda-inf", "classify-coupling-scale-inf", "potential-r-max-1e400",
-        "dirac-alpha-fs-inf", "bender-tolerance-inf", "verify-tolerance-scale-inf",
+        "dirac-alpha-fs-inf",
         "oracle-mu-1e10", "oracle-mu-minus-1e10", "figures-negative-l", "figures-zero-l",
         "oracle-N-1e110", "oracle-N-1e130", "classify-without-mu", "oracle-unknown-option",
-        "bender-N-minus-2", "figures-mu-range-8e12-samples", "figures-mu-range-1e600-samples"])
-def test_bad_input_is_a_one_line_validation_error(capsys, argv):
+        "bender-N-minus-2", "figures-mu-range-8e12-samples", "figures-mu-range-1e600-samples",
+        "figures-mu-range-empty", "figure-3-mu-0.7", "figure-3-mu-negative-minus-0.6",
+        "potential-r-min-above-r-max", "degeneracy-negative-l-max"])
+def test_bad_input_is_a_one_line_validation_error(capsys, request, argv):
     code = cli.main(argv)
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ")
+    # a refusal must come from the check it names, not from an option argparse lacks
+    unknown = request.node.callspec.id in ("dirac-alpha-fs-inf", "oracle-unknown-option")
+    assert ("unrecognized arguments" in err[0]) == unknown
 
 
 @pytest.mark.parametrize("argv, option", [
     (["classify", "--mu", "3/2", "--lambda", "inf"], "--lambda"),
     (["classify", "--mu", "abc"], "--mu"),
-    (["dirac", "--beta", "0.5", "--tolerance", "-1"], "--tolerance"),
-    (["verify", "--suite", "specfn", "--tolerance-scale", "0"], "--tolerance-scale"),
     (["figures", "--which", "1", "--mu-range", "oops"], "--mu-range"),
     (["classify", "--mu", "-inf"], "--mu"),
     (["classify", "--mu", "-Infinity"], "--mu"),
     (["figures", "--which", "3", "--mu-negative", "-nan"], "--mu-negative"),
-], ids=["lambda-inf", "mu-abc", "tolerance-minus-1", "tolerance-scale-0", "mu-range-oops",
+], ids=["lambda-inf", "mu-abc", "mu-range-oops",
         "mu-minus-inf", "mu-minus-Infinity", "mu-negative-minus-nan"])
 def test_a_type_error_names_its_option(capsys, argv, option):
     # the types raised their own error, whose line named the value alone, as
@@ -608,22 +642,6 @@ def test_oracle_matches_in_the_well_at_mu_minus_20(capsys):
     code, doc = run_json(capsys, ["oracle", "--mu", "-20", "--l", "2", "--count", "3"])
     assert code == 0
     assert [row["node_count"] for row in doc["results"]["levels"]] == [0, 1, 2]
-
-
-def test_tolerance_scale_does_not_pass_failed_flags(capsys, monkeypatch):
-    failed = [verify.CheckResult.flag("suite.flag", False),
-              verify.CheckResult.from_max("suite.runtime s", 61.0, 60.0, scales=False),
-              verify.CheckResult.from_max("suite.residual", 2e-8, 1e-8)]
-    monkeypatch.setattr(verify, "run_suite", lambda name: failed)
-    code, doc = run_json(capsys, ["verify", "--suite", "specfn",
-                                  "--tolerance-scale", "3"])
-    assert code == 1 and doc["passed"] is False
-    rows = {r["name"]: r for r in doc["results"]}
-    assert rows["suite.flag"]["passed"] is False
-    assert rows["suite.flag"]["tolerance"] == 0.5
-    assert rows["suite.runtime s"]["passed"] is False
-    assert rows["suite.runtime s"]["tolerance"] == 60.0
-    assert rows["suite.residual"]["passed"] is True  # accuracy rows do scale
 
 
 def test_oracle_json_carries_shooting_diagnostics(capsys, schema):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zepl import cli
+from zepl import cli, oracle
 from zepl import powerlaw as pl
 from zepl.specfn import laguerre
 from zepl.verify import PCT_TOL, RESIDUAL_TOL
@@ -25,10 +25,13 @@ def radii(sol):
 
 # --- family & parameter map -------------------------------------------------
 
-@pytest.mark.parametrize("mu", [0, 0.5, -0.5, Fraction(1, 2)])
+@pytest.mark.parametrize("mu", [0, 0.5, -0.5, Fraction(1, 2), math.inf])
 def test_excluded_mu_rejected(mu):
     with pytest.raises(ValueError):
         pl.PowerLawFamily(mu=mu)
+    if math.isfinite(mu):  # the oracle's own problem refuses the same mu
+        with pytest.raises(ValueError):
+            oracle.build_powerlaw_ode(mu, 1.0, 0)
 
 
 def test_field_validation():
@@ -38,6 +41,9 @@ def test_field_validation():
         pl.PowerLawFamily(mu=1.5, l=-1)
     with pytest.raises(ValueError):
         pl.PowerLawFamily(mu=1.5, n=1.5)
+    for lam, l in ((-1.0, 0), (1.0, -1)):  # and the oracle's own problem
+        with pytest.raises(ValueError):
+            oracle.build_powerlaw_ode(1.5, lam, l)
 
 
 @pytest.mark.parametrize("mu,l,n,lam", FAMILY_GRID)
@@ -325,6 +331,27 @@ def test_stacked_pass_fails_at_exactly_the_perturbed_family(monkeypatch, suite, 
     [row] = verify.run_suite(suite)
     assert not row.passed and row.detail == f"worst at {target}"
     assert row.value == check(target).max_residual > 1e-4
+
+
+@pytest.mark.parametrize("flip, named", [
+    (lambda rep: replace(rep, bounded=not rep.bounded), "(1.5, 1, False, True)"),
+    (lambda rep: replace(rep, condition=replace(rep.condition, satisfied=False)),
+     "(1.5, 1, 'condition', 'violated')"),
+], ids=["bounded", "condition-status"])
+def test_the_table_grid_row_fails_at_exactly_the_flipped_family(monkeypatch, flip, named):
+    # one family's verdict, flipped in the report classify returns, is the
+    # one mismatch the row counts and names
+    from zepl import verify
+
+    classify = pl.classify
+
+    def flipped(fam, coupling_scale=1.0):
+        rep = classify(fam, coupling_scale)
+        return flip(rep) if (fam.mu, fam.l, coupling_scale) == (1.5, 1, 1.0) else rep
+
+    monkeypatch.setattr(pl, "classify", flipped)
+    row = next(c for c in verify.suite_table1() if c.name == "powerlaw.classify[table-grid]")
+    assert not row.passed and row.value == 1.0 and row.detail == f"[{named}]"
 
 
 # --- bound-state condition ---------------------------------------------------
